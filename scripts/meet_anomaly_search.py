@@ -13,7 +13,7 @@ from latnorm.catalog import extension_corpus, random_lattices
 from latnorm.construction import AtomSelection
 from latnorm.errors import DegenerateLengthWarning
 from latnorm.extension import condition_c, extend, s_family
-from latnorm.tnorm import tnorm_le
+from latnorm.tnorm import FamilyOrder
 
 
 def main():
@@ -30,13 +30,12 @@ def main():
         fam = s_family(ext)
         members = fam.members()
         passing = [sel for sel, _ in members]
-        tables = dict(members)
         witness = None
         for i, a in enumerate(passing):
-            for b in passing[i + 1:]:
+            for j, b in enumerate(passing[i + 1:], start=i + 1):
                 inter = AtomSelection.from_mask(ext.extended, a.mask & b.mask)
                 if not condition_c(ext, inter).ok:
-                    witness = (a, b, inter)
+                    witness = (i, j, inter)
                     break
             if witness:
                 break
@@ -45,11 +44,11 @@ def main():
                   f"({len(passing)}/{len(fam.entries)} pass)")
             continue
         found += 1
-        a, b, inter = witness
-        ta, tb = tables[a], tables[b]
-        lbs = [t for _, t in members if tnorm_le(t, ta) and tnorm_le(t, tb)]
-        greatest = [t for t in lbs if all(tnorm_le(o, t) for o in lbs)]
-        meet_sel = [sel for sel, t in members if t == greatest[0]]
+        i, j, inter = witness
+        a, b = passing[i], passing[j]
+        order = FamilyOrder(t for _, t in members)
+        meet = order.glb(order.index[i], order.index[j])
+        meet_sel = [sel for sel, m in zip(passing, order.index) if m == meet]
         print(
             f"{name}: WITNESS  {{{', '.join(a.names())}}} and {{{', '.join(b.names())}}} pass, "
             f"their intersection {{{', '.join(inter.names())}}} fails the gate; "

@@ -15,6 +15,7 @@ from .errors import (
     NotAtomistic,
     NotClosed,
     NoTop,
+    OutputCollision,
     TopMissing,
     UnknownLabel,
 )
@@ -28,6 +29,7 @@ from .lattice import (
     powerset_lattice,
 )
 from .tnorm import (
+    FamilyOrder,
     TNormTable,
     Verdict,
     idempotents,

@@ -19,7 +19,7 @@ from .construction import (
 from .errors import BoundExceeded, DegenerateLength
 from .extension import condition_c, extend, restrict_to_original, s_family
 from .lattice import FiniteLattice
-from .tnorm import is_left_semicontinuous, restrict, tnorm_le, verify_tnorm
+from .tnorm import FamilyOrder, is_left_semicontinuous, restrict, verify_tnorm
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,12 @@ def check_restriction_joins(lat: FiniteLattice, atom_cap: int = 12) -> CheckResu
     ext = extend(lat)
     fam = s_family(ext, atom_cap=atom_cap)
     members = fam.members()
-    by_mask = {sel.mask: table for sel, table in members}
-    for sel_a, table_a in members:
-        for sel_b, table_b in members:
-            union_table = by_mask[sel_a.mask | sel_b.mask]
-            ubs = [t for _, t in members if tnorm_le(table_a, t) and tnorm_le(table_b, t)]
-            least = [t for t in ubs if all(tnorm_le(t, other) for other in ubs)]
-            if len(set(least)) != 1 or least[0] != union_table:
+    order = FamilyOrder(table for _, table in members)
+    member_of = {sel.mask: i for (sel, _), i in zip(members, order.index)}
+    for sel_a, _ in members:
+        for sel_b, _ in members:
+            joined = order.lub(member_of[sel_a.mask], member_of[sel_b.mask])
+            if joined != member_of[sel_a.mask | sel_b.mask]:
                 return CheckResult(
                     name,
                     False,
@@ -119,11 +118,10 @@ def check_restriction_joins(lat: FiniteLattice, atom_cap: int = 12) -> CheckResu
     top = lat.top
     if lat.ji_mask >> top & 1 and top in ext.new_atoms:
         w1 = ext.new_atoms[top]
-        for sel, table in members:
+        for sel, _ in members:
             if w1 in sel:
                 continue
-            widened = by_mask.get(sel.mask | 1 << w1)
-            if widened is None or widened != table:
+            if member_of.get(sel.mask | 1 << w1) != member_of[sel.mask]:
                 return CheckResult(
                     name, False, f"adding {ext.extended.name(w1)} to {sel.label()} changed the restriction"
                 )

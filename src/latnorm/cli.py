@@ -21,7 +21,7 @@ from .construction import (
     skeleton,
     skeleton_tnorm,
 )
-from .errors import ConditionCViolated, LatnormError, NotAtomistic
+from .errors import ConditionCViolated, LatnormError, NotAtomistic, OutputCollision
 from .extension import condition_c, extend, restrict_to_original, s_family
 from .lattice import FiniteLattice, load_lattice
 from .oracle import census
@@ -41,6 +41,21 @@ def _parse_alpha(spec: str) -> list[str]:
     if not spec:
         return []
     return [part.strip() for part in spec.split(",")]
+
+
+def _check_file_names(selections, prefix: str) -> None:
+    """Refuse an export in which two selections would share one file.
+
+    Labels join atom names with ``_``, so distinct selections can collide
+    (``{a, b}`` and ``{a_b}``); checked before any file is written.
+    """
+    owners: dict[str, AtomSelection] = {}
+    for sel in selections:
+        file_name = f"{prefix}{sel.label()}.csv"
+        if file_name in owners:
+            first = "{" + ", ".join(owners[file_name].names()) + "}"
+            raise OutputCollision(file_name, first, "{" + ", ".join(sel.names()) + "}")
+        owners[file_name] = sel
 
 
 def _info_obj(lat: FiniteLattice) -> dict:
@@ -121,14 +136,19 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     stem = Path(args.lattice).stem
     written: list[Path] = []
+    ext = None
     target = lat
     if not lat.is_atomistic():
         if not args.extend:
             raise NotAtomistic("lattice is not atomistic; rerun with --extend to generate on its extension")
         ext = extend(lat)
         target = ext.extended
-        written += _write_extension(ext, stem, out)
     skel = skeleton(target)
+    if args.all:
+        selections = [selection for selection, _ in enumerate_skeleton_tnorms(skel, cap=args.atom_cap)]
+        _check_file_names(selections, "alpha_")
+    if ext is not None:
+        written += _write_extension(ext, stem, out)
 
     def write_pair(selection: AtomSelection, with_skeleton: bool) -> tuple[Path, Path | None]:
         on_c = skeleton_tnorm(skel, selection)
@@ -143,7 +163,7 @@ def cmd_generate(args) -> int:
 
     if args.all:
         index = []
-        for selection, _ in enumerate_skeleton_tnorms(skel, cap=args.atom_cap):
+        for selection in selections:
             lifted_path, _ = write_pair(selection, with_skeleton=False)
             index.append(
                 {"alpha": list(selection.names()), "label": selection.label(), "file": lifted_path.name}
@@ -179,11 +199,13 @@ def cmd_restrict(args) -> int:
     out = Path(args.out)
     stem = Path(args.lattice).stem
     ext = extend(lat)
+    if args.all:
+        fam = s_family(ext, atom_cap=args.atom_cap)
+        _check_file_names((e.selection for e in fam.entries if e.restricted is not None), "restricted_alpha_")
     written = _write_extension(ext, stem, out)
     skel = skeleton(ext.extended)
 
     if args.all:
-        fam = s_family(ext, atom_cap=args.atom_cap)
         index = []
         for entry in fam.entries:
             file_name = None

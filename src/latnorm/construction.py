@@ -21,7 +21,7 @@ from .errors import (
     NotAtomistic,
 )
 from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
-from .tnorm import TNormTable, Verdict, OK, tnorm_le
+from .tnorm import FamilyOrder, TNormTable, Verdict, OK
 
 DEFAULT_ATOM_CAP = 20
 
@@ -301,34 +301,29 @@ def family_powerset_isomorphism(lat: FiniteLattice, atom_cap: int = 6) -> Family
         raise BoundExceeded(f"{k} atoms exceeds the isomorphism-check cap {atom_cap}")
     family = generated_family(lat, atom_cap=atom_cap)
     failures: list[str] = []
-
-    def le(i: int, j: int) -> bool:
-        return tnorm_le(family[i].lifted, family[j].lifted)
-
+    # the family is pairwise distinct, so member ids are family positions
+    order = FamilyOrder(g.lifted for g in family)
     count = len(family)
     masks = [g.selection.mask for g in family]
     by_mask = {m: i for i, m in enumerate(masks)}
     for i in range(count):
         for j in range(count):
             inc = masks[i] & ~masks[j] == 0
-            if inc != le(i, j):
+            if inc != order.le(i, j):
                 failures.append(
                     f"selection inclusion and pointwise order disagree on "
                     f"({family[i].selection.label()}, {family[j].selection.label()})"
                 )
-    order = [[le(i, j) for j in range(count)] for i in range(count)]
     for i in range(count):
         for j in range(count):
-            ubs = [m for m in range(count) if order[i][m] and order[j][m]]
-            least_ubs = [m for m in ubs if all(order[m][other] for other in ubs)]
-            if len(least_ubs) != 1 or masks[least_ubs[0]] != masks[i] | masks[j]:
+            join = order.lub(i, j)
+            if join is None or masks[join] != masks[i] | masks[j]:
                 failures.append(
                     f"join of ({family[i].selection.label()}, {family[j].selection.label()}) "
                     "is not the union selection"
                 )
-            lbs = [m for m in range(count) if order[m][i] and order[m][j]]
-            greatest_lbs = [m for m in lbs if all(order[other][m] for other in lbs)]
-            if len(greatest_lbs) != 1 or masks[greatest_lbs[0]] != masks[i] & masks[j]:
+            meet = order.glb(i, j)
+            if meet is None or masks[meet] != masks[i] & masks[j]:
                 failures.append(
                     f"meet of ({family[i].selection.label()}, {family[j].selection.label()}) "
                     "is not the intersection selection"
@@ -337,11 +332,7 @@ def family_powerset_isomorphism(lat: FiniteLattice, atom_cap: int = 6) -> Family
     top_idx, bot_idx = by_mask[full], by_mask[0]
     for j in range(count):
         comp = by_mask[full & ~masks[j]]
-        ub = [m for m in range(count) if order[j][m] and order[comp][m]]
-        lb = [m for m in range(count) if order[m][j] and order[m][comp]]
-        join_ok = [m for m in ub if all(order[m][o] for o in ub)] == [top_idx]
-        meet_ok = [m for m in lb if all(order[o][m] for o in lb)] == [bot_idx]
-        if not (join_ok and meet_ok):
+        if order.lub(j, comp) != top_idx or order.glb(j, comp) != bot_idx:
             failures.append(f"complement of {family[j].selection.label()} fails the lattice laws")
 
     boolean_self = None
@@ -356,7 +347,7 @@ def family_powerset_isomorphism(lat: FiniteLattice, atom_cap: int = 6) -> Family
         else:
             for x in range(lat.n):
                 for y in range(lat.n):
-                    if lat.leq(x, y) != order[image[x]][image[y]]:
+                    if lat.leq(x, y) != order.le(image[x], image[y]):
                         boolean_self = False
                         failures.append(
                             f"lattice order and family order disagree on "

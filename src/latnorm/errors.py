@@ -74,6 +74,14 @@ class ConditionCViolated(LatnormError):
         super().__init__(f"restriction gate fails at join-irreducible {p!r}{extra}")
 
 
+class OutputCollision(LatnormError):
+    """Two outputs of one export would be written to the same file."""
+
+    def __init__(self, file_name, first, second):
+        self.file_name = file_name
+        super().__init__(f"{first} and {second} would both be written to {file_name!r}")
+
+
 class DegenerateLength(LatnormError):
     """The lattice has length at most 1, so the generation theory degenerates."""
 

@@ -171,15 +171,10 @@ class SFamily:
         return [(e.selection, e.restricted) for e in self.entries if e.restricted is not None]
 
     def distinct(self) -> list[tuple[TNormTable, list[AtomSelection]]]:
-        groups: list[tuple[TNormTable, list[AtomSelection]]] = []
+        groups: dict = {}
         for sel, table in self.members():
-            for seen, sels in groups:
-                if seen == table:
-                    sels.append(sel)
-                    break
-            else:
-                groups.append((table, [sel]))
-        return groups
+            groups.setdefault(table.table, (table, []))[1].append(sel)
+        return list(groups.values())
 
 
 def s_family(ext: ExtendedLattice, atom_cap: int = 20) -> SFamily:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -42,6 +43,11 @@ CLASS_NAMES = (
 )
 
 
+def _check_size(lat: FiniteLattice, size_cap: int) -> None:
+    if lat.n > size_cap:
+        raise BoundExceeded(f"lattice has {lat.n} elements, oracle size cap is {size_cap}")
+
+
 def enumerate_all_tnorms(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,
@@ -55,9 +61,8 @@ def enumerate_all_tnorms(
     determinism check. Raises when the element count exceeds ``size_cap``
     or more than ``cap`` tables exist.
     """
+    _check_size(lat, size_cap)
     n = lat.n
-    if n > size_cap:
-        raise BoundExceeded(f"lattice has {n} elements, oracle size cap is {size_cap}")
     bot, top = lat.bottom, lat.top
     meet = lat.meet_table
     leq = lat.leq
@@ -223,8 +228,11 @@ def census(
     it is null for non-atomistic lattices, where the family is not
     defined. Reports are cached as JSON keyed by the lattice fingerprint
     when a cache directory is given (or set via ``LATNORM_CACHE_DIR``);
-    the cache is advisory and ignored on version mismatch.
+    the cache is advisory and ignored on version mismatch, but never
+    answers for a lattice above ``size_cap``. It is written through a
+    temporary file, so a reader never sees a half-written report.
     """
+    _check_size(lat, size_cap)
     fingerprint = lat.fingerprint()
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR)
@@ -272,11 +280,18 @@ def census(
         witnesses=witnesses,
     )
     if cache_path is not None:
+        tmp_name = None
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(report.to_json(), encoding="utf-8")
+            with tempfile.NamedTemporaryFile(
+                "w", encoding="utf-8", dir=cache_path.parent, prefix=f"{cache_path.name}.", delete=False
+            ) as tmp:
+                tmp_name = tmp.name
+                tmp.write(report.to_json())
+            os.replace(tmp_name, cache_path)
         except OSError:
-            pass
+            if tmp_name is not None:
+                Path(tmp_name).unlink(missing_ok=True)
     return report
 
 

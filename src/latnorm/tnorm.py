@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 
 from .errors import LatticeMismatch, NotClosed, TopMissing, UnknownLabel
-from .lattice import ElementSet, FiniteLattice, induced_sublattice
+from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,64 @@ def tnorm_le(t1: TNormTable, t2: TNormTable) -> bool:
     """Pointwise order between two tables on the same lattice."""
     if t1.lattice is not t2.lattice:
         raise LatticeMismatch("tables live on different lattices")
-    lat = t1.lattice
-    n = lat.n
-    return all(lat.leq(t1.table[x][y], t2.table[x][y]) for x in range(n) for y in range(n))
+    ups = t1.lattice.ups
+    return all(ups[a] >> b & 1 for r1, r2 in zip(t1.table, t2.table) for a, b in zip(r1, r2))
+
+
+class FamilyOrder:
+    """The pointwise order of a family of tables, computed once as bitmasks.
+
+    Tables are deduplicated by their rows: ``members`` holds the distinct
+    ones in first-seen order and ``index[p]`` is the member id of the p-th
+    input table. Bit j of ``ups[i]`` (``downs[i]``) is set when member i
+    lies below (above) member j. Every comparison is a ``tnorm_le`` call
+    on the tables themselves, so the order is observed, never assumed from
+    how the tables were made.
+    """
+
+    __slots__ = ("members", "index", "ups", "downs")
+
+    def __init__(self, tables):
+        ids: dict = {}
+        members: list[TNormTable] = []
+        index = []
+        for t in tables:
+            i = ids.get(t.table)
+            if i is None:
+                i = ids[t.table] = len(members)
+                members.append(t)
+            index.append(i)
+        ups = [1 << i for i in range(len(members))]
+        downs = ups[:]
+        for i, ti in enumerate(members):
+            for j, tj in enumerate(members):
+                if i != j and tnorm_le(ti, tj):
+                    ups[i] |= 1 << j
+                    downs[j] |= 1 << i
+        self.members = members
+        self.index = index
+        self.ups = ups
+        self.downs = downs
+
+    def le(self, i: int, j: int) -> bool:
+        return bool(self.ups[i] >> j & 1)
+
+    def lub(self, i: int, j: int) -> int | None:
+        """The least member above both, or None when there is none."""
+        return self._extreme(self.ups[i] & self.ups[j], self.ups)
+
+    def glb(self, i: int, j: int) -> int | None:
+        """The greatest member below both, or None when there is none."""
+        return self._extreme(self.downs[i] & self.downs[j], self.downs)
+
+    @staticmethod
+    def _extreme(bounds: int, cones: list[int]) -> int | None:
+        # the bound whose own cone holds every other bound; antisymmetry
+        # of the pointwise order makes it unique when it exists
+        for m in iter_bits(bounds):
+            if cones[m] & bounds == bounds:
+                return m
+        return None
 
 
 def idempotents(t: TNormTable) -> ElementSet:

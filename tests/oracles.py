@@ -200,3 +200,34 @@ def independent_subsets_spanning(lat: FiniteLattice, x: int) -> list[frozenset[i
             if ok and join_of(lat, combo) == x:
                 out.append(frozenset(combo))
     return out
+
+
+def scan_family_bounds(tables: list[TNormTable]):
+    """Pointwise order, least upper and greatest lower bounds by list scans.
+
+    Straight from the definitions over one family: ``le[i][j]`` compares
+    tables i and j cell by cell, and ``lub[i][j]`` (``glb[i][j]``) is the
+    rows of the unique family table above (below) both that lies below
+    (above) every other such table, or None when there is none.
+    """
+    lat = tables[0].lattice
+    n = lat.n
+    m = len(tables)
+    le = [
+        [all(lat.leq(a.table[x][y], b.table[x][y]) for x in range(n) for y in range(n)) for b in tables]
+        for a in tables
+    ]
+
+    def extreme(bounds, inside):
+        best = {tables[u].table for u in bounds if all(inside(u, o) for o in bounds)}
+        return best.pop() if len(best) == 1 else None
+
+    lub = [
+        [extreme([u for u in range(m) if le[i][u] and le[j][u]], lambda u, o: le[u][o]) for j in range(m)]
+        for i in range(m)
+    ]
+    glb = [
+        [extreme([u for u in range(m) if le[u][i] and le[u][j]], lambda u, o: le[o][u]) for j in range(m)]
+        for i in range(m)
+    ]
+    return le, lub, glb

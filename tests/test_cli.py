@@ -5,6 +5,7 @@ import json
 import pytest
 
 from latnorm.cli import main
+from latnorm.lattice import lattice_from_covers
 
 from conftest import golden
 
@@ -88,6 +89,20 @@ def test_generate_all_family(tmp_path, ext_file):
     assert "alpha_b_w_d_w_c.csv" in files
     for entry in index["alphas"]:
         assert (out / entry["file"]).exists()
+
+
+@pytest.mark.parametrize("command, prefix", [("generate", "alpha_"), ("restrict", "restricted_alpha_")])
+def test_all_export_rejects_file_name_collision(tmp_path, capsys, command, prefix):
+    """Atoms a, b and a_b: the selections {a, b} and {a_b} share one label."""
+    names = ["0", "a", "b", "a_b", "1"]
+    lat = lattice_from_covers(names, [("0", x) for x in names[1:4]] + [(x, "1") for x in names[1:4]])
+    path = tmp_path / "m3.json"
+    path.write_text(lat.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path), "--all", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{prefix}a_b.csv" in err and "{a, b}" in err and "{a_b}" in err
+    assert not out.exists()
 
 
 def test_generate_requires_atomistic(fig_file, tmp_path, capsys):

@@ -180,6 +180,20 @@ def test_s_family_has_top_and_bottom(corpus_extension):
             assert tnorm_le(bot, t) and tnorm_le(t, next(tt for tt in tables if tt.table == top_table))
 
 
+def test_s_family_distinct_groups_in_first_seen_order():
+    fam = s_family(extend(double_atom_tower()))
+    expected: list = []
+    for sel, table in fam.members():
+        for seen, sels in expected:
+            if seen == table:
+                sels.append(sel)
+                break
+        else:
+            expected.append((table, [sel]))
+    assert fam.distinct() == expected
+    assert len(expected) < len(fam.members())
+
+
 def test_s_family_join_examples(fig_ext, fig_lattice):
     a = AtomSelection.from_names(fig_ext.extended, ["b"])
     b = AtomSelection.from_names(fig_ext.extended, ["b", "w_d"])

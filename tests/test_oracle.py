@@ -175,6 +175,16 @@ def test_census_cache_round_trip(tmp_path, lat_m3):
     assert fresh.total == first.total == 8
 
 
+def test_census_cache_respects_size_cap(tmp_path):
+    lat = chain(6)
+    assert census(lat, cache_dir=tmp_path).total == 94
+    with pytest.raises(BoundExceeded):
+        census(lat, size_cap=4, cache_dir=tmp_path)
+    # the report was written whole, through a temporary file that is gone
+    assert [p.name for p in tmp_path.iterdir()] == [f"census_{lat.fingerprint()}.json"]
+    assert census(lat, cache_dir=tmp_path).total == 94
+
+
 def test_census_cache_env_var(tmp_path, monkeypatch, p2):
     monkeypatch.setenv("LATNORM_CACHE_DIR", str(tmp_path))
     census(p2)

@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from latnorm.catalog import chain
+from latnorm.catalog import chain, double_atom_tower
+from latnorm.construction import AtomSelection, generated_family
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
+from latnorm.extension import extend, s_family
 from latnorm.lattice import powerset_lattice
 from latnorm.oracle import enumerate_all_tnorms
 from latnorm.tnorm import (
+    FamilyOrder,
     TNormTable,
     idempotents,
     is_continuous,
@@ -28,6 +31,7 @@ from oracles import (
     all_subsets_left_semicontinuous,
     all_subsets_right_continuous,
     full_pairs_monotone,
+    scan_family_bounds,
 )
 
 # The worked-example restriction table, keyed by element names.
@@ -248,3 +252,58 @@ def test_meet_is_strongest(k):
     t = t_min(lat)
     assert verify_tnorm(t).ok
     assert is_continuous(t).ok
+
+
+def assert_order_matches_scans(tables):
+    order = FamilyOrder(tables)
+    le, lub, glb = scan_family_bounds(tables)
+
+    def rows(member):
+        return None if member is None else order.members[member].table
+
+    for i, a in enumerate(order.index):
+        for j, b in enumerate(order.index):
+            assert order.le(a, b) == le[i][j], (i, j)
+            assert rows(order.lub(a, b)) == lub[i][j], (i, j)
+            assert rows(order.glb(a, b)) == glb[i][j], (i, j)
+    return order
+
+
+def test_family_order_matches_scans_on_lifted_families(corpus_extension):
+    for name, lat in corpus_extension.items():
+        big = extend(lat).extended
+        if big.atoms_mask.bit_count() > 8:
+            continue
+        family = [g.lifted for g in generated_family(big)]
+        order = assert_order_matches_scans(family)
+        assert order.index == list(range(len(family))), name
+
+
+def test_family_order_matches_scans_on_shared_restrictions():
+    """Distinct selections share a restriction, and an intersection of
+    passing selections fails the gate, so the meet is not a selection's."""
+    ext = extend(double_atom_tower())
+    members = s_family(ext).members()
+    order = assert_order_matches_scans([t for _, t in members])
+    assert len(order.members) < len(members)
+    position = {sel.mask: i for i, (sel, _) in enumerate(members)}
+    a, b = (AtomSelection.from_names(ext.extended, ["w_p", x]).mask for x in ("a", "b"))
+    assert a & b not in position
+    assert order.glb(order.index[position[a]], order.index[position[b]]) is not None
+
+
+def test_family_order_without_least_upper_bound(p2):
+    a, b = (g.lifted for g in generated_family(p2) if len(g.selection) == 1)
+    assert not tnorm_le(a, b) and not tnorm_le(b, a)
+    drastic = t_drastic(p2)
+    order = FamilyOrder([drastic, a, b, a])
+    assert order.index == [0, 1, 2, 1]
+    assert order.lub(1, 2) is None
+    assert order.glb(1, 2) == 0
+    assert order.lub(0, 1) == 1 and order.glb(0, 1) == 0
+    assert order.le(0, 2) and not order.le(2, 0)
+
+
+def test_family_order_lattice_mismatch(p2, lat_m3):
+    with pytest.raises(LatticeMismatch):
+        FamilyOrder([t_min(p2), t_min(lat_m3)])
