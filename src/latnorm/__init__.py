@@ -18,6 +18,7 @@ from .errors import (
     OutputCollision,
     TopMissing,
     UnknownLabel,
+    UnsafeFileName,
 )
 from .lattice import (
     ElementSet,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construction import (
+    ISOMORPHISM_ATOM_CAP,
     AtomSelection,
     family_powerset_isomorphism,
     generated_family,
@@ -20,6 +21,8 @@ from .errors import BoundExceeded, DegenerateLength
 from .extension import condition_c, extend, restrict_to_original, s_family
 from .lattice import FiniteLattice
 from .tnorm import FamilyOrder, is_left_semicontinuous, restrict, verify_tnorm
+
+CHECK_ATOM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class CheckResult:
         return f"{status}  {self.name}{tail}"
 
 
-def check_lift_restriction_roundtrip(lat: FiniteLattice, atom_cap: int = 12) -> CheckResult:
+def check_lift_restriction_roundtrip(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
     """Restricting each lift back to the skeleton returns the skeleton table."""
     name = "lift-restriction round-trip"
     skel = skeleton(lat)
@@ -45,7 +48,7 @@ def check_lift_restriction_roundtrip(lat: FiniteLattice, atom_cap: int = 12) -> 
     return CheckResult(name, True)
 
 
-def check_semicontinuity_criterion(lat: FiniteLattice, atom_cap: int = 12) -> CheckResult:
+def check_semicontinuity_criterion(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
     """The selection-level criterion matches the table scan for every selection."""
     name = "left-semicontinuity criterion vs table scan"
     for g in generated_family(lat, atom_cap=atom_cap):
@@ -60,7 +63,7 @@ def check_semicontinuity_criterion(lat: FiniteLattice, atom_cap: int = 12) -> Ch
     return CheckResult(name, True)
 
 
-def check_family_isomorphism(lat: FiniteLattice, atom_cap: int = 6) -> CheckResult:
+def check_family_isomorphism(lat: FiniteLattice, atom_cap: int = ISOMORPHISM_ATOM_CAP) -> CheckResult:
     """The lifted family is the atom powerset as an ordered structure."""
     name = "family vs atom-powerset isomorphism"
     try:
@@ -72,7 +75,7 @@ def check_family_isomorphism(lat: FiniteLattice, atom_cap: int = 6) -> CheckResu
     return CheckResult(name, True)
 
 
-def check_extension_gate(lat: FiniteLattice, atom_cap: int = 12) -> CheckResult:
+def check_extension_gate(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
     """The restriction gate holds exactly when the restriction is a t-norm."""
     name = "extension restriction gate (both directions)"
     ext = extend(lat)
@@ -94,7 +97,7 @@ def check_extension_gate(lat: FiniteLattice, atom_cap: int = 12) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_restriction_joins(lat: FiniteLattice, atom_cap: int = 12) -> CheckResult:
+def check_restriction_joins(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
     """Selection unions realize least upper bounds of gated restrictions.
 
     Also confirms that adding the atom inserted under a join-irreducible
@@ -128,7 +131,7 @@ def check_restriction_joins(lat: FiniteLattice, atom_cap: int = 12) -> CheckResu
     return CheckResult(name, True)
 
 
-def run_all_checks(lat: FiniteLattice, atom_cap: int = 12) -> list[CheckResult]:
+def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[CheckResult]:
     """Run every applicable check; family checks use the extension when needed."""
     results = []
     target = lat

@@ -12,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .checks import run_all_checks
+from .checks import CHECK_ATOM_CAP, run_all_checks
 from .construction import (
+    DEFAULT_ATOM_CAP,
     AtomSelection,
     GeneratedTNorm,
     enumerate_skeleton_tnorms,
@@ -21,14 +22,11 @@ from .construction import (
     skeleton,
     skeleton_tnorm,
 )
-from .errors import ConditionCViolated, LatnormError, NotAtomistic, OutputCollision
-from .extension import condition_c, extend, restrict_to_original, s_family
+from .errors import ConditionCViolated, LatnormError, NotAtomistic, OutputCollision, UnsafeFileName
+from .extension import extend, restrict_to_original, s_family
 from .lattice import FiniteLattice, load_lattice
-from .oracle import census
+from .oracle import DEFAULT_SIZE_CAP as DEFAULT_ORACLE_CAP, census
 from .tnorm import table_to_csv
-
-DEFAULT_ATOM_CAP = 20
-DEFAULT_ORACLE_CAP = 8
 
 
 def _emit(path: Path, text: str) -> None:
@@ -44,17 +42,20 @@ def _parse_alpha(spec: str) -> list[str]:
 
 
 def _check_file_names(selections, prefix: str) -> None:
-    """Refuse an export in which two selections would share one file.
+    """Refuse an export that would not write one plain file per selection.
 
-    Labels join atom names with ``_``, so distinct selections can collide
-    (``{a, b}`` and ``{a_b}``); checked before any file is written.
+    Labels are raw atom names joined with ``_``, so an atom name holding a
+    path separator would write outside ``--out`` or below it, and distinct
+    selections can collide (``{a, b}`` and ``{a_b}``). Checked before any
+    file is written.
     """
     owners: dict[str, AtomSelection] = {}
     for sel in selections:
         file_name = f"{prefix}{sel.label()}.csv"
+        if Path(file_name).name != file_name:
+            raise UnsafeFileName(file_name, repr(sel.members))
         if file_name in owners:
-            first = "{" + ", ".join(owners[file_name].names()) + "}"
-            raise OutputCollision(file_name, first, "{" + ", ".join(sel.names()) + "}")
+            raise OutputCollision(file_name, repr(owners[file_name].members), repr(sel.members))
         owners[file_name] = sel
 
 
@@ -146,7 +147,9 @@ def cmd_generate(args) -> int:
     skel = skeleton(target)
     if args.all:
         selections = [selection for selection, _ in enumerate_skeleton_tnorms(skel, cap=args.atom_cap)]
-        _check_file_names(selections, "alpha_")
+    else:
+        selections = [AtomSelection.from_names(target, _parse_alpha(args.alpha))]
+    _check_file_names(selections, "alpha_")
     if ext is not None:
         written += _write_extension(ext, stem, out)
 
@@ -179,7 +182,7 @@ def cmd_generate(args) -> int:
             print(f"wrote {len(index)} lifted tables to {out}")
         return 0
 
-    selection = AtomSelection.from_names(target, _parse_alpha(args.alpha))
+    selection = selections[0]
     lifted_path, c_path = write_pair(selection, with_skeleton=True)
     written += [c_path, lifted_path]
     obj = {"alpha": list(selection.names()), "files": [str(p) for p in written]}
@@ -202,6 +205,9 @@ def cmd_restrict(args) -> int:
     if args.all:
         fam = s_family(ext, atom_cap=args.atom_cap)
         _check_file_names((e.selection for e in fam.entries if e.restricted is not None), "restricted_alpha_")
+    else:
+        selection = AtomSelection.from_names(ext.extended, _parse_alpha(args.alpha))
+        _check_file_names([selection], "restricted_alpha_")
     written = _write_extension(ext, stem, out)
     skel = skeleton(ext.extended)
 
@@ -233,26 +239,21 @@ def cmd_restrict(args) -> int:
             print(f"{passing} of {len(index)} selections pass the restriction gate; wrote {out}")
         return 0
 
-    selection = AtomSelection.from_names(ext.extended, _parse_alpha(args.alpha))
-    gate = condition_c(ext, selection)
     on_c = skeleton_tnorm(skel, selection)
     g = GeneratedTNorm(selection, on_c, lift(ext.extended, on_c))
-    if not gate.ok:
-        try:
-            restrict_to_original(ext, g)
-        except ConditionCViolated as exc:
-            obj = {
-                "alpha": list(selection.names()),
-                "condition_c": "fail",
-                "witness": {"join_irreducible": exc.p, "pair": list(exc.witness)},
-            }
-            if args.format == "json":
-                print(json.dumps(obj, indent=2))
-            else:
-                print(f"condition_c: fail at {exc.p} (lift lands outside the lattice at {exc.witness})")
-            return 1
-        raise LatnormError("gate failed but restriction succeeded")  # pragma: no cover
-    restricted = restrict_to_original(ext, g)
+    try:
+        restricted = restrict_to_original(ext, g)
+    except ConditionCViolated as exc:
+        obj = {
+            "alpha": list(selection.names()),
+            "condition_c": "fail",
+            "witness": {"join_irreducible": exc.p, "pair": list(exc.witness)},
+        }
+        if args.format == "json":
+            print(json.dumps(obj, indent=2))
+        else:
+            print(f"condition_c: fail at {exc.p} (lift lands outside the lattice at {exc.witness})")
+        return 1
     path = out / f"restricted_alpha_{selection.label()}.csv"
     _emit(path, table_to_csv(restricted))
     written.append(path)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="json")
 
     p = add("check", cmd_check, help="run the cross-theorem consistency suite")
-    p.add_argument("--atom-cap", type=int, default=12)
+    p.add_argument("--atom-cap", type=int, default=CHECK_ATOM_CAP)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("export-dot", cmd_export_dot, help="cover diagram in DOT format")

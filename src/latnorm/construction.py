@@ -24,6 +24,7 @@ from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
 from .tnorm import FamilyOrder, TNormTable, Verdict, OK
 
 DEFAULT_ATOM_CAP = 20
+ISOMORPHISM_ATOM_CAP = 6  # the isomorphism check compares 4^k pairs of lifts
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,7 @@ class FamilyIsomorphismReport:
         return None
 
 
-def family_powerset_isomorphism(lat: FiniteLattice, atom_cap: int = 6) -> FamilyIsomorphismReport:
+def family_powerset_isomorphism(lat: FiniteLattice, atom_cap: int = ISOMORPHISM_ATOM_CAP) -> FamilyIsomorphismReport:
     """Verify that selections order-embed onto the lifted family.
 
     Checks, all by exhaustive comparison inside the family poset:

@@ -82,6 +82,14 @@ class OutputCollision(LatnormError):
         super().__init__(f"{first} and {second} would both be written to {file_name!r}")
 
 
+class UnsafeFileName(LatnormError):
+    """An output file name is not a single path component of the output directory."""
+
+    def __init__(self, file_name, selection):
+        self.file_name = file_name
+        super().__init__(f"{selection} would be written to {file_name!r}, which is not a plain file name")
+
+
 class DegenerateLength(LatnormError):
     """The lattice has length at most 1, so the generation theory degenerates."""
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConditionCViolated, DuplicateLabel, LatnormError, LatticeMismatch
+from .errors import ConditionCViolated, DuplicateLabel, LatticeMismatch
 from .lattice import FiniteLattice, iter_bits, lattice_from_covers
 from .construction import (
+    DEFAULT_ATOM_CAP,
     AtomSelection,
     GeneratedTNorm,
     enumerate_skeleton_tnorms,
@@ -60,9 +61,9 @@ def extend(lat: FiniteLattice) -> ExtendedLattice:
     """Build the atomistic extension; the identity when one is not needed.
 
     New atoms are named ``w_<element>``; a clash with an existing label is
-    rejected. The construction is guaranteed to produce an atomistic
-    lattice with a cover-preserving copy of the original, so a validation
-    failure here is an internal error, not bad input.
+    rejected. The result is atomistic, its atoms are the original atoms
+    plus the inserted ones, and it holds a cover-preserving copy of the
+    original; the test suite checks all three over the corpus.
     """
     h_mask = lat.ji_mask & ~lat.atoms_mask
     names = list(lat.names)
@@ -75,17 +76,9 @@ def extend(lat: FiniteLattice) -> ExtendedLattice:
         new_names.append(wname)
         covers.append((lat.name(lat.bottom), wname))
         covers.append((wname, lat.name(p)))
-    try:
-        ext = lattice_from_covers(names + new_names, covers)
-    except LatnormError as exc:  # pragma: no cover - the construction cannot fail
-        raise LatnormError(f"atomistic extension failed unexpectedly: {exc}") from exc
-    if not ext.is_atomistic():  # pragma: no cover
-        raise LatnormError("atomistic extension produced a non-atomistic lattice")
+    ext = lattice_from_covers(names + new_names, covers)
     embed = tuple(ext.index(name) for name in lat.names)
     new_atoms = {p: ext.index(f"w_{lat.name(p)}") for p in iter_bits(h_mask)}
-    expected_atoms = {embed[a] for a in iter_bits(lat.atoms_mask)} | set(new_atoms.values())
-    if set(iter_bits(ext.atoms_mask)) != expected_atoms:  # pragma: no cover
-        raise LatnormError("extension atoms are not the original atoms plus the inserted ones")
     return ExtendedLattice(original=lat, extended=ext, embed=embed, new_atoms=new_atoms)
 
 
@@ -111,34 +104,21 @@ def condition_c(ext: ExtendedLattice, selection: AtomSelection) -> Verdict:
 def restrict_to_original(ext: ExtendedLattice, g: GeneratedTNorm) -> TNormTable:
     """Restrict a lifted t-norm on the extension back to the original.
 
-    Succeeds exactly when the gate holds; otherwise raises, carrying the
-    join-irreducible whose inserted atom the table lands on plus the
-    offending argument pair.
+    Succeeds exactly when the gate (:func:`condition_c`) holds; otherwise
+    raises, carrying the join-irreducible whose inserted atom the table
+    lands on plus the first offending argument pair in file order.
     """
     if g.lifted.lattice is not ext.extended:
         raise LatticeMismatch("generated t-norm must live on the extended lattice")
-    gate = condition_c(ext, g.selection)
     n0 = ext.original.n
-    closed = True
-    witness = None
     for x in range(n0):
         for y in range(n0):
             v = g.lifted.table[x][y]
             if v >= n0:
-                closed = False
-                p = ext.inserted_for(v)
-                witness = (p, (x, y))
-                break
-        if not closed:
-            break
-    if gate.ok != closed:  # pragma: no cover - the gate is an exact characterization
-        raise LatnormError("restriction gate and closure scan disagree; internal error")
-    if not closed:
-        p, (x, y) = witness
-        raise ConditionCViolated(
-            ext.extended.name(ext.embed[p]),
-            (ext.original.name(x), ext.original.name(y)),
-        )
+                raise ConditionCViolated(
+                    ext.extended.name(ext.embed[ext.inserted_for(v)]),
+                    (ext.original.name(x), ext.original.name(y)),
+                )
     table = [row[:n0] for row in g.lifted.table[:n0]]
     return TNormTable(ext.original, table)
 
@@ -177,7 +157,7 @@ class SFamily:
         return list(groups.values())
 
 
-def s_family(ext: ExtendedLattice, atom_cap: int = 20) -> SFamily:
+def s_family(ext: ExtendedLattice, atom_cap: int = DEFAULT_ATOM_CAP) -> SFamily:
     """Restrictions over every atom selection of the extension, in mask order."""
     skel = skeleton(ext.extended)
     entries = []
@@ -195,11 +175,7 @@ def s_family_join(ext: ExtendedLattice, a: AtomSelection, b: AtomSelection) -> A
         gate = condition_c(ext, sel)
         if not gate.ok:
             raise ConditionCViolated(gate.witness[0], f"{name} selection fails the gate")
-    union = AtomSelection.from_mask(ext.extended, a.mask | b.mask)
-    gate = condition_c(ext, union)
-    if not gate.ok:  # pragma: no cover - unions of passing selections always pass
-        raise ConditionCViolated(gate.witness[0], "union of passing selections failed the gate")
-    return union
+    return AtomSelection.from_mask(ext.extended, a.mask | b.mask)
 
 
 @dataclass(frozen=True)

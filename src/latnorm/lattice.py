@@ -2,8 +2,10 @@
 
 Elements are identified by their position in the input element list (the
 "file order"); every table and export keeps that order so golden files are
-byte-stable. Order data is held as per-element bitmasks, which keeps the
-meet/join computations fast enough for exhaustive desk-scale work.
+byte-stable. Every lattice is built and validated by one constructor,
+:func:`lattice_from_covers`. Order data is held as per-element bitmasks:
+each meet and join is one lookup of a common down-set or up-set mask, which
+keeps construction fast enough for exhaustive desk-scale work.
 """
 
 from __future__ import annotations
@@ -303,45 +305,6 @@ class FiniteLattice:
         return f"FiniteLattice({self.n} elements, length {self.length})"
 
 
-def _finalize(names, ups, downs, covers, meet_table, join_table, bottom, top) -> FiniteLattice:
-    n = len(names)
-    atoms_mask = 0
-    lower_cover_count = [0] * n
-    up_adj: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in covers:
-        lower_cover_count[hi] += 1
-        up_adj[lo].append(hi)
-        if lo == bottom:
-            atoms_mask |= 1 << hi
-    ji_mask = 0
-    for x in range(n):
-        if x != bottom and lower_cover_count[x] == 1:
-            ji_mask |= 1 << x
-    # longest chain: DP over a topological order of the cover DAG
-    height = [0] * n
-    for x in sorted(range(n), key=lambda v: downs[v].bit_count()):
-        hx = height[x]
-        for hi in up_adj[x]:
-            if height[hi] < hx + 1:
-                height[hi] = hx + 1
-    return FiniteLattice(
-        names=tuple(names),
-        _index={name: i for i, name in enumerate(names)},
-        ups=tuple(ups),
-        downs=tuple(downs),
-        covers=tuple(covers),
-        meet_table=tuple(tuple(row) for row in meet_table),
-        join_table=tuple(tuple(row) for row in join_table),
-        bottom=bottom,
-        top=top,
-        atoms_mask=atoms_mask,
-        ji_mask=ji_mask,
-        length=max(height) if n else 0,
-        full_mask=(1 << n) - 1,
-        _fingerprint=[None],
-    )
-
-
 def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -> FiniteLattice:
     """Build and validate a lattice from element labels and cover pairs.
 
@@ -412,28 +375,22 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         raise NoTop(f"expected one maximal element, found {[names[i] for i in maximal]}")
     bottom, top = minimal[0], maximal[0]
 
-    # positions in a linear extension: |down-set| is monotone along the order
-    rank = sorted(range(n), key=lambda x: (downs[x].bit_count(), x))
+    # x and y have a meet exactly when their common down-set is itself the
+    # down-set of some element, which is then the meet; joins likewise
+    # with up-sets. Masks are distinct because the order is antisymmetric.
+    by_downs = {d: x for x, d in enumerate(downs)}
+    by_ups = {u: x for x, u in enumerate(ups)}
     meet_table = [[0] * n for _ in range(n)]
     join_table = [[0] * n for _ in range(n)]
     for xi in range(n):
+        dx, ux = downs[xi], ups[xi]
         for yi in range(xi, n):
-            common = downs[xi] & downs[yi]
-            g = -1
-            for z in reversed(rank):
-                if common >> z & 1:
-                    g = z
-                    break
-            if g < 0 or common & ~downs[g]:
+            g = by_downs.get(dx & downs[yi])
+            if g is None:
                 raise NotALattice((names[xi], names[yi]), "meet")
             meet_table[xi][yi] = meet_table[yi][xi] = g
-            commonu = ups[xi] & ups[yi]
-            s = -1
-            for z in rank:
-                if commonu >> z & 1:
-                    s = z
-                    break
-            if s < 0 or commonu & ~ups[s]:
+            s = by_ups.get(ux & ups[yi])
+            if s is None:
                 raise NotALattice((names[xi], names[yi]), "join")
             join_table[xi][yi] = join_table[yi][xi] = s
 
@@ -444,7 +401,41 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
                 reduced.append((lo, hi))
     reduced.sort()
 
-    return _finalize(names, ups, downs, reduced, meet_table, join_table, bottom, top)
+    atoms_mask = 0
+    lower_cover_count = [0] * n
+    up_adj: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in reduced:
+        lower_cover_count[hi] += 1
+        up_adj[lo].append(hi)
+        if lo == bottom:
+            atoms_mask |= 1 << hi
+    ji_mask = 0
+    for x in range(n):
+        if x != bottom and lower_cover_count[x] == 1:
+            ji_mask |= 1 << x
+    # longest chain: DP over a topological order of the cover DAG
+    height = [0] * n
+    for x in sorted(range(n), key=lambda v: downs[v].bit_count()):
+        hx = height[x]
+        for hi in up_adj[x]:
+            if height[hi] < hx + 1:
+                height[hi] = hx + 1
+    return FiniteLattice(
+        names=tuple(names),
+        _index=index,
+        ups=tuple(ups),
+        downs=tuple(downs),
+        covers=tuple(reduced),
+        meet_table=tuple(tuple(row) for row in meet_table),
+        join_table=tuple(tuple(row) for row in join_table),
+        bottom=bottom,
+        top=top,
+        atoms_mask=atoms_mask,
+        ji_mask=ji_mask,
+        length=max(height),
+        full_mask=(1 << n) - 1,
+        _fingerprint=[None],
+    )
 
 
 def induced_sublattice(parent: FiniteLattice, members: ElementSet) -> FiniteLattice:
@@ -472,33 +463,17 @@ def powerset_lattice(k: int) -> FiniteLattice:
     """Boolean lattice of all subsets of ``k`` atoms, ordered by inclusion.
 
     Atoms are named a, b, c, ...; an element's name concatenates its atom
-    letters ("0" for the empty set). Built directly from subset masks, so
-    no validation pass is needed.
+    letters ("0" for the empty set), and elements come in subset-mask
+    order. Built through :func:`lattice_from_covers` like every lattice.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > POWERSET_MAX_ATOMS:
         raise BoundExceeded(f"powerset bound is {POWERSET_MAX_ATOMS} atoms, got {k}")
     letters = [chr(ord("a") + i) for i in range(k)]
-    n = 1 << k
-    names = ["0" if s == 0 else "".join(letters[i] for i in iter_bits(s)) for s in range(n)]
-
-    ups = [0] * n
-    downs = [0] * n
-    for s in range(n):
-        for t in range(n):
-            if s & ~t == 0:
-                ups[s] |= 1 << t
-                downs[t] |= 1 << s
-    meet_table = [[s & t for t in range(n)] for s in range(n)]
-    join_table = [[s | t for t in range(n)] for s in range(n)]
-    covers = []
-    for s in range(n):
-        for t in range(n):
-            if s & ~t == 0 and (t ^ s).bit_count() == 1:
-                covers.append((s, t))
-    covers.sort()
-    return _finalize(names, ups, downs, covers, meet_table, join_table, 0, n - 1)
+    names = ["0" if s == 0 else "".join(letters[i] for i in iter_bits(s)) for s in range(1 << k)]
+    covers = [(names[s], names[s | 1 << i]) for s in range(1 << k) for i in range(k) if not s >> i & 1]
+    return lattice_from_covers(names, covers)
 
 
 def lattice_from_json_obj(obj: dict) -> FiniteLattice:

@@ -23,7 +23,6 @@ from .lattice import FiniteLattice
 from .construction import generated_family
 from .tnorm import (
     TNormTable,
-    is_continuous,
     is_left_continuous,
     is_left_semicontinuous,
     is_right_continuous,
@@ -260,11 +259,13 @@ def census(
     total = 0
     for t in enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap):
         total += 1
+        left = bool(is_left_continuous(t))
+        right = bool(is_right_continuous(t))
         hits = {
             "left_semicontinuous": bool(is_left_semicontinuous(t)),
-            "left_continuous": bool(is_left_continuous(t)),
-            "right_continuous": bool(is_right_continuous(t)),
-            "continuous": bool(is_continuous(t)),
+            "left_continuous": left,
+            "right_continuous": right,
+            "continuous": left and right,
         }
         if atomistic:
             hits["generated"] = t.table in family_tables

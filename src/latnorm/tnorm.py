@@ -220,48 +220,44 @@ def idempotents(t: TNormTable) -> ElementSet:
     return ElementSet(t.lattice, mask)
 
 
-def is_left_continuous(t: TNormTable) -> Verdict:
-    """Join preservation in each argument over arbitrary finite families.
+def _preserves(t: TNormTable, axiom: str, op, unit: int, skip: int = -1) -> Verdict:
+    """First place where a row of ``t`` fails to preserve the operation ``op``.
 
-    The binary form suffices: general families follow by induction, and
-    the empty family reduces to T(a, 0) = 0, which is checked directly.
+    Checks T(a, x op y) = T(a, x) op T(a, y) for all a and all element ids
+    x <= y, in that order, leaving out pairs with x op y = ``skip``. The binary form
+    suffices: general finite families follow by induction. The empty
+    family, whose op is ``unit``, is checked first as T(a, unit) = a ∧ unit,
+    which reads T(a, 0) = 0 for joins and the neutral axiom for meets.
     """
     lat = t.lattice
     tbl = t.table
     n = lat.n
-    bot = lat.bottom
+    meet = lat.meet_table
     for a in range(n):
-        if tbl[a][bot] != bot:
-            return Verdict(False, "left-continuity(empty)", (lat.name(a), lat.name(bot)))
-    join = lat.join_table
+        if tbl[a][unit] != meet[a][unit]:
+            return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
     for a in range(n):
         row = tbl[a]
         for x in range(n):
             rx = row[x]
+            opx = op[x]
             for y in range(x, n):
-                if row[join[x][y]] != join[rx][row[y]]:
-                    return Verdict(False, "left-continuity", (lat.name(a), lat.name(x), lat.name(y)))
+                j = opx[y]
+                if j != skip and row[j] != op[rx][row[y]]:
+                    return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
     return OK
+
+
+def is_left_continuous(t: TNormTable) -> Verdict:
+    """Join preservation in each argument over arbitrary finite families."""
+    lat = t.lattice
+    return _preserves(t, "left-continuity", lat.join_table, lat.bottom)
 
 
 def is_right_continuous(t: TNormTable) -> Verdict:
     """Meet preservation in each argument; the empty family is the neutral axiom."""
     lat = t.lattice
-    tbl = t.table
-    n = lat.n
-    top = lat.top
-    for a in range(n):
-        if tbl[a][top] != a:
-            return Verdict(False, "right-continuity(empty)", (lat.name(a), lat.name(top)))
-    meet = lat.meet_table
-    for a in range(n):
-        row = tbl[a]
-        for x in range(n):
-            rx = row[x]
-            for y in range(x, n):
-                if row[meet[x][y]] != meet[rx][row[y]]:
-                    return Verdict(False, "right-continuity", (lat.name(a), lat.name(x), lat.name(y)))
-    return OK
+    return _preserves(t, "right-continuity", lat.meet_table, lat.top)
 
 
 def is_continuous(t: TNormTable) -> Verdict:
@@ -278,22 +274,7 @@ def is_left_semicontinuous(t: TNormTable) -> Verdict:
     family also stays below top.
     """
     lat = t.lattice
-    tbl = t.table
-    n = lat.n
-    bot, top = lat.bottom, lat.top
-    for a in range(n):
-        if tbl[a][bot] != bot:
-            return Verdict(False, "left-semicontinuity(empty)", (lat.name(a), lat.name(bot)))
-    join = lat.join_table
-    for a in range(n):
-        row = tbl[a]
-        for x in range(n):
-            rx = row[x]
-            for y in range(x, n):
-                j = join[x][y]
-                if j != top and row[j] != join[rx][row[y]]:
-                    return Verdict(False, "left-semicontinuity", (lat.name(a), lat.name(x), lat.name(y)))
-    return OK
+    return _preserves(t, "left-semicontinuity", lat.join_table, lat.bottom, skip=lat.top)
 
 
 def restrict(t: TNormTable, members: ElementSet) -> TNormTable:

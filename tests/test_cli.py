@@ -105,6 +105,21 @@ def test_all_export_rejects_file_name_collision(tmp_path, capsys, command, prefi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("atom", ["x/y", "../../escaped"])
+@pytest.mark.parametrize("command", ["generate", "restrict"])
+@pytest.mark.parametrize("mode", ["--all", "--alpha"])
+def test_export_rejects_file_name_with_path_separator(tmp_path, capsys, atom, command, mode):
+    """A selection's file name must be one path component: nothing lands below or beside --out."""
+    lat = lattice_from_covers(["0", atom, "b", "1"], [("0", atom), ("0", "b"), (atom, "1"), ("b", "1")])
+    path = tmp_path / "lat.json"
+    path.write_text(lat.to_json(), encoding="utf-8")
+    out = tmp_path / "out" / "sub"
+    selection = ["--all"] if mode == "--all" else ["--alpha", atom]
+    assert main([command, str(path), *selection, "--out", str(out)]) == 1
+    assert "not a plain file name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["lat.json"]
+
+
 def test_generate_requires_atomistic(fig_file, tmp_path, capsys):
     assert main(["generate", str(fig_file), "--alpha", "b", "--out", str(tmp_path)]) == 1
     assert "--extend" in capsys.readouterr().err

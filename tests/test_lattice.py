@@ -1,9 +1,10 @@
 """Lattice construction, validation and order queries."""
 
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latnorm.catalog import chain, diamond, m3, pentagon, stemmed_diamond
 from latnorm.errors import (
@@ -107,6 +108,37 @@ def test_meets_joins_match_set_based_oracle(corpus_extension):
                 assert lat.name(lat.join(x, y)) == joins[lat.name(x), lat.name(y)]
 
 
+@st.composite
+def bounded_relations(draw):
+    """Fixed bottom 0 and top 1, a random order on up to seven middle
+    elements (drawn over one linear extension, so acyclic) and the element
+    list in a random order."""
+    k = draw(st.integers(0, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mids = [f"m{i}" for i in range(k)]
+    middle = [(mids[i], mids[j]) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
+    names = ["0", *mids, "1"]
+    rng.shuffle(names)
+    return names, [("0", "1")] + [("0", m) for m in mids] + [(m, "1") for m in mids] + middle
+
+
+@settings(max_examples=300)  # non-lattices need four or more middle elements
+@given(bounded_relations())
+def test_lattice_check_matches_set_based_oracle(relation):
+    names, covers = relation
+    expected = set_based_meets_joins(names, covers)
+    if expected is None:
+        with pytest.raises(NotALattice):
+            lattice_from_covers(names, covers)
+        return
+    lat = lattice_from_covers(names, covers)
+    meets, joins = expected
+    for x in names:
+        for y in names:
+            assert lat.name(lat.meet(lat.index(x), lat.index(y))) == meets[x, y]
+            assert lat.name(lat.join(lat.index(x), lat.index(y))) == joins[x, y]
+
+
 def test_extended_fig_atoms(fig_extended):
     assert set(fig_extended.atoms().names()) == {"b", "w_d", "w_c"}
     assert fig_extended.is_atomistic()
@@ -128,6 +160,9 @@ def test_powerset_atomistic_boolean(k):
     lat = powerset_lattice(k)
     assert lat.is_atomistic()
     assert lat.is_boolean_atomistic()
+    rebuilt = lattice_from_covers(lat.names, lat.covers_named())
+    assert rebuilt == lat
+    assert (rebuilt.meet_table, rebuilt.join_table) == (lat.meet_table, lat.join_table)
 
 
 def test_powerset_bound():

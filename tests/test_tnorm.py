@@ -3,15 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from latnorm.catalog import chain, double_atom_tower
+from latnorm.catalog import chain, double_atom_tower, m3
 from latnorm.construction import AtomSelection, generated_family
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
 from latnorm.extension import extend, s_family
 from latnorm.lattice import powerset_lattice
 from latnorm.oracle import enumerate_all_tnorms
 from latnorm.tnorm import (
+    OK,
     FamilyOrder,
     TNormTable,
+    Verdict,
     idempotents,
     is_continuous,
     is_left_continuous,
@@ -307,3 +309,69 @@ def test_family_order_without_least_upper_bound(p2):
 def test_family_order_lattice_mismatch(p2, lat_m3):
     with pytest.raises(LatticeMismatch):
         FamilyOrder([t_min(p2), t_min(lat_m3)])
+
+
+def _rule_table(lat, rule):
+    """The table whose (x, y) cell is the element named rule(x, y) on names."""
+    return TNormTable(lat, [[lat.index(rule(x, y)) for y in lat.names] for x in lat.names])
+
+
+# Hand-made tables, none of them a t-norm, with the verdict each scan
+# returned when these were recorded: (left-continuity, right-continuity,
+# left-semicontinuity); None stands for OK.
+PINNED_SCANS = [
+    (
+        "left projection on chain(3)",
+        chain(3),
+        lambda x, y: x,
+        ("left-continuity(empty)", ("1", "0")),
+        None,
+        ("left-semicontinuity(empty)", ("1", "0")),
+    ),
+    (
+        "constant bottom on chain(3)",
+        chain(3),
+        lambda x, y: "0",
+        None,
+        ("right-continuity(empty)", ("1", "2")),
+        None,
+    ),
+    (
+        "drastic on M3",
+        m3(),
+        lambda x, y: y if x == "1" else x if y == "1" else "0",
+        ("left-continuity", ("a", "a", "b")),
+        None,
+        None,
+    ),
+    (
+        "x unless y is bottom, on M3",
+        m3(),
+        lambda x, y: "0" if y == "0" else x,
+        None,
+        ("right-continuity", ("a", "a", "b")),
+        None,
+    ),
+    (
+        "meet but ab*ab = 0, on 2^3",
+        powerset_lattice(3),
+        lambda x, y: "0" if x == y == "ab" else "".join(c for c in x if c in y) or "0",
+        ("left-continuity", ("ab", "a", "b")),
+        ("right-continuity", ("ab", "a", "ab")),
+        ("left-semicontinuity", ("ab", "a", "b")),
+    ),
+]
+
+
+@pytest.mark.parametrize("name, lat, rule, left, right, lsc", PINNED_SCANS, ids=[p[0] for p in PINNED_SCANS])
+def test_continuity_scans_pinned_verdicts(name, lat, rule, left, right, lsc):
+    """Axiom and witness of each scan's first violation, in file order."""
+    t = _rule_table(lat, rule)
+
+    def pinned(expected):
+        return OK if expected is None else Verdict(False, *expected)
+
+    assert is_left_continuous(t) == pinned(left)
+    assert is_right_continuous(t) == pinned(right)
+    assert is_continuous(t) == (pinned(left) if left is not None else pinned(right))
+    assert is_left_semicontinuous(t) == pinned(lsc)
