@@ -1,8 +1,11 @@
 """Cross-cutting consistency checks tying the pipeline's pieces together.
 
-Each check exercises one structural fact about the generated families on
-a concrete lattice and reports a witness on failure. They back the CLI's
-``check`` subcommand; the test suite runs them over the whole corpus.
+Every check tests a fact about one object: the lifted family on the
+atomistic extension, one t-norm per atom selection, and the S-family of
+its gated restrictions. :func:`run_all_checks` builds each once per
+lattice and hands every check what it tests; a check reports a witness on
+failure. They back the CLI's ``check`` subcommand; the test suite runs
+them over the whole corpus.
 """
 
 from __future__ import annotations
@@ -10,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construction import (
-    ISOMORPHISM_ATOM_CAP,
-    AtomSelection,
+    GeneratedTNorm,
     family_powerset_isomorphism,
     generated_family,
     semicontinuity_criterion,
     skeleton,
 )
 from .errors import BoundExceeded, DegenerateLength
-from .extension import condition_c, extend, restrict_to_original, s_family
+from .extension import ExtendedLattice, SFamily, condition_c, extend, restrict_to_original, s_family
 from .lattice import FiniteLattice
 from .tnorm import FamilyOrder, is_left_semicontinuous, restrict, verify_tnorm
 
@@ -37,21 +39,21 @@ class CheckResult:
         return f"{status}  {self.name}{tail}"
 
 
-def check_lift_restriction_roundtrip(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
+def check_lift_restriction_roundtrip(lat: FiniteLattice, family: list[GeneratedTNorm]) -> CheckResult:
     """Restricting each lift back to the skeleton returns the skeleton table."""
     name = "lift-restriction round-trip"
     skel = skeleton(lat)
-    for g in generated_family(lat, atom_cap=atom_cap):
+    for g in family:
         back = restrict(g.lifted, skel.members)
         if back != g.on_skeleton:
             return CheckResult(name, False, f"selection {g.selection.label()} does not round-trip")
     return CheckResult(name, True)
 
 
-def check_semicontinuity_criterion(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
+def check_semicontinuity_criterion(lat: FiniteLattice, family: list[GeneratedTNorm]) -> CheckResult:
     """The selection-level criterion matches the table scan for every selection."""
     name = "left-semicontinuity criterion vs table scan"
-    for g in generated_family(lat, atom_cap=atom_cap):
+    for g in family:
         predicted = semicontinuity_criterion(lat, g.selection)
         scanned = is_left_semicontinuous(g.lifted)
         if predicted.ok != scanned.ok:
@@ -63,26 +65,26 @@ def check_semicontinuity_criterion(lat: FiniteLattice, atom_cap: int = CHECK_ATO
     return CheckResult(name, True)
 
 
-def check_family_isomorphism(lat: FiniteLattice, atom_cap: int = ISOMORPHISM_ATOM_CAP) -> CheckResult:
-    """The lifted family is the atom powerset as an ordered structure."""
+def check_family_isomorphism(lat: FiniteLattice) -> CheckResult:
+    """The lifted family is the atom powerset as an ordered structure; fails above its atom cap."""
     name = "family vs atom-powerset isomorphism"
     try:
-        report = family_powerset_isomorphism(lat, atom_cap=atom_cap)
+        report = family_powerset_isomorphism(lat)
     except DegenerateLength:
         return CheckResult(name, True, "degenerate length; unique t-norm")
+    except BoundExceeded as exc:
+        return CheckResult(name, False, str(exc))
     if not report.passed:
         return CheckResult(name, False, report.failures[0])
     return CheckResult(name, True)
 
 
-def check_extension_gate(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
+def check_extension_gate(ext: ExtendedLattice, family: list[GeneratedTNorm]) -> CheckResult:
     """The restriction gate holds exactly when the restriction is a t-norm."""
     name = "extension restriction gate (both directions)"
-    ext = extend(lat)
-    n0 = lat.n
-    family = generated_family(ext.extended, atom_cap=atom_cap)
+    n0 = ext.original.n
     for g in family:
-        gate = condition_c(ext, AtomSelection.from_mask(ext.extended, g.selection.mask))
+        gate = condition_c(ext, g.selection)
         closed = all(v < n0 for row in g.lifted.table[:n0] for v in row[:n0])
         if gate.ok != closed:
             return CheckResult(
@@ -97,15 +99,14 @@ def check_extension_gate(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> 
     return CheckResult(name, True)
 
 
-def check_restriction_joins(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> CheckResult:
+def check_restriction_joins(fam: SFamily) -> CheckResult:
     """Selection unions realize least upper bounds of gated restrictions.
 
     Also confirms that adding the atom inserted under a join-irreducible
     top never changes a restriction.
     """
     name = "restriction family joins"
-    ext = extend(lat)
-    fam = s_family(ext, atom_cap=atom_cap)
+    ext, lat = fam.ext, fam.ext.original
     members = fam.members()
     order = FamilyOrder(table for _, table in members)
     member_of = {sel.mask: i for (sel, _), i in zip(members, order.index)}
@@ -132,28 +133,30 @@ def check_restriction_joins(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) 
 
 
 def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[CheckResult]:
-    """Run every applicable check; family checks use the extension when needed."""
-    results = []
-    target = lat
-    note = ""
-    if not lat.is_atomistic():
-        target = extend(lat).extended
-        note = " (on the atomistic extension)"
-    for fn in (check_lift_restriction_roundtrip, check_semicontinuity_criterion):
-        try:
-            res = fn(target, atom_cap=atom_cap)
-        except BoundExceeded as exc:
-            res = CheckResult(fn.__name__, False, str(exc))
-        results.append(CheckResult(res.name + note, res.passed, res.detail))
+    """Run the five checks on one extension, one lifted family and one S-family.
+
+    An atomistic lattice is its own extension. A check whose family exceeds
+    ``atom_cap`` fails under its function name with the cap's message.
+    """
+    ext = extend(lat)
+    note = "" if lat.is_atomistic() else " (on the atomistic extension)"
     try:
-        res = check_family_isomorphism(target)
-        results.append(CheckResult(res.name + note, res.passed, res.detail))
+        family = generated_family(ext.extended, atom_cap=atom_cap)
     except BoundExceeded as exc:
-        results.append(CheckResult("family vs atom-powerset isomorphism" + note, False, str(exc)))
-    for fn in (check_extension_gate, check_restriction_joins):
-        try:
-            res = fn(lat, atom_cap=atom_cap)
-        except BoundExceeded as exc:
-            res = CheckResult(fn.__name__, False, str(exc))
-        results.append(res)
+        family = exc
+    try:
+        fam = s_family(ext, atom_cap=atom_cap)
+    except BoundExceeded as exc:
+        fam = exc
+    results = []
+    for fn, args, suffix in (
+        (check_lift_restriction_roundtrip, (ext.extended, family), note),
+        (check_semicontinuity_criterion, (ext.extended, family), note),
+        (check_family_isomorphism, (ext.extended,), note),
+        (check_extension_gate, (ext, family), ""),
+        (check_restriction_joins, (fam,), ""),
+    ):
+        exceeded = next((a for a in args if isinstance(a, BoundExceeded)), None)
+        res = fn(*args) if exceeded is None else CheckResult(fn.__name__, False, str(exceeded))
+        results.append(CheckResult(res.name + suffix, res.passed, res.detail))
     return results

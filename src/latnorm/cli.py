@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .checks import CHECK_ATOM_CAP, run_all_checks
@@ -26,7 +27,7 @@ from .errors import ConditionCViolated, LatnormError, NotAtomistic, OutputCollis
 from .extension import extend, restrict_to_original, s_family
 from .lattice import FiniteLattice, load_lattice
 from .oracle import DEFAULT_SIZE_CAP as DEFAULT_ORACLE_CAP, census
-from .tnorm import table_to_csv
+from .tnorm import TNormTable, table_to_csv
 
 
 def _emit(path: Path, text: str) -> None:
@@ -146,28 +147,23 @@ def cmd_generate(args) -> int:
         target = ext.extended
     skel = skeleton(target)
     if args.all:
-        selections = [selection for selection, _ in enumerate_skeleton_tnorms(skel, cap=args.atom_cap)]
+        pairs = list(enumerate_skeleton_tnorms(skel, cap=args.atom_cap))
     else:
-        selections = [AtomSelection.from_names(target, _parse_alpha(args.alpha))]
-    _check_file_names(selections, "alpha_")
+        selection = AtomSelection.from_names(target, _parse_alpha(args.alpha))
+        pairs = [(selection, skeleton_tnorm(skel, selection))]
+    _check_file_names((selection for selection, _ in pairs), "alpha_")
     if ext is not None:
         written += _write_extension(ext, stem, out)
 
-    def write_pair(selection: AtomSelection, with_skeleton: bool) -> tuple[Path, Path | None]:
-        on_c = skeleton_tnorm(skel, selection)
-        lifted = lift(target, on_c)
-        lifted_path = out / f"alpha_{selection.label()}.csv"
-        _emit(lifted_path, table_to_csv(lifted))
-        c_path = None
-        if with_skeleton:
-            c_path = out / f"c_alpha_{selection.label()}.csv"
-            _emit(c_path, table_to_csv(on_c))
-        return lifted_path, c_path
+    def write_lifted(selection: AtomSelection, on_c: TNormTable) -> Path:
+        path = out / f"alpha_{selection.label()}.csv"
+        _emit(path, table_to_csv(lift(target, on_c)))
+        return path
 
     if args.all:
         index = []
-        for selection in selections:
-            lifted_path, _ = write_pair(selection, with_skeleton=False)
+        for selection, on_c in pairs:
+            lifted_path = write_lifted(selection, on_c)
             index.append(
                 {"alpha": list(selection.names()), "label": selection.label(), "file": lifted_path.name}
             )
@@ -182,14 +178,16 @@ def cmd_generate(args) -> int:
             print(f"wrote {len(index)} lifted tables to {out}")
         return 0
 
-    selection = selections[0]
-    lifted_path, c_path = write_pair(selection, with_skeleton=True)
+    selection, on_c = pairs[0]
+    lifted_path = write_lifted(selection, on_c)
+    c_path = out / f"c_alpha_{selection.label()}.csv"
+    _emit(c_path, table_to_csv(on_c))
     written += [c_path, lifted_path]
     obj = {"alpha": list(selection.names()), "files": [str(p) for p in written]}
     if args.format == "json":
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        sys.stdout.write((out / f"c_alpha_{selection.label()}.csv").read_text(encoding="utf-8"))
+        sys.stdout.write(c_path.read_text(encoding="utf-8"))
         sys.stdout.write(lifted_path.read_text(encoding="utf-8"))
     else:
         for p in written:
@@ -209,7 +207,6 @@ def cmd_restrict(args) -> int:
         selection = AtomSelection.from_names(ext.extended, _parse_alpha(args.alpha))
         _check_file_names([selection], "restricted_alpha_")
     written = _write_extension(ext, stem, out)
-    skel = skeleton(ext.extended)
 
     if args.all:
         index = []
@@ -239,7 +236,7 @@ def cmd_restrict(args) -> int:
             print(f"{passing} of {len(index)} selections pass the restriction gate; wrote {out}")
         return 0
 
-    on_c = skeleton_tnorm(skel, selection)
+    on_c = skeleton_tnorm(skeleton(ext.extended), selection)
     g = GeneratedTNorm(selection, on_c, lift(ext.extended, on_c))
     try:
         restricted = restrict_to_original(ext, g)
@@ -369,18 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except LatnormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return 1
-
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.fn(args)
+        except (LatnormError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, json.JSONDecodeError) as exc:
+            print(f"error: invalid input: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            # one line per distinct message, without the source path and line
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -162,13 +162,6 @@ class FiniteLattice:
             out = row[out][e]
         return out
 
-    def meet_all(self, elements: Iterable[int]) -> int:
-        out = self.top
-        row = self.meet_table
-        for e in elements:
-            out = row[out][e]
-        return out
-
     def element_set(self, members: Iterable[int | str] = (), mask: int | None = None) -> ElementSet:
         if mask is None:
             mask = 0

@@ -1,6 +1,7 @@
 """End-to-end CLI flows: every subcommand, deterministic outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +232,88 @@ def test_check_json(fig_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
     assert len(obj["checks"]) == 5
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+CAP2_CHECKS = {
+    "stemmed_diamond": [
+        ("check_lift_restriction_roundtrip (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("check_semicontinuity_criterion (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("family vs atom-powerset isomorphism (on the atomistic extension)", True, ""),
+        ("check_extension_gate", False, "3 atoms exceeds the enumeration cap 2"),
+        ("check_restriction_joins", False, "3 atoms exceeds the enumeration cap 2"),
+    ],
+    "m3": [
+        ("check_lift_restriction_roundtrip", False, "3 atoms exceeds the enumeration cap 2"),
+        ("check_semicontinuity_criterion", False, "3 atoms exceeds the enumeration cap 2"),
+        ("family vs atom-powerset isomorphism", True, ""),
+        ("check_extension_gate", False, "3 atoms exceeds the enumeration cap 2"),
+        ("check_restriction_joins", False, "3 atoms exceeds the enumeration cap 2"),
+    ],
+}
+
+CAP2_TEXT = {
+    "stemmed_diamond": (
+        "FAIL  check_lift_restriction_roundtrip (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  check_semicontinuity_criterion (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
+        "PASS  family vs atom-powerset isomorphism (on the atomistic extension)\n"
+        "FAIL  check_extension_gate  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  check_restriction_joins  (3 atoms exceeds the enumeration cap 2)\n"
+    ),
+    "m3": (
+        "FAIL  check_lift_restriction_roundtrip  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  check_semicontinuity_criterion  (3 atoms exceeds the enumeration cap 2)\n"
+        "PASS  family vs atom-powerset isomorphism\n"
+        "FAIL  check_extension_gate  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  check_restriction_joins  (3 atoms exceeds the enumeration cap 2)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", ["stemmed_diamond", "m3"])
+def test_check_reports_exceeded_atom_cap(stem, capsys):
+    """Families over ``--atom-cap`` fail under the check's function name;
+    the isomorphism check keeps its own cap and display name."""
+    path = str(DATA / f"{stem}.json")
+    assert main(["check", path, "--atom-cap", "2"]) == 1
+    assert capsys.readouterr().out == CAP2_TEXT[stem]
+    assert main(["check", path, "--atom-cap", "2", "--format", "json"]) == 1
+    checks = [{"name": n, "passed": ok, "detail": d} for n, ok, d in CAP2_CHECKS[stem]]
+    assert capsys.readouterr().out == json.dumps({"checks": checks, "passed": False}, indent=2) + "\n"
+
+
+DEGENERATE_WARNING = (
+    "warning: lattice has length 1; the skeleton equals the lattice and "
+    "the generated family collapses to the unique t-norm\n"
+)
+
+
+@pytest.mark.parametrize("command", ["check", "generate", "restrict"])
+def test_degenerate_length_warning_is_one_plain_stderr_line(tmp_path, two_chain, capsys, command):
+    """The warning carries no source path or line, so stderr is the same in every checkout."""
+    path = tmp_path / "two.json"
+    path.write_text(two_chain.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    argv, stdout = {
+        "check": (
+            ["check", str(path)],
+            "PASS  lift-restriction round-trip\n"
+            "PASS  left-semicontinuity criterion vs table scan\n"
+            "PASS  family vs atom-powerset isomorphism  (degenerate length; unique t-norm)\n"
+            "PASS  extension restriction gate (both directions)\n"
+            "PASS  restriction family joins\n",
+        ),
+        "generate": (["generate", str(path), "--all", "--out", str(out)], f"wrote 2 lifted tables to {out}\n"),
+        "restrict": (
+            ["restrict", str(path), "--all", "--out", str(out)],
+            f"2 of 2 selections pass the restriction gate; wrote {out}\n",
+        ),
+    }[command]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == DEGENERATE_WARNING
 
 
 def test_export_dot(fig_file, capsys, tmp_path, fig_lattice):

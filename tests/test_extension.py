@@ -7,6 +7,7 @@ from latnorm.checks import check_extension_gate, check_restriction_joins
 from latnorm.construction import (
     AtomSelection,
     GeneratedTNorm,
+    generated_family,
     lift,
     skeleton,
     skeleton_tnorm,
@@ -144,9 +145,10 @@ def test_restriction_violation_witness(fig_ext):
 def test_gate_iff_closure(corpus_extension):
     """Both directions of the gate, exhaustively over selections."""
     for name, lat in corpus_extension.items():
-        if extend(lat).extended.atoms_mask.bit_count() > 12:
+        ext = extend(lat)
+        if ext.extended.atoms_mask.bit_count() > 12:
             continue
-        result = check_extension_gate(lat)
+        result = check_extension_gate(ext, generated_family(ext.extended))
         assert result.passed, (name, result.detail)
 
 
@@ -215,9 +217,10 @@ def test_s_family_join_rejects_failing_input(fig_ext):
 
 def test_union_realizes_least_upper_bound(corpus_extension):
     for name, lat in corpus_extension.items():
-        if extend(lat).extended.atoms_mask.bit_count() > 10:
+        ext = extend(lat)
+        if ext.extended.atoms_mask.bit_count() > 10:
             continue
-        result = check_restriction_joins(lat)
+        result = check_restriction_joins(s_family(ext))
         assert result.passed, (name, result.detail)
 
 
