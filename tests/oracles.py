@@ -11,7 +11,7 @@ from itertools import combinations
 
 from latnorm.lattice import FiniteLattice, iter_bits
 from latnorm.construction import AtomSelection, AtomSkeleton
-from latnorm.tnorm import TNormTable
+from latnorm.tnorm import OK, TNormTable, Verdict
 
 
 def set_based_meets_joins(names, cover_pairs):
@@ -210,6 +210,8 @@ def scan_family_bounds(tables: list[TNormTable]):
     rows of the unique family table above (below) both that lies below
     (above) every other such table, or None when there is none.
     """
+    if not tables:
+        return [], [], []
     lat = tables[0].lattice
     n = lat.n
     m = len(tables)
@@ -231,3 +233,55 @@ def scan_family_bounds(tables: list[TNormTable]):
         for i in range(m)
     ]
     return le, lub, glb
+
+
+def reference_verify_tnorm(t: TNormTable) -> Verdict:
+    """The four t-norm axioms swept cell by cell, first violation returned.
+
+    The body of ``verify_tnorm`` before its row sweeps, kept verbatim except
+    that it neither reads nor writes ``t.verdict``: neutral, commutativity,
+    monotonicity over covers (x inner), then associativity in (x, y, z)
+    order, each stopping at its first failing cell.
+    """
+    lat = t.lattice
+    tbl = t.table
+    n = lat.n
+    top = lat.top
+    verdict = OK
+    for x in range(n):
+        if tbl[x][top] != x:
+            verdict = Verdict(False, "neutral", (lat.name(x), lat.name(top)))
+            break
+        if tbl[top][x] != x:
+            verdict = Verdict(False, "neutral", (lat.name(top), lat.name(x)))
+            break
+    if verdict.ok:
+        for x in range(n):
+            row = tbl[x]
+            for y in range(x + 1, n):
+                if row[y] != tbl[y][x]:
+                    verdict = Verdict(False, "commutativity", (lat.name(x), lat.name(y)))
+                    break
+            if not verdict.ok:
+                break
+    if verdict.ok:
+        for lo, hi in lat.covers:
+            for x in range(n):
+                if not lat.leq(tbl[x][lo], tbl[x][hi]):
+                    verdict = Verdict(False, "monotonicity", (lat.name(x), lat.name(lo), lat.name(hi)))
+                    break
+            if not verdict.ok:
+                break
+    if verdict.ok:
+        for x in range(n):
+            for y in range(n):
+                xy = tbl[x][y]
+                for z in range(n):
+                    if tbl[xy][z] != tbl[x][tbl[y][z]]:
+                        verdict = Verdict(False, "associativity", (lat.name(x), lat.name(y), lat.name(z)))
+                        break
+                if not verdict.ok:
+                    break
+            if not verdict.ok:
+                break
+    return verdict

@@ -1,13 +1,15 @@
 """T-norm table verification, order, idempotents and continuity notions."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
-from latnorm.catalog import chain, double_atom_tower, m3
-from latnorm.construction import AtomSelection, generated_family
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latnorm.catalog import chain, double_atom_tower, m3, pentagon, random_lattice, stemmed_diamond
+from latnorm.construction import AtomSelection, generated_family, lift, skeleton, skeleton_tnorm
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
 from latnorm.extension import extend, s_family
-from latnorm.lattice import powerset_lattice
+from latnorm.lattice import iter_bits, powerset_lattice
 from latnorm.oracle import enumerate_all_tnorms
 from latnorm.tnorm import (
     OK,
@@ -33,6 +35,7 @@ from oracles import (
     all_subsets_left_semicontinuous,
     all_subsets_right_continuous,
     full_pairs_monotone,
+    reference_verify_tnorm,
     scan_family_bounds,
 )
 
@@ -256,6 +259,106 @@ def test_meet_is_strongest(k):
     assert is_continuous(t).ok
 
 
+# 1 to 7 elements; chain(1) has no pair to sweep and chain(2) no middle element
+SMALL_LATTICES = [
+    chain(1),
+    chain(2),
+    chain(4),
+    powerset_lattice(2),
+    m3(),
+    pentagon(),
+    stemmed_diamond(),
+    double_atom_tower(),
+    random_lattice(6, 3),
+    chain(7),
+    random_lattice(7, 11),
+]
+SMALL_TNORMS = [list(enumerate_all_tnorms(lat)) for lat in SMALL_LATTICES]
+
+
+def _monotone_changes(lat, grid):
+    """Every (x, y, v) such that setting the cells (x, y) and (y, x) to v,
+    for x, y below top, keeps them monotone against their neighbours
+    across covers and changes the table."""
+    changes = []
+    for x in range(lat.n):
+        for y in range(x, lat.n):
+            if lat.top in (x, y):
+                continue
+            allowed = lat.full_mask & ~(1 << grid[x][y])
+            for lo, hi in lat.covers:
+                if hi == x:
+                    allowed &= lat.ups[grid[lo][y]]
+                if hi == y:
+                    allowed &= lat.ups[grid[x][lo]]
+                if lo == x:
+                    allowed &= lat.downs[grid[hi][y]]
+                if lo == y:
+                    allowed &= lat.downs[grid[x][hi]]
+            changes += [(x, y, v) for v in iter_bits(allowed)]
+    return changes
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_verify_matches_cell_by_cell_reference(data):
+    """Same axiom and witness as the cell-by-cell sweep on perturbed t-norms.
+
+    A monotone change keeps a t-norm neutral, commutative and monotone, so
+    the examples made of such changes alone (about half) either are
+    t-norms or fail associativity only; the others change symmetric cell
+    pairs or single cells to any value.
+    """
+    k = data.draw(st.integers(0, len(SMALL_LATTICES) - 1))
+    lat = SMALL_LATTICES[k]
+    n = lat.n
+    grid = [list(row) for row in data.draw(st.sampled_from(SMALL_TNORMS[k])).table]
+    kinds = data.draw(st.sampled_from([["monotone"], ["monotone", "symmetric", "cell"]]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        if kind == "monotone":
+            changes = _monotone_changes(lat, grid)
+            if not changes:
+                continue
+            x, y, v = data.draw(st.sampled_from(changes))
+        grid[x][y] = v
+        if kind != "cell":
+            grid[y][x] = v
+    t = TNormTable(lat, grid)
+    assert verify_tnorm(t) == reference_verify_tnorm(t)
+
+
+def test_verify_pins_deep_associativity_witness():
+    """The meet on 2^7 with T(g, g) = 0: neutral, commutative and monotone,
+    and the first associativity failure lies halfway through the x sweep."""
+    lat = powerset_lattice(7)
+    g = lat.index("g")
+    grid = [list(row) for row in lat.meet_table]
+    grid[g][g] = lat.bottom
+    assert verify_tnorm(TNormTable(lat, grid)) == Verdict(False, "associativity", ("g", "ag", "bg"))
+
+
+@pytest.mark.slow
+def test_verify_matches_reference_on_large_lifts():
+    """Full and seeded lifts on 2^8, and each with one symmetric cell pair
+    lowered to bottom deep in the table."""
+    lat = powerset_lattice(8)
+    skel = skeleton(lat)
+    atoms = [lat.name(a) for a in iter_bits(lat.atoms_mask)]
+    selections = [atoms]
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        selections.append([a for a in atoms if rng.random() < 0.5])
+    for chosen in selections:
+        lifted = lift(lat, skeleton_tnorm(skel, AtomSelection.from_names(lat, chosen)))
+        x, y = lat.n - 2, lat.n - 3
+        grid = [list(row) for row in lifted.table]
+        grid[x][y] = grid[y][x] = lat.bottom
+        for t in (lifted, TNormTable(lat, grid)):
+            assert verify_tnorm(t) == reference_verify_tnorm(t)
+
+
 def assert_order_matches_scans(tables):
     order = FamilyOrder(tables)
     le, lub, glb = scan_family_bounds(tables)
@@ -263,6 +366,8 @@ def assert_order_matches_scans(tables):
     def rows(member):
         return None if member is None else order.members[member].table
 
+    assert [rows(i) for i in order.index] == [t.table for t in tables]
+    assert len(set(rows(i) for i in range(len(order.members)))) == len(order.members)
     for i, a in enumerate(order.index):
         for j, b in enumerate(order.index):
             assert order.le(a, b) == le[i][j], (i, j)
@@ -304,6 +409,39 @@ def test_family_order_without_least_upper_bound(p2):
     assert order.glb(1, 2) == 0
     assert order.lub(0, 1) == 1 and order.glb(0, 1) == 0
     assert order.le(0, 2) and not order.le(2, 0)
+
+
+def test_family_order_on_empty_and_one_element_families():
+    assert_order_matches_scans([])
+    only = t_min(chain(1))
+    order = assert_order_matches_scans([only, t_drastic(only.lattice), only])
+    assert order.index == [0, 0, 0] and order.ups == [1] and order.downs == [1]
+
+
+FAMILY_LATTICES = [chain(1), chain(2), chain(3), powerset_lattice(2), m3(), pentagon()]
+
+
+@given(st.data())
+def test_family_order_matches_scans_on_random_tables(data):
+    """Families of arbitrary cell grids, none required to be a t-norm:
+    duplicates, and pointwise meets and joins of earlier members so that
+    comparable pairs and bounds occur."""
+    lat = data.draw(st.sampled_from(FAMILY_LATTICES))
+    n = lat.n
+    random_grid = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    grids = []
+    for _ in range(data.draw(st.integers(1, 7))):
+        kind = data.draw(st.sampled_from(["random", "duplicate", "meet", "join"])) if grids else "random"
+        if kind == "random":
+            grid = data.draw(random_grid)
+        elif kind == "duplicate":
+            grid = data.draw(st.sampled_from(grids))
+        else:
+            op = lat.meet_table if kind == "meet" else lat.join_table
+            base, other = data.draw(st.sampled_from(grids)), data.draw(random_grid)
+            grid = [[op[a][b] for a, b in zip(r1, r2)] for r1, r2 in zip(base, other)]
+        grids.append(grid)
+    assert_order_matches_scans([TNormTable(lat, grid) for grid in grids])
 
 
 def test_family_order_lattice_mismatch(p2, lat_m3):
