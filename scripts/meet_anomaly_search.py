@@ -10,7 +10,7 @@ This script reports every corpus witness of that failure.
 import warnings
 
 from latnorm.catalog import extension_corpus, random_lattices
-from latnorm.construction import AtomSelection
+from latnorm.construction import AtomSelection, generated_family
 from latnorm.errors import DegenerateLengthWarning
 from latnorm.extension import condition_c, extend, s_family
 from latnorm.tnorm import FamilyOrder
@@ -27,7 +27,7 @@ def main():
         if len(ext.extended.atoms()) > 10:
             print(f"{name}: skipped (too many atoms)")
             continue
-        fam = s_family(ext)
+        fam = s_family(ext, generated_family(ext.extended))
         members = fam.members()
         passing = [sel for sel, _ in members]
         witness = None

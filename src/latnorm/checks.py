@@ -1,11 +1,12 @@
 """Cross-cutting consistency checks tying the pipeline's pieces together.
 
 Every check tests a fact about one object: the lifted family on the
-atomistic extension, one t-norm per atom selection, and the S-family of
-its gated restrictions. :func:`run_all_checks` builds each once per
-lattice and hands every check what it tests; a check reports a witness on
-failure. They back the CLI's ``check`` subcommand; the test suite runs
-them over the whole corpus.
+atomistic extension, one t-norm per atom selection, or the S-family that
+gates that same family and restricts it to the original lattice.
+:func:`run_all_checks` builds the family once per lattice, derives the
+S-family from it and hands every check what it tests; a check reports a
+witness on failure. They back the CLI's ``check`` subcommand; the test
+suite runs them over the whole corpus.
 """
 
 from __future__ import annotations
@@ -142,12 +143,9 @@ def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[C
     note = "" if lat.is_atomistic() else " (on the atomistic extension)"
     try:
         family = generated_family(ext.extended, atom_cap=atom_cap)
+        fam = s_family(ext, family)
     except BoundExceeded as exc:
-        family = exc
-    try:
-        fam = s_family(ext, atom_cap=atom_cap)
-    except BoundExceeded as exc:
-        fam = exc
+        family = fam = exc
     results = []
     for fn, args, suffix in (
         (check_lift_restriction_roundtrip, (ext.extended, family), note),

@@ -19,6 +19,7 @@ from .construction import (
     AtomSelection,
     GeneratedTNorm,
     enumerate_skeleton_tnorms,
+    generated_family,
     lift,
     skeleton,
     skeleton_tnorm,
@@ -201,7 +202,7 @@ def cmd_restrict(args) -> int:
     stem = Path(args.lattice).stem
     ext = extend(lat)
     if args.all:
-        fam = s_family(ext, atom_cap=args.atom_cap)
+        fam = s_family(ext, generated_family(ext.extended, atom_cap=args.atom_cap))
         _check_file_names((e.selection for e in fam.entries if e.restricted is not None), "restricted_alpha_")
     else:
         selection = AtomSelection.from_names(ext.extended, _parse_alpha(args.alpha))

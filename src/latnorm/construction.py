@@ -86,9 +86,6 @@ class AtomSkeleton:
     to_parent: tuple[int, ...]
     from_parent: dict
 
-    def atom_count(self) -> int:
-        return self.parent.atoms_mask.bit_count()
-
 
 def skeleton(lat: FiniteLattice, allow_non_atomistic: bool = False) -> AtomSkeleton:
     """Build the atoms-plus-bounds sub-lattice.
@@ -141,16 +138,22 @@ def skeleton_tnorm(skel: AtomSkeleton, selection: AtomSelection) -> TNormTable:
 
 
 def enumerate_skeleton_tnorms(skel: AtomSkeleton, cap: int = DEFAULT_ATOM_CAP):
-    """Stream every skeleton t-norm, one per atom subset, in mask order."""
-    k = skel.atom_count()
+    """Stream one skeleton t-norm per subset of the atoms other than top, in mask order.
+
+    Top is an atom only on a 2-element chain, where selecting it changes
+    no table, so every lattice of length at most 1 has the single empty
+    selection. More than ``cap`` such atoms raise :class:`BoundExceeded`.
+    """
+    lat = skel.parent
+    atoms = list(iter_bits(lat.atoms_mask & ~(1 << lat.top)))
+    k = len(atoms)
     if k > cap:
         raise BoundExceeded(f"{k} atoms exceeds the enumeration cap {cap}")
-    atoms = list(ElementSet(skel.parent, skel.parent.atoms_mask))
     for sub in range(1 << k):
         mask = 0
         for i in iter_bits(sub):
             mask |= 1 << atoms[i]
-        selection = AtomSelection.from_mask(skel.parent, mask)
+        selection = AtomSelection.from_mask(lat, mask)
         yield selection, skeleton_tnorm(skel, selection)
 
 
@@ -199,18 +202,11 @@ class GeneratedTNorm:
 
 
 def generated_family(lat: FiniteLattice, atom_cap: int = DEFAULT_ATOM_CAP) -> list[GeneratedTNorm]:
-    """All lifted t-norms, one per atom subset, in selection mask order.
+    """All lifted t-norms, one per selection of :func:`enumerate_skeleton_tnorms`, in mask order.
 
-    On lattices of length at most 1 the family collapses to the unique
-    t-norm, reported once under the empty selection.
+    On lattices of length at most 1 that is the unique t-norm under the
+    empty selection, and :func:`skeleton` warns.
     """
-    if lat.length <= 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateLengthWarning)
-            skel = skeleton(lat)
-        selection = AtomSelection.from_mask(lat, 0)
-        on_c = skeleton_tnorm(skel, selection)
-        return [GeneratedTNorm(selection, on_c, lift(lat, on_c))]
     skel = skeleton(lat)
     family = []
     seen = set()

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionCViolated, DuplicateLabel, LatticeMismatch
 from .lattice import FiniteLattice, iter_bits, lattice_from_covers
-from .construction import (
-    DEFAULT_ATOM_CAP,
-    AtomSelection,
-    GeneratedTNorm,
-    enumerate_skeleton_tnorms,
-    lift,
-    skeleton,
-)
+from .construction import AtomSelection, GeneratedTNorm
 from .tnorm import (
     OK,
     TNormTable,
@@ -44,13 +37,6 @@ class ExtendedLattice:
     extended: FiniteLattice
     embed: tuple[int, ...]
     new_atoms: dict
-
-    def inserted_for(self, w: int) -> int:
-        """The join-irreducible sitting above the inserted atom ``w``."""
-        for p, wp in self.new_atoms.items():
-            if wp == w:
-                return p
-        raise KeyError(w)
 
     def sidecar_map(self) -> dict:
         """Inserted-atom name to original-element name, in insertion order."""
@@ -115,8 +101,9 @@ def restrict_to_original(ext: ExtendedLattice, g: GeneratedTNorm) -> TNormTable:
         for y in range(n0):
             v = g.lifted.table[x][y]
             if v >= n0:
+                inserted_under = {w: p for p, w in ext.new_atoms.items()}
                 raise ConditionCViolated(
-                    ext.extended.name(ext.embed[ext.inserted_for(v)]),
+                    ext.extended.name(ext.embed[inserted_under[v]]),
                     (ext.original.name(x), ext.original.name(y)),
                 )
     table = [row[:n0] for row in g.lifted.table[:n0]]
@@ -157,13 +144,17 @@ class SFamily:
         return list(groups.values())
 
 
-def s_family(ext: ExtendedLattice, atom_cap: int = DEFAULT_ATOM_CAP) -> SFamily:
-    """Restrictions over every atom selection of the extension, in mask order."""
-    skel = skeleton(ext.extended)
+def s_family(ext: ExtendedLattice, family: list[GeneratedTNorm]) -> SFamily:
+    """Gate each member of the extension's lifted family and restrict those that pass.
+
+    ``family`` is :func:`~latnorm.construction.generated_family` of
+    ``ext.extended``; entry i holds ``family[i]`` itself, so nothing is
+    lifted again. A member of another lattice raises
+    :class:`LatticeMismatch`.
+    """
     entries = []
-    for selection, on_c in enumerate_skeleton_tnorms(skel, cap=atom_cap):
-        g = GeneratedTNorm(selection, on_c, lift(ext.extended, on_c))
-        gate = condition_c(ext, selection)
+    for g in family:
+        gate = condition_c(ext, g.selection)
         restricted = restrict_to_original(ext, g) if gate.ok else None
         entries.append(SFamilyEntry(g, gate, restricted))
     return SFamily(ext, tuple(entries))

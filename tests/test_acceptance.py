@@ -178,7 +178,7 @@ def test_criterion_08_restriction_gate():
             ext = extend(lat)
             if len(ext.extended.atoms()) > 10:
                 continue
-            fam = s_family(ext)
+            fam = s_family(ext, generated_family(ext.extended))
             for entry in fam.entries:
                 closed = all(
                     v < lat.n for row in entry.source.lifted.table[:lat.n] for v in row[:lat.n]
@@ -189,7 +189,8 @@ def test_criterion_08_restriction_gate():
                     assert verify_tnorm(entry.restricted).ok, (name, entry.selection.label())
                 else:
                     assert entry.restricted is None
-        fig_fam = s_family(extend(EXTENSION["stemmed_diamond"]))
+        fig_ext = extend(EXTENSION["stemmed_diamond"])
+        fig_fam = s_family(fig_ext, generated_family(fig_ext.extended))
         passing = [e.selection.label() for e in fig_fam.entries if e.condition_c.ok]
         assert len(passing) == 5
         assert set(passing) == {"empty", "b", "b_w_d", "b_w_c", "b_w_d_w_c"}
@@ -203,7 +204,7 @@ def test_criterion_09_restriction_family_lattice():
             ext = extend(lat)
             if len(ext.extended.atoms()) > 8:
                 continue
-            members = s_family(ext).members()
+            members = s_family(ext, generated_family(ext.extended)).members()
             by_mask = {sel.mask: t for sel, t in members}
             for sel_a, t_a in members:
                 for sel_b, t_b in members:
@@ -231,7 +232,7 @@ def test_criterion_10_restriction_continuity():
             if len(ext.extended.atoms()) > 8:
                 continue
             top_ji = bool(lat.ji_mask >> lat.top & 1)
-            for entry in s_family(ext).entries:
+            for entry in s_family(ext, generated_family(ext.extended)).entries:
                 if entry.restricted is None:
                     continue
                 report = continuity_of_restriction(ext, entry.source, entry.restricted)

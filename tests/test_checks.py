@@ -4,6 +4,7 @@ from collections import Counter
 
 import latnorm.checks
 import latnorm.construction
+import latnorm.extension
 from latnorm.catalog import stemmed_diamond
 from latnorm.checks import run_all_checks
 
@@ -33,18 +34,22 @@ def test_check_result_line_format(corpus_extension):
 def test_run_all_checks_builds_one_extension_family_and_s_family(monkeypatch):
     calls = Counter()
 
-    def count(module, name):
-        real = getattr(module, name)
+    def count(module, name, real=None, raising=True):
+        real = real or getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted, raising=raising)
 
     for name in ("extend", "generated_family", "s_family"):
         count(latnorm.checks, name)
     count(latnorm.construction, "generated_family")  # the isomorphism check's own family
+    # s_family gates the family it is given; a lift of its own would show up here
+    count(latnorm.extension, "lift", real=latnorm.construction.lift, raising=False)
+    count(latnorm.construction, "lift")
     results = run_all_checks(stemmed_diamond())
     assert all(r.passed for r in results)
-    assert calls == {"extend": 1, "generated_family": 2, "s_family": 1}
+    # the extension has 3 atoms: 8 lifts for the shared family, 8 for the isomorphism check's
+    assert calls == {"extend": 1, "generated_family": 2, "s_family": 1, "lift": 16}

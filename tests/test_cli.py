@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from latnorm.catalog import chain
 from latnorm.cli import main
 from latnorm.lattice import lattice_from_covers
 
@@ -283,37 +284,64 @@ def test_check_reports_exceeded_atom_cap(stem, capsys):
     assert capsys.readouterr().out == json.dumps({"checks": checks, "passed": False}, indent=2) + "\n"
 
 
-DEGENERATE_WARNING = (
-    "warning: lattice has length 1; the skeleton equals the lattice and "
-    "the generated family collapses to the unique t-norm\n"
+CHECKS_ALL_PASS_DEGENERATE = (
+    "PASS  lift-restriction round-trip\n"
+    "PASS  left-semicontinuity criterion vs table scan\n"
+    "PASS  family vs atom-powerset isomorphism  (degenerate length; unique t-norm)\n"
+    "PASS  extension restriction gate (both directions)\n"
+    "PASS  restriction family joins\n"
 )
 
 
-@pytest.mark.parametrize("command", ["check", "generate", "restrict"])
-def test_degenerate_length_warning_is_one_plain_stderr_line(tmp_path, two_chain, capsys, command):
-    """The warning carries no source path or line, so stderr is the same in every checkout."""
-    path = tmp_path / "two.json"
-    path.write_text(two_chain.to_json(), encoding="utf-8")
+@pytest.mark.parametrize(
+    "command, n",
+    [
+        pytest.param(command, n, id=command if n == 2 else f"{command}-chain1")
+        for n in (2, 1)
+        for command in ("check", "check-cap0", "generate", "restrict", "census")
+    ],
+)
+def test_degenerate_length_warning_is_one_plain_stderr_line(tmp_path, capsys, command, n):
+    """Lattices of length at most 1 have the single empty selection, whatever the cap.
+
+    The warning carries no source path or line, so stderr is the same in every checkout.
+    """
+    path = tmp_path / "chain.json"
+    path.write_text(chain(n).to_json(), encoding="utf-8")
     out = tmp_path / "out"
-    argv, stdout = {
-        "check": (
-            ["check", str(path)],
-            "PASS  lift-restriction round-trip\n"
-            "PASS  left-semicontinuity criterion vs table scan\n"
-            "PASS  family vs atom-powerset isomorphism  (degenerate length; unique t-norm)\n"
-            "PASS  extension restriction gate (both directions)\n"
-            "PASS  restriction family joins\n",
+    argv, stdout, exported = {
+        "check": (["check", str(path)], CHECKS_ALL_PASS_DEGENERATE, None),
+        "check-cap0": (["check", str(path), "--atom-cap", "0"], CHECKS_ALL_PASS_DEGENERATE, None),
+        "generate": (
+            ["generate", str(path), "--all", "--out", str(out)],
+            f"wrote 1 lifted tables to {out}\n",
+            ["alpha_empty.csv"],
         ),
-        "generate": (["generate", str(path), "--all", "--out", str(out)], f"wrote 2 lifted tables to {out}\n"),
         "restrict": (
             ["restrict", str(path), "--all", "--out", str(out)],
-            f"2 of 2 selections pass the restriction gate; wrote {out}\n",
+            f"1 of 1 selections pass the restriction gate; wrote {out}\n",
+            ["restricted_alpha_empty.csv"],
+        ),
+        "census": (
+            ["census", str(path), "--format", "text"],
+            "total t-norms: 1\n"
+            "  left_semicontinuous: 1\n"
+            "  left_continuous: 1\n"
+            "  right_continuous: 1\n"
+            "  continuous: 1\n"
+            "  generated: 1\n",
+            None,
         ),
     }[command]
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == stdout
-    assert captured.err == DEGENERATE_WARNING
+    assert captured.err == (
+        f"warning: lattice has length {n - 1}; the skeleton equals the lattice and "
+        "the generated family collapses to the unique t-norm\n"
+    )
+    if exported is not None:
+        assert sorted(p.name for p in out.glob("*alpha_*.csv")) == exported
 
 
 def test_export_dot(fig_file, capsys, tmp_path, fig_lattice):

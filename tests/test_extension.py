@@ -12,7 +12,7 @@ from latnorm.construction import (
     skeleton,
     skeleton_tnorm,
 )
-from latnorm.errors import ConditionCViolated, DuplicateLabel
+from latnorm.errors import ConditionCViolated, DuplicateLabel, LatticeMismatch
 from latnorm.extension import (
     condition_c,
     continuity_of_restriction,
@@ -153,7 +153,7 @@ def test_gate_iff_closure(corpus_extension):
 
 
 def test_s_family_counts(fig_ext):
-    fam = s_family(fig_ext)
+    fam = s_family(fig_ext, generated_family(fig_ext.extended))
     assert len(fam.entries) == 8
     passing = fam.members()
     assert len(passing) == 5
@@ -163,12 +163,31 @@ def test_s_family_counts(fig_ext):
     assert failing == {"w_d", "w_c", "w_d_w_c"}
 
 
+def test_s_family_gates_the_family_it_is_given(corpus_extension):
+    """Entry i holds family[i] itself, so nothing is lifted again."""
+    for name, lat in corpus_extension.items():
+        ext = extend(lat)
+        if ext.extended.atoms_mask.bit_count() > 10:
+            continue
+        family = generated_family(ext.extended)
+        fam = s_family(ext, family)
+        assert len(fam.entries) == len(family), name
+        assert all(entry.source is g for entry, g in zip(fam.entries, family)), name
+
+
+def test_s_family_rejects_a_family_of_another_lattice(corpus_atomistic):
+    """``extend`` builds a new lattice object even for an atomistic lattice."""
+    for name, lat in corpus_atomistic.items():
+        with pytest.raises(LatticeMismatch):
+            s_family(extend(lat), generated_family(lat))
+
+
 def test_s_family_has_top_and_bottom(corpus_extension):
     for name, lat in corpus_extension.items():
         ext = extend(lat)
         if ext.extended.atoms_mask.bit_count() > 10:
             continue
-        fam = s_family(ext)
+        fam = s_family(ext, generated_family(ext.extended))
         members = fam.members()
         tables = [t for _, t in members]
         top_table = t_min(lat).table
@@ -183,7 +202,8 @@ def test_s_family_has_top_and_bottom(corpus_extension):
 
 
 def test_s_family_distinct_groups_in_first_seen_order():
-    fam = s_family(extend(double_atom_tower()))
+    ext = extend(double_atom_tower())
+    fam = s_family(ext, generated_family(ext.extended))
     expected: list = []
     for sel, table in fam.members():
         for seen, sels in expected:
@@ -220,7 +240,7 @@ def test_union_realizes_least_upper_bound(corpus_extension):
         ext = extend(lat)
         if ext.extended.atoms_mask.bit_count() > 10:
             continue
-        result = check_restriction_joins(s_family(ext))
+        result = check_restriction_joins(s_family(ext, generated_family(ext.extended)))
         assert result.passed, (name, result.detail)
 
 
@@ -235,7 +255,7 @@ def test_top_insert_redundancy(corpus_extension):
             continue
         seen_case = True
         w1 = ext.new_atoms[top]
-        fam = s_family(ext)
+        fam = s_family(ext, generated_family(ext.extended))
         by_mask = {sel.mask: t for sel, t in fam.members()}
         for sel, table in fam.members():
             if w1 in sel:
@@ -268,7 +288,7 @@ def test_restrictions_from_semicontinuous_sources(corpus_extension):
         ext = extend(lat)
         if ext.extended.atoms_mask.bit_count() > 10:
             continue
-        fam = s_family(ext)
+        fam = s_family(ext, generated_family(ext.extended))
         for entry in fam.entries:
             if entry.restricted is None:
                 continue
@@ -298,7 +318,7 @@ def test_intersection_can_fail_the_gate():
     inter = AtomSelection.from_mask(big, a.mask & b.mask)
     assert not condition_c(ext, inter).ok
     # the family meet computed by scan: greatest member below both restrictions
-    fam = s_family(ext)
+    fam = s_family(ext, generated_family(ext.extended))
     members = fam.members()
     ta = next(t for sel, t in members if sel.mask == a.mask)
     tb = next(t for sel, t in members if sel.mask == b.mask)
@@ -314,7 +334,7 @@ def test_meet_anomaly_search_outcome(corpus_extension):
         ext = extend(lat)
         if ext.extended.atoms_mask.bit_count() > 10:
             continue
-        fam = s_family(ext)
+        fam = s_family(ext, generated_family(ext.extended))
         passing = [e.selection for e in fam.entries if e.restricted is not None]
         for i, sa in enumerate(passing):
             for sb in passing[i + 1:]:

@@ -390,7 +390,7 @@ def test_family_order_matches_scans_on_shared_restrictions():
     """Distinct selections share a restriction, and an intersection of
     passing selections fails the gate, so the meet is not a selection's."""
     ext = extend(double_atom_tower())
-    members = s_family(ext).members()
+    members = s_family(ext, generated_family(ext.extended)).members()
     order = assert_order_matches_scans([t for _, t in members])
     assert len(order.members) < len(members)
     position = {sel.mask: i for i, (sel, _) in enumerate(members)}
