@@ -4,9 +4,12 @@ This is the ground truth the generation theory is checked against, so it
 deliberately shares nothing with the construction pipeline: tables are
 found by backtracking over undecided cells straight from the axioms.
 Rows and columns of top and bottom are forced; commutativity halves the
-cells; candidate values stay below the meet; monotonicity and partial
-associativity prune during the search and a full associativity sweep
-gates every leaf.
+cells. Monotonicity makes each cell's candidates an interval: at least
+the join of its already assigned neighbours below, at most the meet of
+those above and of the meet of its arguments. Partial associativity
+prunes during the search, and a full associativity sweep gates every
+leaf. The census classifies each table by continuity; a left-continuous
+table is left-semicontinuous without a second scan.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import BoundExceeded, LatnormError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, iter_bits
 from .construction import generated_family
 from .tnorm import (
     TNormTable,
@@ -57,13 +60,17 @@ def enumerate_all_tnorms(
 
     ``cell_order`` picks the backtracking order of the free cells; any
     choice yields the same set of tables, which the tests exploit as a
-    determinism check. Raises when the element count exceeds ``size_cap``
-    or more than ``cap`` tables exist.
+    determinism check. For a fixed order the stream is deterministic.
+    Each cell's candidates form an interval: above the join of its
+    monotone neighbours below that are already assigned, and below the
+    meet of those above and of ``meet(x, y)``; they are tried in
+    ascending element order. Raises when the element count exceeds
+    ``size_cap`` or more than ``cap`` tables exist.
     """
     _check_size(lat, size_cap)
     n = lat.n
     bot, top = lat.bottom, lat.top
-    meet = lat.meet_table
+    meet, join = lat.meet_table, lat.join_table
     leq = lat.leq
 
     tbl: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -84,66 +91,85 @@ def enumerate_all_tnorms(
         cells.sort(reverse=True)
     else:
         raise ValueError(f"unknown cell order {cell_order!r}")
+    position = {cell: k for k, cell in enumerate(cells)}
 
-    domains = [[v for v in range(n) if leq(v, meet[x][y])] for x, y in cells]
-    below: list[list[tuple[int, int]]] = []
-    above: list[list[tuple[int, int]]] = []
-    for x, y in cells:
-        lo, hi = [], []
-        for a, b in cells:
-            if (a, b) == (x, y):
-                continue
-            if (leq(a, x) and leq(b, y)) or (leq(a, y) and leq(b, x)):
-                lo.append((a, b))
-            if (leq(x, a) and leq(y, b)) or (leq(x, b) and leq(y, a)):
-                hi.append((a, b))
-        below.append(lo)
-        above.append(hi)
+    # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending
+    interval = [[list(iter_bits(lat.ups[lo] & lat.downs[hi])) for hi in range(n)] for lo in range(n)]
 
-    triples = [(a, b, c) for a in mids for b in mids for c in mids]
-    touching: list[list[tuple[int, int, int]]] = []
-    for x, y in cells:
-        pair = {x, y}
-        touching.append([t for t in triples if {t[0], t[1]} == pair or {t[1], t[2]} == pair])
+    def under(p: tuple[int, int], q: tuple[int, int]) -> bool:
+        (a, b), (x, y) = p, q
+        return (leq(a, x) and leq(b, y)) or (leq(a, y) and leq(b, x))
 
-    # producers[v] holds the mid cells currently mapping to v, so an
-    # assignment can also recheck triples it completes at second level
-    producers: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # Per cell, the maximal earlier cells below it and the minimal earlier
+    # cells above it, each as a row and a column. Assigned cells stay
+    # pairwise monotone, so these bound the interval exactly as every
+    # assigned neighbour would. Only the touching triples whose other
+    # first-level cell is assigned too are kept: on the rest the partial
+    # check cannot fail yet. A triple (a, b, c) and its mirror (c, b, a)
+    # compare the same two cells of a commutative table, and (a, b, a)
+    # compares one cell with itself, so only a < c is kept.
+    below: list[list[tuple[list, int]]] = []
+    above: list[list[tuple[list, int]]] = []
+    touching: list[list[tuple[list, int, list, int]]] = []
+    for k, cell in enumerate(cells):
+        lower = [p for p in cells[:k] if under(p, cell)]
+        upper = [p for p in cells[:k] if under(cell, p)]
+        maximal = [p for p in lower if not any(q != p and under(p, q) for q in lower)]
+        minimal = [p for p in upper if not any(q != p and under(q, p) for q in upper)]
+        below.append([(tbl[a], b) for a, b in maximal])
+        above.append([(tbl[a], b) for a, b in minimal])
+        pair = set(cell)
+        triples = []
+        for i, a in enumerate(mids):
+            for b in mids:
+                for c in mids[i + 1 :]:
+                    if {a, b} == pair:
+                        other = (b, c)
+                    elif {b, c} == pair:
+                        other = (a, b)
+                    else:
+                        continue
+                    if position[min(other), max(other)] <= k:
+                        triples.append((tbl[a], b, tbl[b], c))
+        touching.append(triples)
 
-    def triple_ok(a: int, b: int, c: int) -> bool:
-        ab = tbl[a][b]
-        if ab is None:
-            return True
-        abc = tbl[ab][c]
-        if abc is None:
-            return True
-        bc = tbl[b][c]
-        if bc is None:
-            return True
-        a_bc = tbl[a][bc]
-        if a_bc is None:
-            return True
-        return abc == a_bc
+    # producers[v] holds the rows of the mid cells currently mapping to v,
+    # so an assignment can also recheck triples it completes at second level
+    producers: list[list[tuple[list, list]]] = [[] for _ in range(n)]
 
-    def partial_ok(k: int, x: int, y: int) -> bool:
-        for a, b, c in touching[k]:
-            if not triple_ok(a, b, c):
-                return False
-        for first, second in ((x, y), (y, x)) if x != y else ((x, y),):
-            for a, b in producers[first]:
-                if not (
-                    triple_ok(a, b, second)
-                    and triple_ok(b, a, second)
-                    and triple_ok(second, a, b)
-                    and triple_ok(second, b, a)
-                ):
+    def consistent(k: int, x: int, y: int, v: int) -> bool:
+        for row_a, b, row_b, c in touching[k]:
+            abc = tbl[row_a[b]][c]
+            if abc is not None:
+                a_bc = row_a[row_b[c]]
+                if a_bc is not None and a_bc != abc:
                     return False
+        # triples whose second-level cell is this one: T(T(a, b), s) with
+        # T(a, b) = x and s = y, or the reverse; (s, b, a) and (s, a, b)
+        # mirror the two checked here
+        for first, second in ((x, y), (y, x)) if x != y else ((x, y),):
+            for row_a, row_b in producers[first]:
+                bs = row_b[second]
+                if bs is not None:
+                    a_bs = row_a[bs]
+                    if a_bs is not None and a_bs != v:
+                        return False
+                a_s = row_a[second]
+                if a_s is not None:
+                    b_as = row_b[a_s]
+                    if b_as is not None and b_as != v:
+                        return False
         return True
 
     def fully_associative() -> bool:
-        for a, b, c in triples:
-            if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
-                return False
+        for a in mids:
+            row_a = tbl[a]
+            for b in mids:
+                row_ab = tbl[row_a[b]]
+                row_b = tbl[b]
+                for c in mids:
+                    if row_ab[c] != row_a[row_b[c]]:
+                        return False
         return True
 
     count = 0
@@ -156,23 +182,26 @@ def enumerate_all_tnorms(
                 count += 1
                 if count > cap:
                     raise BoundExceeded(f"more than {cap} t-norms; raise the cap to enumerate them")
-                yield TNormTable(lat, [row[:] for row in tbl])
+                yield TNormTable(lat, tbl)
             return
         x, y = cells[k]
-        for v in domains[k]:
-            ok = all(tbl[a][b] is None or leq(tbl[a][b], v) for a, b in below[k]) and all(
-                tbl[a][b] is None or leq(v, tbl[a][b]) for a, b in above[k]
-            )
-            if not ok:
-                continue
-            tbl[x][y] = v
-            tbl[y][x] = v
-            producers[v].append((x, y))
-            if partial_ok(k, x, y):
+        row_x, row_y = tbl[x], tbl[y]
+        lo = bot
+        for row, b in below[k]:
+            lo = join[lo][row[b]]
+        hi = meet[x][y]
+        for row, b in above[k]:
+            hi = meet[hi][row[b]]
+        rows = (row_x, row_y)
+        for v in interval[lo][hi]:
+            row_x[y] = v
+            row_y[x] = v
+            producers[v].append(rows)
+            if consistent(k, x, y, v):
                 yield from search(k + 1)
             producers[v].pop()
-            tbl[x][y] = None
-            tbl[y][x] = None
+        row_x[y] = None
+        row_y[x] = None
 
     return search(0)
 
@@ -206,6 +235,8 @@ class CensusReport:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CensusReport":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a census report is a JSON object, not {type(obj).__name__}")
         return cls(
             lattice_hash=obj["lattice_hash"],
             total=obj["total"],
@@ -262,7 +293,9 @@ def census(
         left = bool(is_left_continuous(t))
         right = bool(is_right_continuous(t))
         hits = {
-            "left_semicontinuous": bool(is_left_semicontinuous(t)),
+            # left-continuity implies left-semicontinuity: the latter checks
+            # the same empty family and a subset of the pairs
+            "left_semicontinuous": left or bool(is_left_semicontinuous(t)),
             "left_continuous": left,
             "right_continuous": right,
             "continuous": left and right,

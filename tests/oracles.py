@@ -8,9 +8,12 @@ no code path with the production reductions it cross-checks.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
+from latnorm.errors import BoundExceeded
 from latnorm.lattice import FiniteLattice, iter_bits
 from latnorm.construction import AtomSelection, AtomSkeleton
+from latnorm.oracle import DEFAULT_COUNT_CAP, DEFAULT_SIZE_CAP, _check_size
 from latnorm.tnorm import OK, TNormTable, Verdict
 
 
@@ -285,3 +288,135 @@ def reference_verify_tnorm(t: TNormTable) -> Verdict:
             if not verdict.ok:
                 break
     return verdict
+
+
+def reference_enumerate_all_tnorms(
+    lat: FiniteLattice,
+    cap: int = DEFAULT_COUNT_CAP,
+    size_cap: int = DEFAULT_SIZE_CAP,
+    cell_order: str = "default",
+) -> Iterator[TNormTable]:
+    """Every t-norm on the lattice, streamed by the original backtracking search.
+
+    The body of ``enumerate_all_tnorms`` before its interval domains,
+    kept verbatim except for this docstring: every candidate is tested
+    against every monotone neighbour, ``triple_ok`` runs on every touching
+    triple, and the leaf sweep indexes a list of triples. The production
+    enumerator must yield the same tables in the same order, and raise
+    ``BoundExceeded`` at the same ``cap``.
+    """
+    _check_size(lat, size_cap)
+    n = lat.n
+    bot, top = lat.bottom, lat.top
+    meet = lat.meet_table
+    leq = lat.leq
+
+    tbl: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for x in range(n):
+        tbl[x][top] = x
+        tbl[top][x] = x
+        if x != top:
+            tbl[x][bot] = bot
+            tbl[bot][x] = bot
+
+    mids = [x for x in range(n) if x not in (bot, top)]
+    cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
+    if cell_order == "default":
+        cells.sort(key=lambda c: (-(lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count()), c))
+    elif cell_order == "lex":
+        cells.sort()
+    elif cell_order == "reverse":
+        cells.sort(reverse=True)
+    else:
+        raise ValueError(f"unknown cell order {cell_order!r}")
+
+    domains = [[v for v in range(n) if leq(v, meet[x][y])] for x, y in cells]
+    below: list[list[tuple[int, int]]] = []
+    above: list[list[tuple[int, int]]] = []
+    for x, y in cells:
+        lo, hi = [], []
+        for a, b in cells:
+            if (a, b) == (x, y):
+                continue
+            if (leq(a, x) and leq(b, y)) or (leq(a, y) and leq(b, x)):
+                lo.append((a, b))
+            if (leq(x, a) and leq(y, b)) or (leq(x, b) and leq(y, a)):
+                hi.append((a, b))
+        below.append(lo)
+        above.append(hi)
+
+    triples = [(a, b, c) for a in mids for b in mids for c in mids]
+    touching: list[list[tuple[int, int, int]]] = []
+    for x, y in cells:
+        pair = {x, y}
+        touching.append([t for t in triples if {t[0], t[1]} == pair or {t[1], t[2]} == pair])
+
+    # producers[v] holds the mid cells currently mapping to v, so an
+    # assignment can also recheck triples it completes at second level
+    producers: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
+    def triple_ok(a: int, b: int, c: int) -> bool:
+        ab = tbl[a][b]
+        if ab is None:
+            return True
+        abc = tbl[ab][c]
+        if abc is None:
+            return True
+        bc = tbl[b][c]
+        if bc is None:
+            return True
+        a_bc = tbl[a][bc]
+        if a_bc is None:
+            return True
+        return abc == a_bc
+
+    def partial_ok(k: int, x: int, y: int) -> bool:
+        for a, b, c in touching[k]:
+            if not triple_ok(a, b, c):
+                return False
+        for first, second in ((x, y), (y, x)) if x != y else ((x, y),):
+            for a, b in producers[first]:
+                if not (
+                    triple_ok(a, b, second)
+                    and triple_ok(b, a, second)
+                    and triple_ok(second, a, b)
+                    and triple_ok(second, b, a)
+                ):
+                    return False
+        return True
+
+    def fully_associative() -> bool:
+        for a, b, c in triples:
+            if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
+                return False
+        return True
+
+    count = 0
+    total_cells = len(cells)
+
+    def search(k: int) -> Iterator[TNormTable]:
+        nonlocal count
+        if k == total_cells:
+            if fully_associative():
+                count += 1
+                if count > cap:
+                    raise BoundExceeded(f"more than {cap} t-norms; raise the cap to enumerate them")
+                yield TNormTable(lat, [row[:] for row in tbl])
+            return
+        x, y = cells[k]
+        for v in domains[k]:
+            ok = all(tbl[a][b] is None or leq(tbl[a][b], v) for a, b in below[k]) and all(
+                tbl[a][b] is None or leq(v, tbl[a][b]) for a, b in above[k]
+            )
+            if not ok:
+                continue
+            tbl[x][y] = v
+            tbl[y][x] = v
+            producers[v].append((x, y))
+            if partial_ok(k, x, y):
+                yield from search(k + 1)
+            producers[v].pop()
+            tbl[x][y] = None
+            tbl[y][x] = None
+
+    return search(0)

@@ -7,7 +7,7 @@ import pytest
 
 from latnorm.catalog import chain
 from latnorm.cli import main
-from latnorm.lattice import lattice_from_covers
+from latnorm.lattice import lattice_from_covers, load_lattice
 
 from conftest import golden
 
@@ -219,6 +219,20 @@ def test_census_oracle_cap(tmp_path, capsys):
     assert main(["census", str(path)]) == 1
     assert "cap" in capsys.readouterr().err
     assert main(["census", str(path), "--oracle-cap", "9"]) == 0
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+def test_census_cache_holding_no_object_is_a_miss(tmp_path, monkeypatch, capsys, text):
+    """Valid JSON that is not a report object is recomputed, not a traceback."""
+    path = DATA / "chain4.json"
+    monkeypatch.delenv("LATNORM_CACHE_DIR", raising=False)
+    assert main(["census", str(path)]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setenv("LATNORM_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"census_{load_lattice(path).fingerprint()}.json").write_text(text, encoding="utf-8")
+    assert main(["census", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert json.loads(expected)["total"] == 6
 
 
 def test_check_passes(fig_file, capsys):

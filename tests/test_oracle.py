@@ -1,13 +1,20 @@
 """Brute-force enumeration, census classification, and construction cross-checks."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latnorm.catalog import chain, m4
+from latnorm.catalog import atomistic_corpus, chain, extension_corpus, m4, random_lattice
+from latnorm.construction import generated_family
 from latnorm.errors import BoundExceeded
+from latnorm.lattice import load_lattice
 from latnorm.oracle import (
+    CACHE_ENV_VAR,
     CENSUS_CACHE_VERSION,
+    CLASS_NAMES,
+    DEFAULT_SIZE_CAP,
     CensusReport,
     census,
     enumerate_all_tnorms,
@@ -22,15 +29,68 @@ from latnorm.tnorm import (
     verify_tnorm,
 )
 
+from oracles import reference_enumerate_all_tnorms
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+CELL_ORDERS = ("default", "lex", "reverse")
+
+
+def _fixed_lattices() -> dict:
+    """``data/*.json``, the atomistic corpus and the extension corpus up to the size cap."""
+    lats = {f"data/{p.name}": load_lattice(p) for p in sorted(DATA.glob("*.json"))}
+    lats.update(atomistic_corpus())
+    lats.update((name, lat) for name, lat in extension_corpus().items() if lat.n <= DEFAULT_SIZE_CAP)
+    return lats
+
+
+FIXED_LATTICES = _fixed_lattices()
+
 # Enumeration totals, frozen from oracle runs (hand-checkable for chains up
 # to four elements: the three-chain has a single free cell with two legal
 # values, and so on).
-CHAIN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 22}
+CHAIN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 22, 6: 94, 7: 451, 8: 2386}
 
 
 @pytest.mark.parametrize("k,expected", sorted(CHAIN_COUNTS.items()))
 def test_chain_counts(k, expected):
     assert sum(1 for _ in enumerate_all_tnorms(chain(k))) == expected
+
+
+@pytest.mark.slow
+def test_chain_nine_count():
+    assert sum(1 for _ in enumerate_all_tnorms(chain(9), size_cap=9)) == 13775
+
+
+def _tables_until_bound(stream) -> list:
+    seen = []
+    with pytest.raises(BoundExceeded):
+        for t in stream:
+            seen.append(t.table)
+    return seen
+
+
+def assert_same_stream(lat, order: str) -> None:
+    """The same tables in the same order as the reference search, and
+    ``BoundExceeded`` after the same ``cap`` tables."""
+    tables = [t.table for t in enumerate_all_tnorms(lat, cell_order=order)]
+    assert tables == [t.table for t in reference_enumerate_all_tnorms(lat, cell_order=order)]
+    assert len(tables) == len(list(enumerate_all_tnorms(lat, cap=len(tables), cell_order=order)))
+    cap = len(tables) // 2
+    assert _tables_until_bound(enumerate_all_tnorms(lat, cap=cap, cell_order=order)) == tables[:cap]
+    assert _tables_until_bound(reference_enumerate_all_tnorms(lat, cap=cap, cell_order=order)) == tables[:cap]
+
+
+@pytest.mark.parametrize("order", CELL_ORDERS)
+@pytest.mark.parametrize("name", list(FIXED_LATTICES))
+def test_stream_matches_reference_on_corpus(name, order):
+    assert_same_stream(FIXED_LATTICES[name], order)
+
+
+@settings(deadline=None, max_examples=40)
+@given(size=st.integers(1, 8), seed=st.integers(0, 2**20), order=st.sampled_from(CELL_ORDERS))
+def test_stream_matches_reference_on_random_lattices(size, seed, order):
+    # below 3 elements only chains exist, and random_lattice draws none
+    assert_same_stream(chain(size) if size < 3 else random_lattice(size, seed), order)
 
 
 def test_three_chain_tables_by_hand():
@@ -146,6 +206,53 @@ def test_census_class_membership_matches_predicates(fig_extended):
         assert report.classes[klass] == count
 
 
+def reference_census(lat) -> tuple[int, dict, dict]:
+    """Total, class counts and witnesses from all three scans on every
+    table of the reference search, in stream order."""
+    family = {g.lifted.table for g in generated_family(lat)} if lat.is_atomistic() else None
+    counts = dict.fromkeys(CLASS_NAMES, 0)
+    if family is None:
+        counts["generated"] = None
+    witnesses: dict = {}
+    total = 0
+    for t in reference_enumerate_all_tnorms(lat):
+        total += 1
+        left, right = bool(is_left_continuous(t)), bool(is_right_continuous(t))
+        hits = {
+            "left_semicontinuous": bool(is_left_semicontinuous(t)),
+            "left_continuous": left,
+            "right_continuous": right,
+            "continuous": left and right,
+        }
+        if family is not None:
+            hits["generated"] = t.table in family
+        for klass, hit in hits.items():
+            if hit:
+                counts[klass] += 1
+                witnesses.setdefault(
+                    klass, {"elements": list(lat.names), "rows": [[lat.name(v) for v in row] for row in t.table]}
+                )
+    return total, counts, witnesses
+
+
+CENSUS_LATTICES = {
+    **FIXED_LATTICES,
+    **{f"draw{seed}": random_lattice(3 + seed % 6, 4000 + seed) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUS_LATTICES))
+def test_census_matches_three_scan_reference(name, monkeypatch):
+    """Class counts and witnesses, in order, with every scan run on every table."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    lat = CENSUS_LATTICES[name]
+    report = census(lat)
+    total, counts, witnesses = reference_census(lat)
+    assert report.total == total
+    assert list(report.classes.items()) == list(counts.items())
+    assert list(report.witnesses.items()) == list(witnesses.items())
+
+
 def test_census_on_non_atomistic(fig_lattice):
     report = census(fig_lattice)
     assert report.total == 19
@@ -183,6 +290,21 @@ def test_census_cache_respects_size_cap(tmp_path):
     # the report was written whole, through a temporary file that is gone
     assert [p.name for p in tmp_path.iterdir()] == [f"census_{lat.fingerprint()}.json"]
     assert census(lat, cache_dir=tmp_path).total == 94
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "7"])
+def test_census_cache_holding_no_object_is_a_miss(tmp_path, text):
+    lat = chain(4)
+    path = tmp_path / f"census_{lat.fingerprint()}.json"
+    path.write_text(text, encoding="utf-8")
+    assert census(lat, cache_dir=tmp_path).total == 6
+    # the miss is recomputed and written back whole
+    assert CensusReport.from_json_obj(json.loads(path.read_text(encoding="utf-8"))).total == 6
+
+
+def test_census_report_from_no_object_is_a_value_error():
+    with pytest.raises(ValueError):
+        CensusReport.from_json_obj([1, 2])
 
 
 def test_census_cache_env_var(tmp_path, monkeypatch, p2):
