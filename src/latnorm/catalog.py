@@ -86,10 +86,13 @@ def random_lattice(size: int, seed: int, max_tries: int = 20000) -> FiniteLattic
 
     Rejection sampling: throw random order relations between the middle
     elements (bottom and top always bound them) and keep the first draw
-    whose meets and joins are all unique. Same seed, same lattice.
+    whose meets and joins are all unique. Same seed, same lattice. Size 2
+    has no middle elements, so it is the 2-element chain.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
+    if size == 2:
+        return chain(2)
     rng = random.Random(seed)
     mids = [f"x{i}" for i in range(1, size - 1)]
     names = ["0", *mids, "1"]

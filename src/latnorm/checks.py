@@ -21,7 +21,7 @@ from .construction import (
     skeleton,
 )
 from .errors import BoundExceeded, DegenerateLength
-from .extension import ExtendedLattice, SFamily, condition_c, extend, restrict_to_original, s_family
+from .extension import SFamily, extend, s_family
 from .lattice import FiniteLattice
 from .tnorm import FamilyOrder, is_left_semicontinuous, restrict, verify_tnorm
 
@@ -80,22 +80,26 @@ def check_family_isomorphism(lat: FiniteLattice) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_extension_gate(ext: ExtendedLattice, family: list[GeneratedTNorm]) -> CheckResult:
-    """The restriction gate holds exactly when the restriction is a t-norm."""
+def check_extension_gate(fam: SFamily) -> CheckResult:
+    """The restriction gate holds exactly when the restriction is a t-norm.
+
+    Reads each member's gate verdict and restriction from the S-family and
+    sets them against its own closure scan of the lifted table.
+    """
     name = "extension restriction gate (both directions)"
-    n0 = ext.original.n
-    for g in family:
-        gate = condition_c(ext, g.selection)
-        closed = all(v < n0 for row in g.lifted.table[:n0] for v in row[:n0])
+    n0 = fam.ext.original.n
+    for entry in fam.entries:
+        gate = entry.condition_c
+        closed = all(v < n0 for row in entry.source.lifted.table[:n0] for v in row[:n0])
         if gate.ok != closed:
             return CheckResult(
-                name, False, f"selection {g.selection.label()}: gate {gate.ok}, closure {closed}"
+                name, False, f"selection {entry.selection.label()}: gate {gate.ok}, closure {closed}"
             )
         if closed:
-            verdict = verify_tnorm(restrict_to_original(ext, g))
+            verdict = verify_tnorm(entry.restricted)
             if not verdict.ok:
                 return CheckResult(
-                    name, False, f"selection {g.selection.label()}: restriction {verdict.describe()}"
+                    name, False, f"selection {entry.selection.label()}: restriction {verdict.describe()}"
                 )
     return CheckResult(name, True)
 
@@ -151,7 +155,7 @@ def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[C
         (check_lift_restriction_roundtrip, (ext.extended, family), note),
         (check_semicontinuity_criterion, (ext.extended, family), note),
         (check_family_isomorphism, (ext.extended,), note),
-        (check_extension_gate, (ext, family), ""),
+        (check_extension_gate, (fam,), ""),
         (check_restriction_joins, (fam,), ""),
     ):
         exceeded = next((a for a in args if isinstance(a, BoundExceeded)), None)

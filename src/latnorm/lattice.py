@@ -106,6 +106,9 @@ class FiniteLattice:
 
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
+    The fingerprint and the pair sets of the order are derived data,
+    filled on first use and kept for the lattice's life; equality, hashing
+    and serialization never read them.
     """
 
     __slots__ = (
@@ -123,6 +126,7 @@ class FiniteLattice:
         "length",
         "full_mask",
         "_fingerprint",
+        "_memo",
     )
 
     def __init__(self, **kw):
@@ -249,6 +253,37 @@ class FiniteLattice:
             if not any(other != m and other & m == m for other in independent)
         ]
         return [ElementSet(self, m) for m in sorted(maximal)]
+
+    def comparable_pairs(self) -> frozenset[tuple[int, int]]:
+        """Every pair (x, y) of element ids with x <= y."""
+        pairs = self._memo.get("comparable")
+        if pairs is None:
+            pairs = self._memo["comparable"] = frozenset(
+                (x, y) for x in range(self.n) for y in iter_bits(self.ups[x])
+            )
+        return pairs
+
+    def incomparable_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Incomparable pairs x < y of element ids, grouped by x.
+
+        Leaves out the pairs whose join (``op`` "join") or meet (``op``
+        "meet") is ``skip``. Holds one ``(x, ys)`` for each x that has some
+        such y, with ``ys`` ascending.
+        """
+        key = (op, skip)
+        plan = self._memo.get(key)
+        if plan is None:
+            table = {"join": self.join_table, "meet": self.meet_table}[op]
+            n = self.n
+            plan = []
+            for x in range(n):
+                related = self.ups[x] | self.downs[x]
+                row = table[x]
+                ys = tuple(y for y in range(x + 1, n) if not related >> y & 1 and row[y] != skip)
+                if ys:
+                    plan.append((x, ys))
+            plan = self._memo[key] = tuple(plan)
+        return plan
 
     # -- serialization -----------------------------------------------------------
 
@@ -428,6 +463,7 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         length=max(height),
         full_mask=(1 << n) - 1,
         _fingerprint=[None],
+        _memo={},
     )
 
 

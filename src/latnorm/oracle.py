@@ -235,15 +235,32 @@ class CensusReport:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CensusReport":
+        """Read a report back, raising ValueError on a field of the wrong type.
+
+        ``classes`` must map exactly the names in ``CLASS_NAMES`` to counts
+        or null; a bool is not a count.
+        """
         if not isinstance(obj, dict):
             raise ValueError(f"a census report is a JSON object, not {type(obj).__name__}")
-        return cls(
+        report = cls(
             lattice_hash=obj["lattice_hash"],
             total=obj["total"],
             classes=obj["classes"],
             witnesses=obj.get("witnesses", {}),
             version=obj.get("version", 0),
         )
+        classes = report.classes
+        if not (
+            isinstance(report.lattice_hash, str)
+            and type(report.version) is int
+            and type(report.total) is int
+            and isinstance(classes, dict)
+            and classes.keys() == set(CLASS_NAMES)
+            and all(v is None or type(v) is int for v in classes.values())
+            and isinstance(report.witnesses, dict)
+        ):
+            raise ValueError("a census report field has the wrong type")
+        return report
 
 
 def census(
@@ -258,9 +275,10 @@ def census(
     it is null for non-atomistic lattices, where the family is not
     defined. Reports are cached as JSON keyed by the lattice fingerprint
     when a cache directory is given (or set via ``LATNORM_CACHE_DIR``);
-    the cache is advisory and ignored on version mismatch, but never
-    answers for a lattice above ``size_cap``. It is written through a
-    temporary file, so a reader never sees a half-written report.
+    the cache is advisory: a path that cannot be read, a report with a
+    field of the wrong type and a version mismatch are all misses, and it
+    never answers for a lattice above ``size_cap``. It is written through
+    a temporary file, so a reader never sees a half-written report.
     """
     _check_size(lat, size_cap)
     fingerprint = lat.fingerprint()
@@ -275,7 +293,7 @@ def census(
                 report = CensusReport.from_json_obj(obj)
                 if report.version == CENSUS_CACHE_VERSION and report.lattice_hash == fingerprint:
                     return report
-            except (ValueError, KeyError):
+            except (OSError, ValueError, KeyError):
                 pass
 
     atomistic = lat.is_atomistic()

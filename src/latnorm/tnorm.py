@@ -43,9 +43,12 @@ class TNormTable:
     """A total binary operation table over one lattice's elements.
 
     ``verdict`` caches the verification result; None means unchecked.
+    ``_monotone`` caches whether every row is monotone, which the
+    continuity scans test first and ``verify_tnorm`` learns on the way;
+    None means untested.
     """
 
-    __slots__ = ("lattice", "table", "verdict")
+    __slots__ = ("lattice", "table", "verdict", "_monotone")
 
     def __init__(self, lattice: FiniteLattice, table, verdict: Verdict | None = None):
         n = lattice.n
@@ -59,6 +62,7 @@ class TNormTable:
         self.lattice = lattice
         self.table = rows
         self.verdict = verdict
+        self._monotone = None
 
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -123,12 +127,14 @@ def verify_tnorm(t: TNormTable) -> Verdict:
             if not verdict.ok:
                 break
     if verdict.ok:
-        comparable = {(a, b) for a in range(n) for b in iter_bits(lat.ups[a])}
+        comparable = lat.comparable_pairs()
         for lo, hi in lat.covers:
             if not comparable.issuperset(zip(tbl[lo], tbl[hi])):
                 x = next(x for x, pair in enumerate(zip(tbl[lo], tbl[hi])) if pair not in comparable)
                 verdict = Verdict(False, "monotonicity", (lat.name(x), lat.name(lo), lat.name(hi)))
                 break
+        # the table is commutative here, so this is the continuity scans' gate
+        t._monotone = verdict.ok
     # a 1x1 table is associative, and itemgetter of one index returns a
     # bare value rather than a row
     if verdict.ok and n > 1:
@@ -264,14 +270,27 @@ def idempotents(t: TNormTable) -> ElementSet:
     return ElementSet(t.lattice, mask)
 
 
-def _preserves(t: TNormTable, axiom: str, op, unit: int, skip: int = -1) -> Verdict:
-    """First place where a row of ``t`` fails to preserve the operation ``op``.
+def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) -> Verdict:
+    """First place where a row of ``t`` fails to preserve the lattice's ``op``.
 
     Checks T(a, x op y) = T(a, x) op T(a, y) for all a and all element ids
-    x <= y, in that order, leaving out pairs with x op y = ``skip``. The binary form
-    suffices: general finite families follow by induction. The empty
-    family, whose op is ``unit``, is checked first as T(a, unit) = a ∧ unit,
-    which reads T(a, 0) = 0 for joins and the neutral axiom for meets.
+    x <= y, in that order, leaving out pairs with x op y = ``skip``; ``op``
+    names the operation, "join" or "meet". The binary form suffices:
+    general finite families follow by induction. The empty family, whose
+    op is ``unit``, is checked first as T(a, unit) = a ∧ unit, which reads
+    T(a, 0) = 0 for joins and the neutral axiom for meets.
+
+    Most pairs cannot fail. A diagonal pair never does, and when every row
+    is monotone (T(a, x) <= T(a, y) whenever x <= y) neither does a pair
+    with x and y comparable: x op y is then one of x and y, and so is
+    T(a, x) op T(a, y), the same one. So after the empty family comes a
+    gate: the table's columns are compared across every cover, once per
+    table (the result is kept on it). A monotone table is scanned over the
+    lattice's planned pairs only, the incomparable x < y whose op is not
+    ``skip`` (:meth:`FiniteLattice.incomparable_pairs`, built once per
+    lattice); any other table over every x <= y. Both domains keep the
+    (a, x, y) order and leave out only pairs that hold, so the witness is
+    the first violation of the full scan in either case.
     """
     lat = t.lattice
     tbl = t.table
@@ -280,14 +299,24 @@ def _preserves(t: TNormTable, axiom: str, op, unit: int, skip: int = -1) -> Verd
     for a in range(n):
         if tbl[a][unit] != meet[a][unit]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
+    monotone = t._monotone
+    if monotone is None:
+        comparable = lat.comparable_pairs()
+        cols = tuple(zip(*tbl))
+        monotone = t._monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
+    if monotone:
+        pairs = lat.incomparable_pairs(op, skip)
+    else:
+        pairs = [(x, range(x, n)) for x in range(n)]
+    table = lat.join_table if op == "join" else meet
     for a in range(n):
         row = tbl[a]
-        for x in range(n):
-            rx = row[x]
-            opx = op[x]
-            for y in range(x, n):
+        for x, ys in pairs:
+            opx = table[x]
+            oprx = table[row[x]]
+            for y in ys:
                 j = opx[y]
-                if j != skip and row[j] != op[rx][row[y]]:
+                if j != skip and row[j] != oprx[row[y]]:
                     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
     return OK
 
@@ -295,13 +324,13 @@ def _preserves(t: TNormTable, axiom: str, op, unit: int, skip: int = -1) -> Verd
 def is_left_continuous(t: TNormTable) -> Verdict:
     """Join preservation in each argument over arbitrary finite families."""
     lat = t.lattice
-    return _preserves(t, "left-continuity", lat.join_table, lat.bottom)
+    return _preserves(t, "left-continuity", "join", lat.bottom)
 
 
 def is_right_continuous(t: TNormTable) -> Verdict:
     """Meet preservation in each argument; the empty family is the neutral axiom."""
     lat = t.lattice
-    return _preserves(t, "right-continuity", lat.meet_table, lat.top)
+    return _preserves(t, "right-continuity", "meet", lat.top)
 
 
 def is_continuous(t: TNormTable) -> Verdict:
@@ -318,7 +347,7 @@ def is_left_semicontinuous(t: TNormTable) -> Verdict:
     family also stays below top.
     """
     lat = t.lattice
-    return _preserves(t, "left-semicontinuity", lat.join_table, lat.bottom, skip=lat.top)
+    return _preserves(t, "left-semicontinuity", "join", lat.bottom, skip=lat.top)
 
 
 def restrict(t: TNormTable, members: ElementSet) -> TNormTable:

@@ -290,6 +290,43 @@ def reference_verify_tnorm(t: TNormTable) -> Verdict:
     return verdict
 
 
+def reference_preserves(t: TNormTable, axiom: str, op, unit: int, skip: int = -1) -> Verdict:
+    """First place where a row of ``t`` fails to preserve the operation table ``op``.
+
+    The body of the continuity scan before it planned its pairs, kept
+    verbatim: the empty family as T(a, unit) = a ∧ unit, then
+    T(a, x op y) = T(a, x) op T(a, y) for every a and every id pair x <= y,
+    in (a, x, y) order, leaving out pairs with x op y = ``skip``.
+    """
+    lat = t.lattice
+    tbl = t.table
+    n = lat.n
+    meet = lat.meet_table
+    for a in range(n):
+        if tbl[a][unit] != meet[a][unit]:
+            return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
+    for a in range(n):
+        row = tbl[a]
+        for x in range(n):
+            rx = row[x]
+            opx = op[x]
+            for y in range(x, n):
+                j = opx[y]
+                if j != skip and row[j] != op[rx][row[y]]:
+                    return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
+    return OK
+
+
+def reference_continuity_scans(t: TNormTable) -> tuple[Verdict, Verdict, Verdict]:
+    """Left-continuity, right-continuity and left-semicontinuity by the reference scan."""
+    lat = t.lattice
+    return (
+        reference_preserves(t, "left-continuity", lat.join_table, lat.bottom),
+        reference_preserves(t, "right-continuity", lat.meet_table, lat.top),
+        reference_preserves(t, "left-semicontinuity", lat.join_table, lat.bottom, skip=lat.top),
+    )
+
+
 def reference_enumerate_all_tnorms(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,

@@ -1,12 +1,16 @@
 """The consistency-check suite over the whole corpus."""
 
 from collections import Counter
+from dataclasses import replace
 
 import latnorm.checks
 import latnorm.construction
 import latnorm.extension
 from latnorm.catalog import stemmed_diamond
-from latnorm.checks import run_all_checks
+from latnorm.checks import check_extension_gate, run_all_checks
+from latnorm.construction import generated_family
+from latnorm.extension import SFamily, extend, s_family
+from latnorm.tnorm import OK, Verdict
 
 
 def test_all_checks_pass_on_corpus(corpus_extension):
@@ -53,3 +57,34 @@ def test_run_all_checks_builds_one_extension_family_and_s_family(monkeypatch):
     assert all(r.passed for r in results)
     # the extension has 3 atoms: 8 lifts for the shared family, 8 for the isomorphism check's
     assert calls == {"extend": 1, "generated_family": 2, "s_family": 1, "lift": 16}
+
+
+def test_extension_gate_check_reads_the_s_family(monkeypatch):
+    """Each member is gated and restricted once, by ``s_family``."""
+    calls = Counter()
+    for name in ("condition_c", "restrict_to_original"):
+        real = getattr(latnorm.extension, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(latnorm.extension, name, counted)
+        monkeypatch.setattr(latnorm.checks, name, counted, raising=False)
+    results = run_all_checks(stemmed_diamond())
+    assert all(r.passed for r in results)
+    # the extension has 3 atoms: 8 selections, 5 of which pass the gate
+    assert calls == {"condition_c": 8, "restrict_to_original": 5}
+
+
+def test_extension_gate_check_catches_a_wrong_gate_verdict():
+    """The check's own closure scan is the independent side."""
+    ext = extend(stemmed_diamond())
+    fam = s_family(ext, generated_family(ext.extended))
+    for flipped in fam.entries:
+        verdict = Verdict(False, "restriction-gate", ("forged",)) if flipped.condition_c.ok else OK
+        forged = SFamily(ext, tuple(replace(e, condition_c=verdict) if e is flipped else e for e in fam.entries))
+        result = check_extension_gate(forged)
+        closed = flipped.restricted is not None
+        assert not result.passed
+        assert result.detail == f"selection {flipped.selection.label()}: gate {not closed}, closure {closed}"

@@ -148,7 +148,7 @@ def test_gate_iff_closure(corpus_extension):
         ext = extend(lat)
         if ext.extended.atoms_mask.bit_count() > 12:
             continue
-        result = check_extension_gate(ext, generated_family(ext.extended))
+        result = check_extension_gate(s_family(ext, generated_family(ext.extended)))
         assert result.passed, (name, result.detail)
 
 

@@ -1,12 +1,13 @@
 """Lattice construction, validation and order queries."""
 
+import hashlib
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latnorm.catalog import chain, diamond, m3, pentagon, stemmed_diamond
+from latnorm.catalog import chain, diamond, m3, pentagon, random_lattice, stemmed_diamond
 from latnorm.errors import (
     BoundExceeded,
     CycleDetected,
@@ -305,3 +306,52 @@ def test_atoms_below(fig_extended):
     assert set(fig_extended.atoms_below(d).names()) == {"b", "w_d"}
     one = fig_extended.index("1")
     assert set(fig_extended.ji_below(one).names()) >= {"b", "w_d", "w_c"}
+
+
+def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
+    """Comparable and planned incomparable pairs, straight from ``leq``."""
+    for name, lat in {**corpus_extension, **corpus_atomistic, "chain1": chain(1)}.items():
+        n = lat.n
+        assert lat.comparable_pairs() == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
+        for op, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+            for skip in (-1, lat.top, lat.bottom):
+                plan = lat.incomparable_pairs(op, skip)
+                expected = [
+                    (x, y)
+                    for x in range(n)
+                    for y in range(x + 1, n)
+                    if not lat.leq(x, y) and not lat.leq(y, x) and table[x][y] != skip
+                ]
+                assert [(x, y) for x, ys in plan for y in ys] == expected, (name, op, skip)
+                assert all(ys for _, ys in plan)
+                assert lat.incomparable_pairs(op, skip) is plan
+
+
+def test_pair_caches_stay_out_of_equality_and_serialization(fig_lattice):
+    fresh = stemmed_diamond()
+    fig_lattice.comparable_pairs()
+    fig_lattice.incomparable_pairs("join", fig_lattice.top)
+    assert fig_lattice == fresh and hash(fig_lattice) == hash(fresh)
+    assert fig_lattice.fingerprint() == fresh.fingerprint()
+    assert fig_lattice.to_json_obj() == fresh.to_json_obj()
+
+
+def test_random_lattice_of_two_elements_is_the_chain():
+    for seed in range(20):
+        lat = random_lattice(2, seed)
+        assert lat == chain(2) and lat.fingerprint() == chain(2).fingerprint()
+    with pytest.raises(ValueError):
+        random_lattice(1, 0)
+
+
+def test_random_lattice_draws_are_pinned():
+    """Sizes 3-10 keep their draws, fingerprints included: the benchmark's
+    inputs are such draws, so a change to the sampler must not move them."""
+    seeds = [*range(100), *(s * 1_000_003 + j for s in (1, 17, 29) for j in range(10))]
+    digest = hashlib.sha256()
+    for size in range(3, 11):
+        for seed in seeds:
+            lat = random_lattice(size, seed)
+            assert lat.n == size
+            digest.update(lat.fingerprint().encode())
+    assert digest.hexdigest() == "a2700b01bdd90cf10d5d8357e8ac2ed32d227e6a5503037acf3d6cbeedb84534"

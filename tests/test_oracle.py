@@ -89,8 +89,8 @@ def test_stream_matches_reference_on_corpus(name, order):
 @settings(deadline=None, max_examples=40)
 @given(size=st.integers(1, 8), seed=st.integers(0, 2**20), order=st.sampled_from(CELL_ORDERS))
 def test_stream_matches_reference_on_random_lattices(size, seed, order):
-    # below 3 elements only chains exist, and random_lattice draws none
-    assert_same_stream(chain(size) if size < 3 else random_lattice(size, seed), order)
+    # random_lattice starts at 2 elements
+    assert_same_stream(chain(1) if size == 1 else random_lattice(size, seed), order)
 
 
 def test_three_chain_tables_by_hand():
@@ -305,6 +305,74 @@ def test_census_cache_holding_no_object_is_a_miss(tmp_path, text):
 def test_census_report_from_no_object_is_a_value_error():
     with pytest.raises(ValueError):
         CensusReport.from_json_obj([1, 2])
+
+
+def test_census_cache_path_that_is_a_directory_is_a_miss(tmp_path):
+    lat = chain(4)
+    path = tmp_path / f"census_{lat.fingerprint()}.json"
+    path.mkdir()
+    assert census(lat, cache_dir=tmp_path).total == 6
+    # the write back fails quietly and leaves no temporary file behind
+    assert path.is_dir() and [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_census_cache_file_that_cannot_be_read_is_a_miss(tmp_path, monkeypatch):
+    lat = chain(4)
+    path = tmp_path / f"census_{lat.fingerprint()}.json"
+    path.write_text(census(lat).to_json(), encoding="utf-8")
+    real = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert census(lat, cache_dir=tmp_path).total == 6
+
+
+def _report_obj(**changes):
+    obj = census(chain(4)).to_json_obj()
+    obj.update(changes)
+    return obj
+
+
+WRONGLY_TYPED_REPORTS = {
+    "total is a string": {"total": "x", "classes": [1]},
+    "total is a string, classes fine": {"total": "x"},
+    "total is a float": {"total": 6.0},
+    "total is a bool": {"total": True},
+    "version is a string": {"version": "1"},
+    "lattice_hash is a number": {"lattice_hash": 7},
+    "classes is a list": {"classes": [1]},
+    "classes lacks a name": {"classes": {"left_continuous": 6}},
+    "classes has an extra name": {"classes": {**dict.fromkeys(CLASS_NAMES, 1), "other": 1}},
+    "class count is a string": {"classes": {**dict.fromkeys(CLASS_NAMES, 1), "continuous": "1"}},
+    "witnesses is a list": {"witnesses": []},
+}
+
+
+@pytest.mark.parametrize("changes", WRONGLY_TYPED_REPORTS.values(), ids=WRONGLY_TYPED_REPORTS)
+def test_census_report_with_wrongly_typed_field_is_a_value_error(changes):
+    with pytest.raises(ValueError):
+        CensusReport.from_json_obj(_report_obj(**changes))
+
+
+@pytest.mark.parametrize("changes", WRONGLY_TYPED_REPORTS.values(), ids=WRONGLY_TYPED_REPORTS)
+def test_census_cache_holding_wrongly_typed_report_is_a_miss(tmp_path, changes):
+    lat = chain(4)
+    path = tmp_path / f"census_{lat.fingerprint()}.json"
+    path.write_text(json.dumps(_report_obj(**changes)), encoding="utf-8")
+    report = census(lat, cache_dir=tmp_path)
+    assert report.to_json_obj() == census(lat).to_json_obj()
+    assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_obj()
+
+
+def test_census_report_accepts_null_generated_and_no_witnesses():
+    obj = _report_obj(classes={**dict.fromkeys(CLASS_NAMES, 1), "generated": None})
+    del obj["witnesses"]
+    report = CensusReport.from_json_obj(obj)
+    assert report.classes["generated"] is None and report.witnesses == {}
 
 
 def test_census_cache_env_var(tmp_path, monkeypatch, p2):

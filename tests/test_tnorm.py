@@ -9,7 +9,7 @@ from latnorm.catalog import chain, double_atom_tower, m3, pentagon, random_latti
 from latnorm.construction import AtomSelection, generated_family, lift, skeleton, skeleton_tnorm
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
 from latnorm.extension import extend, s_family
-from latnorm.lattice import iter_bits, powerset_lattice
+from latnorm.lattice import iter_bits, lattice_from_covers, powerset_lattice
 from latnorm.oracle import enumerate_all_tnorms
 from latnorm.tnorm import (
     OK,
@@ -35,6 +35,7 @@ from oracles import (
     all_subsets_left_semicontinuous,
     all_subsets_right_continuous,
     full_pairs_monotone,
+    reference_continuity_scans,
     reference_verify_tnorm,
     scan_family_bounds,
 )
@@ -513,3 +514,133 @@ def test_continuity_scans_pinned_verdicts(name, lat, rule, left, right, lsc):
     assert is_right_continuous(t) == pinned(right)
     assert is_continuous(t) == (pinned(left) if left is not None else pinned(right))
     assert is_left_semicontinuous(t) == pinned(lsc)
+    assert_scans_match_reference(t)
+
+
+def scans(t):
+    """Left-continuity, right-continuity and left-semicontinuity of ``t``."""
+    return is_left_continuous(t), is_right_continuous(t), is_left_semicontinuous(t)
+
+
+def assert_scans_match_reference(t):
+    """Same verdicts, axioms and witnesses as the cell scan: on a fresh
+    table, again once its monotonicity gate is known, and after
+    ``verify_tnorm``, which may record the gate on the way."""
+    fresh = TNormTable(t.lattice, t.table)
+    expected = reference_continuity_scans(fresh)
+    assert scans(fresh) == expected, fresh.table
+    assert scans(fresh) == expected, fresh.table
+    verified = TNormTable(t.lattice, t.table)
+    verify_tnorm(verified)
+    assert scans(verified) == expected, verified.table
+
+
+SCAN_LATTICES = {f"draw{seed}": random_lattice(3 + seed % 6, 7000 + seed) for seed in range(42)}
+
+
+@pytest.mark.parametrize("name", SCAN_LATTICES)
+def test_continuity_scans_match_reference_on_every_tnorm(name):
+    """Every t-norm of seeded random 3-8 element lattices: all monotone, so
+    every scan runs over the lattice's planned pairs."""
+    for t in enumerate_all_tnorms(SCAN_LATTICES[name]):
+        assert_scans_match_reference(t)
+
+
+def _monotone_rows(lat, rows_of_values, op):
+    """Rows made monotone: cell (a, y) is the join of the values drawn at
+    the elements below y (or the meet of those above y)."""
+    n = lat.n
+    grid = []
+    for values in rows_of_values:
+        if op == "join":
+            grid.append([lat.join_all(values[x] for x in iter_bits(lat.downs[y])) for y in range(n)])
+        else:
+            row = []
+            for y in range(n):
+                v = lat.top
+                for x in iter_bits(lat.ups[y]):
+                    v = lat.meet(v, values[x])
+                row.append(v)
+            grid.append(row)
+    return grid
+
+
+GRID_LATTICES = [chain(3), m3(), pentagon(), stemmed_diamond(), powerset_lattice(3), random_lattice(7, 11)]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_continuity_scans_match_reference_on_random_grids(data):
+    """Arbitrary cell grids, none required to be a t-norm: monotone rows
+    take the planned pairs, the others every pair. Some grids keep top
+    neutral and bottom absorbing, so the scans get past the empty family."""
+    lat = data.draw(st.sampled_from(GRID_LATTICES))
+    n = lat.n
+    values = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = data.draw(st.sampled_from(["any", "join", "meet"]))
+    grid = values if kind == "any" else _monotone_rows(lat, values, kind)
+    if kind != "any":
+        assert all(lat.leq(row[x], row[y]) for row in grid for x in range(n) for y in range(n) if lat.leq(x, y))
+    if data.draw(st.booleans()):
+        for x in range(n):
+            grid[x][lat.top] = grid[lat.top][x] = x
+            grid[x][lat.bottom] = grid[lat.bottom][x] = lat.bottom
+    assert_scans_match_reference(TNormTable(lat, grid))
+
+
+def _partition_lattice(k):
+    """The partition lattice of k points, ordered by refinement."""
+
+    def blocks_of(labels):
+        return frozenset(frozenset(i for i in range(k) if labels[i] == b) for b in set(labels))
+
+    parts = set()
+    labels = [0] * k
+
+    def grow(i, used):
+        if i == k:
+            parts.add(blocks_of(labels))
+            return
+        for b in range(used + 1):
+            labels[i] = b
+            grow(i + 1, max(used, b + 1))
+
+    grow(0, 0)
+
+    def name(p):
+        return "|".join("".join(str(x) for x in sorted(b)) for b in sorted(p, key=min))
+
+    covers = []
+    for p in parts:
+        for b1 in p:
+            for b2 in p:
+                if min(b1) < min(b2):
+                    covers.append((name(p), name((p - {b1, b2}) | {b1 | b2})))
+    return lattice_from_covers(sorted(map(name, parts), key=lambda s: (-s.count("|"), s)), covers)
+
+
+@pytest.mark.slow
+def test_continuity_scans_match_reference_on_large_lifts():
+    """Lifts on 2^8 and on the partition lattice Pi6 (203 elements): the
+    full selection and two seeded ones, each also with one symmetric cell
+    pair lowered to bottom (no longer monotone) and with T(a, a) lowered
+    to bottom for a middle atom a (still monotone, no longer a t-norm)."""
+    pi6 = _partition_lattice(6)
+    assert pi6.n == 203 and pi6.atoms_mask.bit_count() == 15
+    for lat in (powerset_lattice(8), pi6):
+        skel = skeleton(lat)
+        atoms = [lat.name(a) for a in iter_bits(lat.atoms_mask)]
+        selections = [atoms]
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            selections.append([a for a in atoms if rng.random() < 0.5])
+        atom = sorted(iter_bits(lat.atoms_mask))[len(atoms) // 2]
+        for chosen in selections:
+            lifted = lift(lat, skeleton_tnorm(skel, AtomSelection.from_names(lat, chosen)))
+            x, y = lat.n - 2, lat.n - 3
+            lowered = [list(row) for row in lifted.table]
+            lowered[x][y] = lowered[y][x] = lat.bottom
+            squared = [list(row) for row in lifted.table]
+            squared[atom][atom] = lat.bottom
+            for grid in (lifted.table, lowered, squared):
+                assert_scans_match_reference(TNormTable(lat, grid))
