@@ -1,6 +1,7 @@
 """T-norms on finite lattices: atom-based generation, extension, brute-force checks."""
 
 from .errors import (
+    AmbiguousAlpha,
     BoundExceeded,
     ConditionCViolated,
     CycleDetected,

@@ -24,7 +24,14 @@ from .construction import (
     skeleton,
     skeleton_tnorm,
 )
-from .errors import ConditionCViolated, LatnormError, NotAtomistic, OutputCollision, UnsafeFileName
+from .errors import (
+    AmbiguousAlpha,
+    ConditionCViolated,
+    LatnormError,
+    NotAtomistic,
+    OutputCollision,
+    UnsafeFileName,
+)
 from .extension import extend, restrict_to_original, s_family
 from .lattice import FiniteLattice, load_lattice
 from .oracle import DEFAULT_SIZE_CAP as DEFAULT_ORACLE_CAP, census
@@ -36,11 +43,18 @@ def _emit(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _parse_alpha(spec: str) -> list[str]:
+def _alpha_selection(lat: FiniteLattice, spec: str) -> AtomSelection:
+    """The selection that an ``--alpha`` list of atom names picks on ``lat``.
+
+    The list is split on ``,``, so it cannot name an atom whose name holds
+    one: with atoms a, b and a,b the list "a,b" would silently pick {a, b}.
+    A lattice with such an atom is refused whenever ``--alpha`` is given.
+    """
+    for name in lat.atoms().names():
+        if "," in name:
+            raise AmbiguousAlpha(f"atom {name!r} contains ',', so --alpha cannot name it; use --all")
     spec = spec.strip()
-    if not spec:
-        return []
-    return [part.strip() for part in spec.split(",")]
+    return AtomSelection.from_names(lat, [part.strip() for part in spec.split(",")] if spec else [])
 
 
 def _check_file_names(selections, prefix: str) -> None:
@@ -150,7 +164,7 @@ def cmd_generate(args) -> int:
     if args.all:
         pairs = list(enumerate_skeleton_tnorms(skel, cap=args.atom_cap))
     else:
-        selection = AtomSelection.from_names(target, _parse_alpha(args.alpha))
+        selection = _alpha_selection(target, args.alpha)
         pairs = [(selection, skeleton_tnorm(skel, selection))]
     _check_file_names((selection for selection, _ in pairs), "alpha_")
     if ext is not None:
@@ -205,7 +219,7 @@ def cmd_restrict(args) -> int:
         fam = s_family(ext, generated_family(ext.extended, atom_cap=args.atom_cap))
         _check_file_names((e.selection for e in fam.entries if e.restricted is not None), "restricted_alpha_")
     else:
-        selection = AtomSelection.from_names(ext.extended, _parse_alpha(args.alpha))
+        selection = _alpha_selection(ext.extended, args.alpha)
         _check_file_names([selection], "restricted_alpha_")
     written = _write_extension(ext, stem, out)
 

@@ -50,6 +50,10 @@ class NonAtomInAlpha(LatnormError):
     pass
 
 
+class AmbiguousAlpha(LatnormError):
+    """An atom name contains the ``,`` that separates the names in ``--alpha``."""
+
+
 class TopMissing(LatnormError):
     pass
 

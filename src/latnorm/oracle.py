@@ -234,11 +234,15 @@ class CensusReport:
         return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "CensusReport":
-        """Read a report back, raising ValueError on a field of the wrong type.
+    def from_json_obj(cls, obj: dict, lat: FiniteLattice) -> "CensusReport":
+        """Read a report on ``lat`` back, raising ValueError on a field of the
+        wrong type or a value that no census of ``lat`` can produce.
 
         ``classes`` must map exactly the names in ``CLASS_NAMES`` to counts
-        or null; a bool is not a count.
+        in 0..``total``; a bool is not a count. Only ``generated`` may be
+        null, and it is null exactly when ``lat`` is not atomistic. Each
+        witness is filed under a class name and holds the lists
+        ``elements`` and ``rows``.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a census report is a JSON object, not {type(obj).__name__}")
@@ -260,6 +264,19 @@ class CensusReport:
             and isinstance(report.witnesses, dict)
         ):
             raise ValueError("a census report field has the wrong type")
+        counts = [v for name, v in classes.items() if v is not None or name != "generated"]
+        if report.total < 0 or not all(type(v) is int and 0 <= v <= report.total for v in counts):
+            raise ValueError("a census report total is negative or a class count is not in 0..total")
+        if (classes["generated"] is None) == lat.is_atomistic():
+            raise ValueError("a census report's generated count does not fit the lattice")
+        for name, witness in report.witnesses.items():
+            if not (
+                name in CLASS_NAMES
+                and isinstance(witness, dict)
+                and isinstance(witness.get("elements"), list)
+                and isinstance(witness.get("rows"), list)
+            ):
+                raise ValueError(f"census report witness {name!r} is not a table")
         return report
 
 
@@ -276,9 +293,11 @@ def census(
     defined. Reports are cached as JSON keyed by the lattice fingerprint
     when a cache directory is given (or set via ``LATNORM_CACHE_DIR``);
     the cache is advisory: a path that cannot be read, a report with a
-    field of the wrong type and a version mismatch are all misses, and it
-    never answers for a lattice above ``size_cap``. It is written through
-    a temporary file, so a reader never sees a half-written report.
+    field of the wrong type or an impossible value (see
+    :meth:`CensusReport.from_json_obj`) and a version mismatch are all
+    misses, and it never answers for a lattice above ``size_cap``. It is
+    written through a temporary file, so a reader never sees a
+    half-written report.
     """
     _check_size(lat, size_cap)
     fingerprint = lat.fingerprint()
@@ -290,7 +309,7 @@ def census(
         if cache_path.exists():
             try:
                 obj = json.loads(cache_path.read_text(encoding="utf-8"))
-                report = CensusReport.from_json_obj(obj)
+                report = CensusReport.from_json_obj(obj, lat)
                 if report.version == CENSUS_CACHE_VERSION and report.lattice_hash == fingerprint:
                     return report
             except (OSError, ValueError, KeyError):

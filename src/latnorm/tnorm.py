@@ -45,10 +45,14 @@ class TNormTable:
     ``verdict`` caches the verification result; None means unchecked.
     ``_monotone`` caches whether every row is monotone, which the
     continuity scans test first and ``verify_tnorm`` learns on the way;
-    None means untested.
+    None means untested. ``_row_classes`` lists, in element order, the
+    first row x != top of each class of rows that agree off column top;
+    ``verify_tnorm`` sets it once neutrality, commutativity and
+    monotonicity hold, and None means unknown. Neither cache is part of
+    ``==`` or ``hash``.
     """
 
-    __slots__ = ("lattice", "table", "verdict", "_monotone")
+    __slots__ = ("lattice", "table", "verdict", "_monotone", "_row_classes")
 
     def __init__(self, lattice: FiniteLattice, table, verdict: Verdict | None = None):
         n = lattice.n
@@ -63,6 +67,7 @@ class TNormTable:
         self.table = rows
         self.verdict = verdict
         self._monotone = None
+        self._row_classes = None
 
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -98,6 +103,17 @@ def verify_tnorm(t: TNormTable) -> Verdict:
     - Associativity compares, for each (x, y), the row of T(x, y) with row
       x gathered through row y: they are T(T(x, y), z) and T(x, T(y, z))
       for every z at once.
+
+    Associativity is swept over one row per class only. Once the first
+    three axioms hold, the rows x != top are grouped by their values off
+    column top, and the first row of each class in element order is kept
+    (``t._row_classes``). This is exact. A triple with top in it holds by
+    neutrality. For y, z != top, T(y, z) <= T(y, top) = y < top, so when
+    rows x and x' agree off column top the checks at (x, y, z) and
+    (x', y, z) read equal cells; by commutativity the same holds for y and
+    a y' whose row agrees with y's. So the first failing (x, y) of the
+    plain sweep has both x and y first in their classes, and the sweep
+    over those meets it first.
 
     A failed row is rescanned cell by cell in the order of the plain sweep
     (cover, then x; x, then y, then z), so the witness is the first
@@ -135,14 +151,19 @@ def verify_tnorm(t: TNormTable) -> Verdict:
                 break
         # the table is commutative here, so this is the continuity scans' gate
         t._monotone = verdict.ok
-    # a 1x1 table is associative, and itemgetter of one index returns a
-    # bare value rather than a row
-    if verdict.ok and n > 1:
-        gathers = [itemgetter(*row) for row in tbl]
-        for x in range(n):
+    if verdict.ok:
+        firsts: dict = {}
+        for x, row in enumerate(tbl):
+            if x != top:
+                firsts.setdefault(row[:top] + row[top + 1 :], x)
+        reps = t._row_classes = tuple(firsts.values())
+        # two or more elements whenever there is a class, so itemgetter
+        # returns a row rather than a bare value
+        gathers = [(y, itemgetter(*tbl[y])) for y in reps]
+        for x in reps:
             rx = tbl[x]
-            for y in range(n):
-                lhs, rhs = tbl[rx[y]], gathers[y](rx)
+            for y, gather in gathers:
+                lhs, rhs = tbl[rx[y]], gather(rx)
                 if lhs != rhs:
                     z = next(z for z, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
                     verdict = Verdict(False, "associativity", (lat.name(x), lat.name(y), lat.name(z)))
@@ -291,6 +312,16 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     lattice); any other table over every x <= y. Both domains keep the
     (a, x, y) order and leave out only pairs that hold, so the witness is
     the first violation of the full scan in either case.
+
+    With ``skip`` = top (left-semicontinuity) on a table whose row classes
+    ``verify_tnorm`` has stored, the a-loop runs over the first row of each
+    class only. No scanned pair reads column top then: x op y is not top,
+    and x and y lie below it. So rows that agree off column top give
+    identical checks, and a row left out has a twin earlier in element
+    order that was checked already. The top row is left out too;
+    neutrality, which holds whenever the classes are stored, makes it the
+    identity, which preserves every join. The other two scans keep every
+    row: left-continuity reads column top wherever x ∨ y = top.
     """
     lat = t.lattice
     tbl = t.table
@@ -309,7 +340,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     else:
         pairs = [(x, range(x, n)) for x in range(n)]
     table = lat.join_table if op == "join" else meet
-    for a in range(n):
+    rows = t._row_classes
+    if rows is None or skip != lat.top:
+        rows = range(n)
+    for a in rows:
         row = tbl[a]
         for x, ys in pairs:
             opx = table[x]

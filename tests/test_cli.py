@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from latnorm.catalog import chain
-from latnorm.cli import main
+from latnorm.cli import _alpha_selection, main
+from latnorm.errors import AmbiguousAlpha
 from latnorm.lattice import lattice_from_covers, load_lattice
 
 from conftest import golden
+from test_oracle import IMPOSSIBLE_REPORTS
 
 
 @pytest.fixture()
@@ -120,6 +122,24 @@ def test_export_rejects_file_name_with_path_separator(tmp_path, capsys, atom, co
     assert main([command, str(path), *selection, "--out", str(out)]) == 1
     assert "not a plain file name" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["lat.json"]
+
+
+@pytest.mark.parametrize("command", ["generate", "restrict"])
+@pytest.mark.parametrize("alpha", ["a,b", "a", ""])
+def test_alpha_refuses_atom_name_with_comma(tmp_path, capsys, command, alpha):
+    """Atoms a, b and a,b: "--alpha a,b" could mean {a, b} or {a,b}, so any
+    --alpha is refused before a file is written; --all still works."""
+    names = ["0", "a", "b", "a,b", "1"]
+    lat = lattice_from_covers(names, [("0", x) for x in names[1:4]] + [(x, "1") for x in names[1:4]])
+    path = tmp_path / "m3.json"
+    path.write_text(lat.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(path), "--alpha", alpha, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: atom 'a,b' contains ',', so --alpha cannot name it; use --all\n"
+    assert not out.exists()
+    with pytest.raises(AmbiguousAlpha):
+        _alpha_selection(lat, alpha)
+    assert main([command, str(path), "--all", "--out", str(out)]) == 0
 
 
 def test_generate_requires_atomistic(fig_file, tmp_path, capsys):
@@ -233,6 +253,21 @@ def test_census_cache_holding_no_object_is_a_miss(tmp_path, monkeypatch, capsys,
     assert main(["census", str(path)]) == 0
     assert capsys.readouterr().out == expected
     assert json.loads(expected)["total"] == 6
+
+
+@pytest.mark.parametrize("key", IMPOSSIBLE_REPORTS)
+def test_census_cache_holding_impossible_report_is_a_miss(tmp_path, monkeypatch, capsys, key):
+    """A well-typed report that no census can produce is recomputed, not printed."""
+    lat_name, changes = IMPOSSIBLE_REPORTS[key]
+    path = DATA / f"{lat_name}.json"
+    monkeypatch.delenv("LATNORM_CACHE_DIR", raising=False)
+    assert main(["census", str(path)]) == 0
+    expected = capsys.readouterr().out
+    obj = {**json.loads(expected), **changes}
+    monkeypatch.setenv("LATNORM_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"census_{load_lattice(path).fingerprint()}.json").write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["census", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_passes(fig_file, capsys):

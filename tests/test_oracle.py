@@ -299,12 +299,12 @@ def test_census_cache_holding_no_object_is_a_miss(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     assert census(lat, cache_dir=tmp_path).total == 6
     # the miss is recomputed and written back whole
-    assert CensusReport.from_json_obj(json.loads(path.read_text(encoding="utf-8"))).total == 6
+    assert CensusReport.from_json_obj(json.loads(path.read_text(encoding="utf-8")), lat).total == 6
 
 
 def test_census_report_from_no_object_is_a_value_error():
     with pytest.raises(ValueError):
-        CensusReport.from_json_obj([1, 2])
+        CensusReport.from_json_obj([1, 2], chain(4))
 
 
 def test_census_cache_path_that_is_a_directory_is_a_miss(tmp_path):
@@ -355,7 +355,7 @@ WRONGLY_TYPED_REPORTS = {
 @pytest.mark.parametrize("changes", WRONGLY_TYPED_REPORTS.values(), ids=WRONGLY_TYPED_REPORTS)
 def test_census_report_with_wrongly_typed_field_is_a_value_error(changes):
     with pytest.raises(ValueError):
-        CensusReport.from_json_obj(_report_obj(**changes))
+        CensusReport.from_json_obj(_report_obj(**changes), chain(4))
 
 
 @pytest.mark.parametrize("changes", WRONGLY_TYPED_REPORTS.values(), ids=WRONGLY_TYPED_REPORTS)
@@ -368,10 +368,61 @@ def test_census_cache_holding_wrongly_typed_report_is_a_miss(tmp_path, changes):
     assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_obj()
 
 
+def _counts(**changes):
+    return {**dict.fromkeys(CLASS_NAMES, 1), **changes}
+
+
+# (lattice, changes to its true report); chain4 is not atomistic, m3 is
+IMPOSSIBLE_REPORTS = {
+    "total is negative": ("chain4", {"total": -1, "classes": _counts(generated=None, left_continuous=0)}),
+    "class count is negative": ("chain4", {"classes": _counts(generated=None, continuous=-1)}),
+    "class count above total": ("chain4", {"classes": _counts(generated=None, continuous=7)}),
+    "class other than generated is null": ("chain4", {"classes": _counts(generated=None, continuous=None)}),
+    "generated counted on a lattice that is not atomistic": ("chain4", {"classes": _counts(generated=0)}),
+    "generated null on an atomistic lattice": ("m3", {"classes": _counts(generated=None)}),
+    "witness is a number": ("chain4", {"witnesses": {"continuous": 5}}),
+    "witness lacks rows": ("chain4", {"witnesses": {"continuous": {"elements": ["0", "1"]}}}),
+    "witness lacks elements": ("chain4", {"witnesses": {"continuous": {"rows": [["0"]]}}}),
+    "witness under no class name": ("chain4", {"witnesses": {"other": {"elements": [], "rows": []}}}),
+    "every value impossible": (
+        "chain4",
+        {"total": -3, "classes": dict.fromkeys(CLASS_NAMES, 99), "witnesses": {"continuous": 5}},
+    ),
+}
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _impossible(key):
+    lat = load_lattice(DATA / f"{IMPOSSIBLE_REPORTS[key][0]}.json")
+    obj = census(lat).to_json_obj()
+    obj.update(IMPOSSIBLE_REPORTS[key][1])
+    return lat, obj
+
+
+@pytest.mark.parametrize("key", IMPOSSIBLE_REPORTS)
+def test_census_report_with_impossible_value_is_a_value_error(key, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    lat, obj = _impossible(key)
+    with pytest.raises(ValueError):
+        CensusReport.from_json_obj(obj, lat)
+
+
+@pytest.mark.parametrize("key", IMPOSSIBLE_REPORTS)
+def test_census_cache_holding_impossible_report_is_a_miss(tmp_path, key, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    lat, obj = _impossible(key)
+    path = tmp_path / f"census_{lat.fingerprint()}.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    report = census(lat, cache_dir=tmp_path)
+    assert report.to_json_obj() == census(lat).to_json_obj()
+    assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_obj()
+
+
 def test_census_report_accepts_null_generated_and_no_witnesses():
     obj = _report_obj(classes={**dict.fromkeys(CLASS_NAMES, 1), "generated": None})
     del obj["witnesses"]
-    report = CensusReport.from_json_obj(obj)
+    report = CensusReport.from_json_obj(obj, chain(4))
     assert report.classes["generated"] is None and report.witnesses == {}
 
 
@@ -383,7 +434,7 @@ def test_census_cache_env_var(tmp_path, monkeypatch, p2):
 
 def test_census_report_json_round_trip(lat_m3):
     report = census(lat_m3)
-    again = CensusReport.from_json_obj(json.loads(report.to_json()))
+    again = CensusReport.from_json_obj(json.loads(report.to_json()), lat_m3)
     assert again.total == report.total
     assert again.classes == report.classes
     assert again.lattice_hash == report.lattice_hash

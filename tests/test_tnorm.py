@@ -342,22 +342,22 @@ def test_verify_pins_deep_associativity_witness():
 
 @pytest.mark.slow
 def test_verify_matches_reference_on_large_lifts():
-    """Full and seeded lifts on 2^8, and each with one symmetric cell pair
-    lowered to bottom deep in the table."""
-    lat = powerset_lattice(8)
-    skel = skeleton(lat)
-    atoms = [lat.name(a) for a in iter_bits(lat.atoms_mask)]
-    selections = [atoms]
-    for seed in (1, 2):
-        rng = random.Random(seed)
-        selections.append([a for a in atoms if rng.random() < 0.5])
-    for chosen in selections:
-        lifted = lift(lat, skeleton_tnorm(skel, AtomSelection.from_names(lat, chosen)))
-        x, y = lat.n - 2, lat.n - 3
-        grid = [list(row) for row in lifted.table]
-        grid[x][y] = grid[y][x] = lat.bottom
-        for t in (lifted, TNormTable(lat, grid)):
-            assert verify_tnorm(t) == reference_verify_tnorm(t)
+    """Full and seeded lifts on 2^8 and on the partition lattice Pi6, and
+    each with one symmetric cell pair lowered to bottom deep in the table."""
+    for lat in (powerset_lattice(8), _partition_lattice(6)):
+        skel = skeleton(lat)
+        atoms = [lat.name(a) for a in iter_bits(lat.atoms_mask)]
+        selections = [atoms]
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            selections.append([a for a in atoms if rng.random() < 0.5])
+        for chosen in selections:
+            lifted = lift(lat, skeleton_tnorm(skel, AtomSelection.from_names(lat, chosen)))
+            x, y = lat.n - 2, lat.n - 3
+            grid = [list(row) for row in lifted.table]
+            grid[x][y] = grid[y][x] = lat.bottom
+            for t in (lifted, TNormTable(lat, grid)):
+                assert verify_tnorm(t) == reference_verify_tnorm(t)
 
 
 def assert_order_matches_scans(tables):
@@ -525,7 +525,8 @@ def scans(t):
 def assert_scans_match_reference(t):
     """Same verdicts, axioms and witnesses as the cell scan: on a fresh
     table, again once its monotonicity gate is known, and after
-    ``verify_tnorm``, which may record the gate on the way."""
+    ``verify_tnorm``, which may record the gate and the row classes on the
+    way. Returns the verified table."""
     fresh = TNormTable(t.lattice, t.table)
     expected = reference_continuity_scans(fresh)
     assert scans(fresh) == expected, fresh.table
@@ -533,6 +534,7 @@ def assert_scans_match_reference(t):
     verified = TNormTable(t.lattice, t.table)
     verify_tnorm(verified)
     assert scans(verified) == expected, verified.table
+    return verified
 
 
 SCAN_LATTICES = {f"draw{seed}": random_lattice(3 + seed % 6, 7000 + seed) for seed in range(42)}
@@ -619,12 +621,89 @@ def _partition_lattice(k):
     return lattice_from_covers(sorted(map(name, parts), key=lambda s: (-s.count("|"), s)), covers)
 
 
+def _reversed(lat):
+    """The same lattice with its element ids reversed: top comes first."""
+    return lattice_from_covers(lat.names[::-1], lat.covers_named())
+
+
+def _has_earlier_twin(lat, grid, x):
+    """Whether some row x' < x, both below top, agrees with row x off column top."""
+    top = lat.top
+    if x == top:
+        return False
+    off_top = [z for z in range(lat.n) if z != top]
+    return any(w != top and all(grid[w][z] == grid[x][z] for z in off_top) for w in range(x))
+
+
+def _changed(grid, x, y, v):
+    """A copy of ``grid`` with the cells (x, y) and (y, x) set to v."""
+    copy = [list(row) for row in grid]
+    copy[x][y] = copy[y][x] = v
+    return copy
+
+
+def _twin_row_changes(lat, grid):
+    """Copies of ``grid`` with one change each, in a row that has an
+    earlier off-top twin (the last such change of each kind): a symmetric
+    cell pair lowered to bottom, T(a, a) lowered to bottom for an atom a,
+    and monotone changes (the last one, and the last one that breaks
+    associativity when one does)."""
+    twins = [x for x in range(lat.n) if _has_earlier_twin(lat, grid, x)]
+    changes = []
+    lowered = [(x, y) for x in twins for y in range(lat.n) if y != lat.top and grid[x][y] != lat.bottom]
+    if lowered:
+        changes.append(_changed(grid, *lowered[-1], lat.bottom))
+    squared = [a for a in twins if lat.atoms_mask >> a & 1 and grid[a][a] != lat.bottom]
+    if squared:
+        changes.append(_changed(grid, squared[-1], squared[-1], lat.bottom))
+    monotone = [_changed(grid, x, y, v) for x, y, v in _monotone_changes(lat, grid) if x in twins or y in twins]
+    changes += monotone[-1:]
+    broken = next((c for c in reversed(monotone) if not reference_verify_tnorm(TNormTable(lat, c))), None)
+    if broken is not None and broken is not monotone[-1]:
+        changes.append(broken)
+    return changes
+
+
+# 2^3, 2^4 and Pi4 have top last; the reversed copies have it first and
+# their coatoms before their atoms, so a selected atom can have an
+# earlier twin
+ROW_CLASS_LATTICES = {
+    "2^3": powerset_lattice(3),
+    "2^4": powerset_lattice(4),
+    "Pi4": _partition_lattice(4),
+    "2^4 reversed": _reversed(powerset_lattice(4)),
+    "Pi4 reversed": _reversed(_partition_lattice(4)),
+}
+
+
+@pytest.mark.parametrize("name", ROW_CLASS_LATTICES)
+def test_row_classes_keep_verdicts_and_witnesses(name):
+    """Every selection's lift, and copies changed in a row with an earlier
+    off-top twin: ``verify_tnorm`` and the three scans give the reference
+    verdicts and witnesses, on a fresh table and once ``verify_tnorm`` has
+    stored the row classes, which never change ``==`` or ``hash``."""
+    lat = ROW_CLASS_LATTICES[name]
+    stored = 0
+    for member in generated_family(lat):
+        lifted = member.lifted.table
+        for grid in [lifted, *_twin_row_changes(lat, lifted)]:
+            fresh = TNormTable(lat, grid)
+            verified = TNormTable(lat, grid)
+            assert verify_tnorm(verified) == reference_verify_tnorm(fresh), grid
+            stored += verified._row_classes is not None
+            assert verified == fresh and hash(verified) == hash(fresh)
+            assert_scans_match_reference(fresh)
+    assert stored
+
+
 @pytest.mark.slow
 def test_continuity_scans_match_reference_on_large_lifts():
     """Lifts on 2^8 and on the partition lattice Pi6 (203 elements): the
     full selection and two seeded ones, each also with one symmetric cell
     pair lowered to bottom (no longer monotone) and with T(a, a) lowered
-    to bottom for a middle atom a (still monotone, no longer a t-norm)."""
+    to bottom for a middle atom a (still monotone, no longer a t-norm).
+    The scans run again after ``verify_tnorm``, which stores the row
+    classes on the lifts and the squared copies."""
     pi6 = _partition_lattice(6)
     assert pi6.n == 203 and pi6.atoms_mask.bit_count() == 15
     for lat in (powerset_lattice(8), pi6):
@@ -643,4 +722,5 @@ def test_continuity_scans_match_reference_on_large_lifts():
             squared = [list(row) for row in lifted.table]
             squared[atom][atom] = lat.bottom
             for grid in (lifted.table, lowered, squared):
-                assert_scans_match_reference(TNormTable(lat, grid))
+                verified = assert_scans_match_reference(TNormTable(lat, grid))
+                assert (verified._row_classes is not None) == (grid is not lowered)
