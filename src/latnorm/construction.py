@@ -24,7 +24,7 @@ from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
 from .tnorm import FamilyOrder, TNormTable, Verdict, OK
 
 DEFAULT_ATOM_CAP = 20
-ISOMORPHISM_ATOM_CAP = 6  # the isomorphism check compares 4^k pairs of lifts
+ISOMORPHISM_ATOM_CAP = 7  # the isomorphism check orders 2^k lifts pairwise
 
 
 @dataclass(frozen=True)
@@ -267,87 +267,54 @@ def semicontinuity_criterion(lat: FiniteLattice, selection: AtomSelection) -> Ve
 
 @dataclass
 class FamilyIsomorphismReport:
-    """Outcome of checking the generated family against the atom powerset."""
+    """Outcome of checking a lifted family against the atom powerset."""
 
     passed: bool
     failures: list[str]
-    family: list[GeneratedTNorm]
     boolean_self_isomorphic: bool | None
 
-    def selection_of(self, table: TNormTable) -> AtomSelection | None:
-        for g in self.family:
-            if g.lifted == table:
-                return g.selection
-        return None
 
+def family_powerset_isomorphism(
+    lat: FiniteLattice, family: list[GeneratedTNorm], atom_cap: int = ISOMORPHISM_ATOM_CAP
+) -> FamilyIsomorphismReport:
+    """Verify that selection inclusion is exactly the pointwise order of the lifts.
 
-def family_powerset_isomorphism(lat: FiniteLattice, atom_cap: int = ISOMORPHISM_ATOM_CAP) -> FamilyIsomorphismReport:
-    """Verify that selections order-embed onto the lifted family.
-
-    Checks, all by exhaustive comparison inside the family poset:
-    inclusion of selections matches pointwise order of lifts in both
-    directions; joins and meets of family members are realized by union
-    and intersection of selections; complementary selections give
-    complements. On a powerset-isomorphic lattice the family is
-    additionally matched order-isomorphically against the lattice itself.
+    ``family`` is the lifted family of ``lat``, one member per subset of
+    the atoms. Member ids come from :class:`FamilyOrder`, so two equal
+    lifts show up as an inclusion failure. Once inclusion matches the
+    order in both directions on every pair, the family is
+    order-isomorphic to the atom powerset: joins are unions, meets are
+    intersections and complementary selections give complements. On a
+    Boolean lattice, where x <= y exactly when the atoms below x lie
+    below y, the family is then also order-isomorphic to the lattice
+    itself.
     """
     if lat.length <= 1:
         raise DegenerateLength("the family collapses on lattices of length at most 1")
     k = lat.atoms_mask.bit_count()
     if k > atom_cap:
         raise BoundExceeded(f"{k} atoms exceeds the isomorphism-check cap {atom_cap}")
-    family = generated_family(lat, atom_cap=atom_cap)
-    failures: list[str] = []
-    # the family is pairwise distinct, so member ids are family positions
     order = FamilyOrder(g.lifted for g in family)
-    count = len(family)
+    ids = order.index
     masks = [g.selection.mask for g in family]
+    # supersets[m]: bit i set when masks[i] contains m, built from the
+    # one-atom-larger masks first
     by_mask = {m: i for i, m in enumerate(masks)}
-    for i in range(count):
-        for j in range(count):
-            inc = masks[i] & ~masks[j] == 0
-            if inc != order.le(i, j):
-                failures.append(
-                    f"selection inclusion and pointwise order disagree on "
-                    f"({family[i].selection.label()}, {family[j].selection.label()})"
-                )
-    for i in range(count):
-        for j in range(count):
-            join = order.lub(i, j)
-            if join is None or masks[join] != masks[i] | masks[j]:
-                failures.append(
-                    f"join of ({family[i].selection.label()}, {family[j].selection.label()}) "
-                    "is not the union selection"
-                )
-            meet = order.glb(i, j)
-            if meet is None or masks[meet] != masks[i] & masks[j]:
-                failures.append(
-                    f"meet of ({family[i].selection.label()}, {family[j].selection.label()}) "
-                    "is not the intersection selection"
-                )
-    full = lat.atoms_mask
-    top_idx, bot_idx = by_mask[full], by_mask[0]
-    for j in range(count):
-        comp = by_mask[full & ~masks[j]]
-        if order.lub(j, comp) != top_idx or order.glb(j, comp) != bot_idx:
-            failures.append(f"complement of {family[j].selection.label()} fails the lattice laws")
-
-    boolean_self = None
-    if lat.is_boolean_atomistic():
-        boolean_self = True
-        image = {}
-        for x in range(lat.n):
-            image[x] = by_mask[lat.atoms_mask & lat.downs[x]]
-        if len(set(image.values())) != lat.n or lat.n != count:
-            boolean_self = False
-            failures.append("atom-set map is not a bijection onto the family")
-        else:
-            for x in range(lat.n):
-                for y in range(lat.n):
-                    if lat.leq(x, y) != order.le(image[x], image[y]):
-                        boolean_self = False
-                        failures.append(
-                            f"lattice order and family order disagree on "
-                            f"({lat.name(x)}, {lat.name(y)})"
-                        )
-    return FamilyIsomorphismReport(not failures, failures, family, boolean_self)
+    supersets = {}
+    for m in sorted(by_mask, reverse=True):
+        up = 1 << by_mask[m]
+        for a in iter_bits(lat.atoms_mask & ~m):
+            up |= supersets[m | 1 << a]
+        supersets[m] = up
+    failures: list[str] = []
+    # distinct lifts get the family positions as member ids
+    if ids != list(range(len(family))) or any(order.ups[i] != supersets[m] for i, m in enumerate(masks)):
+        failures = [
+            f"selection inclusion and pointwise order disagree on "
+            f"({gi.selection.label()}, {gj.selection.label()})"
+            for gi, mi, i in zip(family, masks, ids)
+            for gj, mj, j in zip(family, masks, ids)
+            if (mi & ~mj == 0) != order.le(i, j)
+        ]
+    boolean_self = not failures if lat.is_boolean_atomistic() else None
+    return FamilyIsomorphismReport(not failures, failures, boolean_self)

@@ -12,9 +12,9 @@ from typing import Iterator
 
 from latnorm.errors import BoundExceeded
 from latnorm.lattice import FiniteLattice, iter_bits
-from latnorm.construction import AtomSelection, AtomSkeleton
+from latnorm.construction import AtomSelection, AtomSkeleton, GeneratedTNorm
 from latnorm.oracle import DEFAULT_COUNT_CAP, DEFAULT_SIZE_CAP, _check_size
-from latnorm.tnorm import OK, TNormTable, Verdict
+from latnorm.tnorm import OK, FamilyOrder, TNormTable, Verdict
 
 
 def set_based_meets_joins(names, cover_pairs):
@@ -236,6 +236,58 @@ def scan_family_bounds(tables: list[TNormTable]):
         for i in range(m)
     ]
     return le, lub, glb
+
+
+def reference_family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]):
+    """Every loop of the isomorphism check before it reduced to the order test.
+
+    Returns ``(passed, failures, boolean_self_isomorphic)``. Inclusion of
+    selections against pointwise order of lifts in both directions; joins
+    and meets searched in the family poset against union and intersection
+    selections; complementary selections against the lattice laws; and on
+    a Boolean lattice the atom-set map against the lattice order. Member ids
+    come from ``FamilyOrder.index``, so equal lifts share one id. The
+    degenerate-length and cap checks are the caller's.
+    """
+    failures: list[str] = []
+    order = FamilyOrder(g.lifted for g in family)
+    ids = order.index
+    count = len(family)
+    masks = [g.selection.mask for g in family]
+    by_mask = {m: i for i, m in enumerate(masks)}
+    labels = [g.selection.label() for g in family]
+    for i in range(count):
+        for j in range(count):
+            inc = masks[i] & ~masks[j] == 0
+            if inc != order.le(ids[i], ids[j]):
+                failures.append(f"selection inclusion and pointwise order disagree on ({labels[i]}, {labels[j]})")
+    for i in range(count):
+        for j in range(count):
+            if order.lub(ids[i], ids[j]) != ids[by_mask[masks[i] | masks[j]]]:
+                failures.append(f"join of ({labels[i]}, {labels[j]}) is not the union selection")
+            if order.glb(ids[i], ids[j]) != ids[by_mask[masks[i] & masks[j]]]:
+                failures.append(f"meet of ({labels[i]}, {labels[j]}) is not the intersection selection")
+    full = lat.atoms_mask
+    top_id, bot_id = ids[by_mask[full]], ids[by_mask[0]]
+    for j in range(count):
+        comp = ids[by_mask[full & ~masks[j]]]
+        if order.lub(ids[j], comp) != top_id or order.glb(ids[j], comp) != bot_id:
+            failures.append(f"complement of {labels[j]} fails the lattice laws")
+
+    boolean_self = None
+    if lat.is_boolean_atomistic():
+        boolean_self = True
+        image = {x: ids[by_mask[lat.atoms_mask & lat.downs[x]]] for x in range(lat.n)}
+        if len(set(image.values())) != lat.n or lat.n != count:
+            boolean_self = False
+            failures.append("atom-set map is not a bijection onto the family")
+        else:
+            for x in range(lat.n):
+                for y in range(lat.n):
+                    if lat.leq(x, y) != order.le(image[x], image[y]):
+                        boolean_self = False
+                        failures.append(f"lattice order and family order disagree on ({lat.name(x)}, {lat.name(y)})")
+    return not failures, failures, boolean_self
 
 
 def reference_verify_tnorm(t: TNormTable) -> Verdict:

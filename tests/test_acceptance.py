@@ -145,7 +145,7 @@ def test_criterion_06_representation():
     their own family."""
     with budget("06 representation", 10.0):
         for name, lat in ATOMISTIC.items():
-            report = family_powerset_isomorphism(lat)
+            report = family_powerset_isomorphism(lat, generated_family(lat))
             assert report.passed, (name, report.failures[:2])
             if lat.is_boolean_atomistic():
                 assert report.boolean_self_isomorphic is True, name

@@ -290,14 +290,14 @@ CAP2_CHECKS = {
     "stemmed_diamond": [
         ("check_lift_restriction_roundtrip (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
         ("check_semicontinuity_criterion (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
-        ("family vs atom-powerset isomorphism (on the atomistic extension)", True, ""),
+        ("check_family_isomorphism (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
         ("check_extension_gate", False, "3 atoms exceeds the enumeration cap 2"),
         ("check_restriction_joins", False, "3 atoms exceeds the enumeration cap 2"),
     ],
     "m3": [
         ("check_lift_restriction_roundtrip", False, "3 atoms exceeds the enumeration cap 2"),
         ("check_semicontinuity_criterion", False, "3 atoms exceeds the enumeration cap 2"),
-        ("family vs atom-powerset isomorphism", True, ""),
+        ("check_family_isomorphism", False, "3 atoms exceeds the enumeration cap 2"),
         ("check_extension_gate", False, "3 atoms exceeds the enumeration cap 2"),
         ("check_restriction_joins", False, "3 atoms exceeds the enumeration cap 2"),
     ],
@@ -307,14 +307,14 @@ CAP2_TEXT = {
     "stemmed_diamond": (
         "FAIL  check_lift_restriction_roundtrip (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
         "FAIL  check_semicontinuity_criterion (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
-        "PASS  family vs atom-powerset isomorphism (on the atomistic extension)\n"
+        "FAIL  check_family_isomorphism (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
         "FAIL  check_extension_gate  (3 atoms exceeds the enumeration cap 2)\n"
         "FAIL  check_restriction_joins  (3 atoms exceeds the enumeration cap 2)\n"
     ),
     "m3": (
         "FAIL  check_lift_restriction_roundtrip  (3 atoms exceeds the enumeration cap 2)\n"
         "FAIL  check_semicontinuity_criterion  (3 atoms exceeds the enumeration cap 2)\n"
-        "PASS  family vs atom-powerset isomorphism\n"
+        "FAIL  check_family_isomorphism  (3 atoms exceeds the enumeration cap 2)\n"
         "FAIL  check_extension_gate  (3 atoms exceeds the enumeration cap 2)\n"
         "FAIL  check_restriction_joins  (3 atoms exceeds the enumeration cap 2)\n"
     ),
@@ -323,14 +323,28 @@ CAP2_TEXT = {
 
 @pytest.mark.parametrize("stem", ["stemmed_diamond", "m3"])
 def test_check_reports_exceeded_atom_cap(stem, capsys):
-    """Families over ``--atom-cap`` fail under the check's function name;
-    the isomorphism check keeps its own cap and display name."""
+    """Every check, the isomorphism check included, reads the one family;
+    over ``--atom-cap`` each fails under its function name."""
     path = str(DATA / f"{stem}.json")
     assert main(["check", path, "--atom-cap", "2"]) == 1
     assert capsys.readouterr().out == CAP2_TEXT[stem]
     assert main(["check", path, "--atom-cap", "2", "--format", "json"]) == 1
     checks = [{"name": n, "passed": ok, "detail": d} for n, ok, d in CAP2_CHECKS[stem]]
     assert capsys.readouterr().out == json.dumps({"checks": checks, "passed": False}, indent=2) + "\n"
+
+
+def test_check_passes_on_chain8(tmp_path, capsys):
+    """The extension of chain(8) has 7 atoms, within the isomorphism-check cap."""
+    path = tmp_path / "chain8.json"
+    path.write_text(chain(8).to_json(), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "PASS  lift-restriction round-trip (on the atomistic extension)\n"
+        "PASS  left-semicontinuity criterion vs table scan (on the atomistic extension)\n"
+        "PASS  family vs atom-powerset isomorphism (on the atomistic extension)\n"
+        "PASS  extension restriction gate (both directions)\n"
+        "PASS  restriction family joins\n"
+    )
 
 
 CHECKS_ALL_PASS_DEGENERATE = (

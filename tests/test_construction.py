@@ -1,5 +1,7 @@
 """Skeleton construction, selection-generated t-norms, lifting, family structure."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,7 @@ from oracles import (
     all_subsets_semicontinuity_condition,
     double_join_lift,
     independent_subsets_spanning,
+    reference_family_powerset_isomorphism,
 )
 
 # Worked-example tables keyed by element names: the skeleton t-norm for the
@@ -307,26 +310,85 @@ def test_left_continuity_census(p2, p3, lat_m3, fig_extended):
 
 def test_family_isomorphism(corpus_atomistic):
     for name, lat in corpus_atomistic.items():
-        report = family_powerset_isomorphism(lat)
+        report = family_powerset_isomorphism(lat, generated_family(lat))
         assert report.passed, (name, report.failures[:2])
 
 
 def test_family_isomorphism_boolean_self(p2, p3, lat_m3):
-    assert family_powerset_isomorphism(p2).boolean_self_isomorphic is True
-    assert family_powerset_isomorphism(p3).boolean_self_isomorphic is True
-    assert family_powerset_isomorphism(lat_m3).boolean_self_isomorphic is None
+    for lat, expected in ((p2, True), (p3, True), (lat_m3, None)):
+        assert family_powerset_isomorphism(lat, generated_family(lat)).boolean_self_isomorphic is expected
 
 
 def test_family_isomorphism_degenerate(two_chain):
+    with pytest.warns(DegenerateLengthWarning):
+        family = generated_family(two_chain)
     with pytest.raises(DegenerateLength):
-        family_powerset_isomorphism(two_chain)
+        family_powerset_isomorphism(two_chain, family)
+
+
+def test_family_isomorphism_cap(p3):
+    with pytest.raises(BoundExceeded, match="3 atoms exceeds the isomorphism-check cap 2"):
+        family_powerset_isomorphism(p3, generated_family(p3), atom_cap=2)
+
+
+def _swapped_lifts(family, a, b):
+    lifts = [g.lifted for g in family]
+    lifts[a], lifts[b] = lifts[b], lifts[a]
+    return [replace(g, lifted=t) for g, t in zip(family, lifts)]
+
+
+def _copied_lift(family, a, b):
+    return [replace(g, lifted=family[b].lifted) if i == a else g for i, g in enumerate(family)]
+
+
+def _isomorphism_parity_cases(corpus_atomistic):
+    for name, lat in corpus_atomistic.items():
+        yield name, lat, generated_family(lat)
+    for k in (2, 3, 4):
+        lat = powerset_lattice(k)
+        family = generated_family(lat)
+        yield f"2^{k}", lat, family
+        last = len(family) - 1
+        for a, b in ((0, last), (1, 2), (last - 1, last)):
+            yield f"2^{k} swap {a} {b}", lat, _swapped_lifts(family, a, b)
+            yield f"2^{k} copy {b} onto {a}", lat, _copied_lift(family, a, b)
+            yield f"2^{k} copy {a} onto {b}", lat, _copied_lift(family, b, a)
+    lat = corpus_atomistic["M3"]
+    family = generated_family(lat)
+    yield "M3 swap", lat, _swapped_lifts(family, 3, 4)
+    yield "M3 copy", lat, _copied_lift(family, 7, 0)
+    # the family need not come in mask order
+    yield "M3 reversed", lat, family[::-1]
+    yield "M3 reversed copy", lat, _copied_lift(family, 0, 1)[::-1]
+
+
+def test_family_isomorphism_matches_reference(corpus_atomistic):
+    """The order test alone reaches every verdict of the full set of loops,
+    on the corpus and on families with swapped or repeated lifts."""
+    failing = 0
+    for name, lat, family in _isomorphism_parity_cases(corpus_atomistic):
+        report = family_powerset_isomorphism(lat, family)
+        passed, failures, boolean_self = reference_family_powerset_isomorphism(lat, family)
+        assert report.passed is passed, name
+        assert report.boolean_self_isomorphic is boolean_self, name
+        assert report.failures[:1] == failures[:1], name
+        failing += not passed
+    # the reversed M3 family, and swapping the two singletons of 2^2, an
+    # automorphism of the powerset, pass
+    assert failing == 29
+
+
+def selection_of(family, table):
+    """The selection whose lift is ``table``, or None."""
+    return next((g.selection for g in family if g.lifted == table), None)
 
 
 def test_family_isomorphism_selection_lookup(fig_extended):
-    report = family_powerset_isomorphism(fig_extended)
-    g = report.family[3]
-    assert report.selection_of(g.lifted) == g.selection
-    assert report.selection_of(t_drastic(fig_extended)) == report.family[0].selection
+    family = generated_family(fig_extended)
+    assert family_powerset_isomorphism(fig_extended, family).passed
+    g = family[3]
+    assert selection_of(family, g.lifted) == g.selection
+    assert selection_of(family, t_drastic(fig_extended)) == family[0].selection
 
 
 def test_chain_family_members_are_left_continuous():
