@@ -71,14 +71,12 @@ def check_semicontinuity_criterion(lat: FiniteLattice, family: list[GeneratedTNo
 
 
 def check_family_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -> CheckResult:
-    """The lifted family is the atom powerset as an ordered structure; fails above its atom cap."""
+    """The lifted family is the atom powerset as an ordered structure."""
     name = "family vs atom-powerset isomorphism"
     try:
         report = family_powerset_isomorphism(lat, family)
     except DegenerateLength:
         return CheckResult(name, True, "degenerate length; unique t-norm")
-    except BoundExceeded as exc:
-        return CheckResult(name, False, str(exc))
     if not report.passed:
         return CheckResult(name, False, report.failures[0])
     return CheckResult(name, True)

@@ -21,10 +21,9 @@ from .errors import (
     NotAtomistic,
 )
 from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
-from .tnorm import FamilyOrder, TNormTable, Verdict, OK
+from .tnorm import TNormTable, Verdict, OK, tnorm_le
 
 DEFAULT_ATOM_CAP = 20
-ISOMORPHISM_ATOM_CAP = 7  # the isomorphism check orders 2^k lifts pairwise
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,15 @@ class AtomSkeleton:
     from_parent: dict
 
 
-def skeleton(lat: FiniteLattice, allow_non_atomistic: bool = False) -> AtomSkeleton:
+def skeleton(lat: FiniteLattice) -> AtomSkeleton:
     """Build the atoms-plus-bounds sub-lattice.
 
     The generation theory needs an atomistic parent of length at least 2;
     shorter lattices degenerate (the skeleton is the lattice itself) and
-    only warn. Non-atomistic parents are rejected unless explicitly
-    allowed for diagnostics.
+    only warn. Non-atomistic parents are rejected.
     """
-    if not allow_non_atomistic and not lat.is_atomistic():
-        raise NotAtomistic("skeleton generation needs an atomistic lattice (or allow_non_atomistic=True)")
+    if not lat.is_atomistic():
+        raise NotAtomistic("skeleton generation needs an atomistic lattice")
     if lat.length <= 1:
         warnings.warn(
             f"lattice has length {lat.length}; the skeleton equals the lattice and "
@@ -274,15 +272,25 @@ class FamilyIsomorphismReport:
     boolean_self_isomorphic: bool | None
 
 
-def family_powerset_isomorphism(
-    lat: FiniteLattice, family: list[GeneratedTNorm], atom_cap: int = ISOMORPHISM_ATOM_CAP
-) -> FamilyIsomorphismReport:
+def family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -> FamilyIsomorphismReport:
     """Verify that selection inclusion is exactly the pointwise order of the lifts.
 
     ``family`` is the lifted family of ``lat``, one member per subset of
-    the atoms. Member ids come from :class:`FamilyOrder`, so two equal
-    lifts show up as an inclusion failure. Once inclusion matches the
-    order in both directions on every pair, the family is
+    the atoms. Two linear sweeps decide the statement:
+
+    - every one-atom step holds: lift(m) <= lift(m + {a}) for each member
+      m and each atom a not in m;
+    - no singleton lies below its complement: lift({a}) is not below
+      lift(atoms - {a}) for any atom a.
+
+    Both sweeps are instances of the statement. Conversely, the pointwise
+    order is transitive, so the steps give inclusion => order. And if S is
+    not inside T, take a in S - T: lift(S) <= lift(T) would give
+    lift({a}) <= lift(S) <= lift(T) <= lift(atoms - {a}), which the second
+    sweep rules out. Two equal lifts fail the same way. Only when a sweep
+    fails are all pairs walked, naming each failing pair.
+
+    Once inclusion matches the order in both directions, the family is
     order-isomorphic to the atom powerset: joins are unions, meets are
     intersections and complementary selections give complements. On a
     Boolean lattice, where x <= y exactly when the atoms below x lie
@@ -291,30 +299,18 @@ def family_powerset_isomorphism(
     """
     if lat.length <= 1:
         raise DegenerateLength("the family collapses on lattices of length at most 1")
-    k = lat.atoms_mask.bit_count()
-    if k > atom_cap:
-        raise BoundExceeded(f"{k} atoms exceeds the isomorphism-check cap {atom_cap}")
-    order = FamilyOrder(g.lifted for g in family)
-    ids = order.index
-    masks = [g.selection.mask for g in family]
-    # supersets[m]: bit i set when masks[i] contains m, built from the
-    # one-atom-larger masks first
-    by_mask = {m: i for i, m in enumerate(masks)}
-    supersets = {}
-    for m in sorted(by_mask, reverse=True):
-        up = 1 << by_mask[m]
-        for a in iter_bits(lat.atoms_mask & ~m):
-            up |= supersets[m | 1 << a]
-        supersets[m] = up
-    failures: list[str] = []
-    # distinct lifts get the family positions as member ids
-    if ids != list(range(len(family))) or any(order.ups[i] != supersets[m] for i, m in enumerate(masks)):
+    full = lat.atoms_mask
+    lifts = {g.selection.mask: g.lifted for g in family}
+    steps = all(tnorm_le(t, lifts[m | 1 << a]) for m, t in lifts.items() for a in iter_bits(full & ~m))
+    if steps and not any(tnorm_le(lifts[1 << a], lifts[full & ~(1 << a)]) for a in iter_bits(full)):
+        failures = []
+    else:
         failures = [
             f"selection inclusion and pointwise order disagree on "
             f"({gi.selection.label()}, {gj.selection.label()})"
-            for gi, mi, i in zip(family, masks, ids)
-            for gj, mj, j in zip(family, masks, ids)
-            if (mi & ~mj == 0) != order.le(i, j)
+            for gi in family
+            for gj in family
+            if (gi.selection.mask & ~gj.selection.mask == 0) != tnorm_le(gi.lifted, gj.lifted)
         ]
     boolean_self = not failures if lat.is_boolean_atomistic() else None
     return FamilyIsomorphismReport(not failures, failures, boolean_self)

@@ -508,7 +508,14 @@ def powerset_lattice(k: int) -> FiniteLattice:
 def lattice_from_json_obj(obj: dict) -> FiniteLattice:
     if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
         raise ValueError('lattice JSON needs "elements" and "covers" keys')
-    return lattice_from_covers(obj["elements"], obj["covers"])
+    elements, covers = obj["elements"], obj["covers"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise ValueError('lattice JSON "elements" must be a list of strings')
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(isinstance(e, str) for e in c) for c in covers
+    ):
+        raise ValueError('lattice JSON "covers" must be a list of pairs of strings')
+    return lattice_from_covers(elements, covers)
 
 
 def lattice_from_json(text: str) -> FiniteLattice:

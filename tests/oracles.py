@@ -247,7 +247,7 @@ def reference_family_powerset_isomorphism(lat: FiniteLattice, family: list[Gener
     selections; complementary selections against the lattice laws; and on
     a Boolean lattice the atom-set map against the lattice order. Member ids
     come from ``FamilyOrder.index``, so equal lifts share one id. The
-    degenerate-length and cap checks are the caller's.
+    degenerate-length check is the caller's.
     """
     failures: list[str] = []
     order = FamilyOrder(g.lifted for g in family)

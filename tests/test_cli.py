@@ -334,17 +334,19 @@ def test_check_reports_exceeded_atom_cap(stem, capsys):
 
 
 def test_check_passes_on_chain8(tmp_path, capsys):
-    """The extension of chain(8) has 7 atoms, within the isomorphism-check cap."""
-    path = tmp_path / "chain8.json"
-    path.write_text(chain(8).to_json(), encoding="utf-8")
-    assert main(["check", str(path)]) == 0
-    assert capsys.readouterr().out == (
-        "PASS  lift-restriction round-trip (on the atomistic extension)\n"
-        "PASS  left-semicontinuity criterion vs table scan (on the atomistic extension)\n"
-        "PASS  family vs atom-powerset isomorphism (on the atomistic extension)\n"
-        "PASS  extension restriction gate (both directions)\n"
-        "PASS  restriction family joins\n"
-    )
+    """The extensions of chain(8) and chain(9) have 7 and 8 atoms; the
+    isomorphism check runs on whatever family ``--atom-cap`` admits."""
+    for n in (8, 9):
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(chain(n).to_json(), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "PASS  lift-restriction round-trip (on the atomistic extension)\n"
+            "PASS  left-semicontinuity criterion vs table scan (on the atomistic extension)\n"
+            "PASS  family vs atom-powerset isomorphism (on the atomistic extension)\n"
+            "PASS  extension restriction gate (both directions)\n"
+            "PASS  restriction family joins\n"
+        )
 
 
 CHECKS_ALL_PASS_DEGENERATE = (
@@ -424,6 +426,29 @@ def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["info", str(path)]) == 1
+
+
+ELEMENTS_NOT_STR = 'error: invalid input: lattice JSON "elements" must be a list of strings\n'
+COVERS_NOT_PAIRS = 'error: invalid input: lattice JSON "covers" must be a list of pairs of strings\n'
+
+
+@pytest.mark.parametrize(
+    "obj, err",
+    [
+        ({"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]}, ELEMENTS_NOT_STR),
+        ({"elements": "abc", "covers": []}, ELEMENTS_NOT_STR),
+        ({"elements": ["0", "1"], "covers": [["0", "1", "1"]]}, COVERS_NOT_PAIRS),
+        ({"elements": ["0", "1"], "covers": [["0", 1]]}, COVERS_NOT_PAIRS),
+        ({"elements": ["0", "1"], "covers": "01"}, COVERS_NOT_PAIRS),
+    ],
+)
+@pytest.mark.parametrize("command", ["info", "check", "export-dot"])
+def test_malformed_labels(tmp_path, capsys, obj, err, command):
+    """Malformed labels exit 1 with one named error line, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_invalid_lattice(tmp_path, capsys):

@@ -26,3 +26,13 @@ def test_script_stdout_matches_golden(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden(f"{script}.txt")
+
+
+def test_readme_library_tour_runs(monkeypatch):
+    """The first ``python`` block of the README runs as written."""
+    monkeypatch.delenv("LATNORM_CACHE_DIR", raising=False)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["table"].lattice is namespace["lat"]
