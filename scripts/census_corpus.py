@@ -5,7 +5,7 @@ import warnings
 
 from latnorm.catalog import atomistic_corpus, extension_corpus
 from latnorm.errors import DegenerateLengthWarning
-from latnorm.oracle import census
+from latnorm.oracle import DEFAULT_SIZE_CAP, census
 
 
 def main():
@@ -18,7 +18,7 @@ def main():
     print(header)
     print("-" * len(header))
     for name, lat in corpus.items():
-        if lat.n > 8:
+        if lat.n > DEFAULT_SIZE_CAP:
             print(f"{name:<22}{lat.n:>4}   (skipped: above the oracle size cap)")
             continue
         rep = census(lat)

@@ -13,7 +13,7 @@ from latnorm.catalog import extension_corpus, random_lattices
 from latnorm.construction import AtomSelection, generated_family
 from latnorm.errors import DegenerateLengthWarning
 from latnorm.extension import condition_c, extend, s_family
-from latnorm.tnorm import FamilyOrder
+from latnorm.tnorm import tnorm_le
 
 
 def main():
@@ -45,14 +45,13 @@ def main():
             continue
         found += 1
         i, j, inter = witness
-        a, b = passing[i], passing[j]
-        order = FamilyOrder(t for _, t in members)
-        meet = order.glb(order.index[i], order.index[j])
-        meet_sel = [sel for sel, m in zip(passing, order.index) if m == meet]
+        (a, ta), (b, tb) = members[i], members[j]
+        lower = [(sel, t) for sel, t in members if tnorm_le(t, ta) and tnorm_le(t, tb)]
+        meet_sel = next(sel for sel, t in lower if all(tnorm_le(u, t) for _, u in lower))
         print(
             f"{name}: WITNESS  {{{', '.join(a.names())}}} and {{{', '.join(b.names())}}} pass, "
             f"their intersection {{{', '.join(inter.names())}}} fails the gate; "
-            f"family meet realized by {{{', '.join(meet_sel[0].names())}}}"
+            f"family meet realized by {{{', '.join(meet_sel.names())}}}"
         )
     print(f"\n{found} witness lattice(s) found")
 

@@ -31,7 +31,6 @@ from .lattice import (
     powerset_lattice,
 )
 from .tnorm import (
-    FamilyOrder,
     TNormTable,
     Verdict,
     idempotents,

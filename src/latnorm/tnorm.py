@@ -11,12 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
-from operator import itemgetter, or_
+from operator import itemgetter
 
 from .errors import LatticeMismatch, NotClosed, TopMissing, UnknownLabel
-from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
+from .lattice import ElementSet, FiniteLattice, induced_sublattice
 
 
 @dataclass(frozen=True)
@@ -196,90 +194,6 @@ def tnorm_le(t1: TNormTable, t2: TNormTable) -> bool:
         raise LatticeMismatch("tables live on different lattices")
     ups = t1.lattice.ups
     return all(ups[a] >> b & 1 for r1, r2 in zip(t1.table, t2.table) for a, b in zip(r1, r2))
-
-
-class FamilyOrder:
-    """The pointwise order of a family of tables, computed once as bitmasks.
-
-    Tables are deduplicated by their rows: ``members`` holds the distinct
-    ones in first-seen order and ``index[p]`` is the member id of the p-th
-    input table. Bit j of ``ups[i]`` (``downs[i]``) is set when member i
-    lies below (above) member j.
-
-    The order is read from the cells of the tables themselves, never
-    assumed from how the tables were made. Each member is cut into value
-    planes: plane v has bit c set when cell c (row-major) holds v, and its
-    at-least plane for v is the OR of the value planes of the elements
-    above v. Member i lies below member j exactly when, for every v, the
-    value plane v of i lies inside the at-least plane v of j: one big-int
-    AND per value instead of one test per cell. ``tnorm_le`` is the same
-    order for a single pair, cell by cell.
-    """
-
-    __slots__ = ("members", "index", "ups", "downs")
-
-    def __init__(self, tables):
-        ids: dict = {}
-        members: list[TNormTable] = []
-        index = []
-        for t in tables:
-            i = ids.get(t.table)
-            if i is None:
-                i = ids[t.table] = len(members)
-                members.append(t)
-            index.append(i)
-        if any(t.lattice is not members[0].lattice for t in members):
-            raise LatticeMismatch("tables live on different lattices")
-        planes = []
-        not_above = []
-        for t in members:
-            lat = t.lattice
-            by_value = [0] * lat.n
-            bit = 1
-            for v in chain.from_iterable(t.table):
-                by_value[v] |= bit
-                bit <<= 1
-            planes.append([(v, p) for v, p in enumerate(by_value) if p])
-            # the complements of the at-least planes: cells holding an
-            # element that is not above v
-            cells = bit - 1
-            not_above.append([cells ^ reduce(or_, map(by_value.__getitem__, iter_bits(up))) for up in lat.ups])
-        ups = [1 << i for i in range(len(members))]
-        downs = ups[:]
-        for i, pi in enumerate(planes):
-            for j, nj in enumerate(not_above):
-                if i == j:
-                    continue
-                for v, p in pi:
-                    if p & nj[v]:
-                        break
-                else:
-                    ups[i] |= 1 << j
-                    downs[j] |= 1 << i
-        self.members = members
-        self.index = index
-        self.ups = ups
-        self.downs = downs
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.ups[i] >> j & 1)
-
-    def lub(self, i: int, j: int) -> int | None:
-        """The least member above both, or None when there is none."""
-        return self._extreme(self.ups[i] & self.ups[j], self.ups)
-
-    def glb(self, i: int, j: int) -> int | None:
-        """The greatest member below both, or None when there is none."""
-        return self._extreme(self.downs[i] & self.downs[j], self.downs)
-
-    @staticmethod
-    def _extreme(bounds: int, cones: list[int]) -> int | None:
-        # the bound whose own cone holds every other bound; antisymmetry
-        # of the pointwise order makes it unique when it exists
-        for m in iter_bits(bounds):
-            if cones[m] & bounds == bounds:
-                return m
-        return None
 
 
 def idempotents(t: TNormTable) -> ElementSet:

@@ -14,7 +14,7 @@ from latnorm.errors import BoundExceeded
 from latnorm.lattice import FiniteLattice, iter_bits
 from latnorm.construction import AtomSelection, AtomSkeleton, GeneratedTNorm
 from latnorm.oracle import DEFAULT_COUNT_CAP, DEFAULT_SIZE_CAP, _check_size
-from latnorm.tnorm import OK, FamilyOrder, TNormTable, Verdict
+from latnorm.tnorm import OK, TNormTable, Verdict, tnorm_le
 
 
 def set_based_meets_joins(names, cover_pairs):
@@ -217,25 +217,57 @@ def scan_family_bounds(tables: list[TNormTable]):
         return [], [], []
     lat = tables[0].lattice
     n = lat.n
-    m = len(tables)
     le = [
         [all(lat.leq(a.table[x][y], b.table[x][y]) for x in range(n) for y in range(n)) for b in tables]
         for a in tables
     ]
+    return (le, *family_bounds(tables, le))
 
-    def extreme(bounds, inside):
-        best = {tables[u].table for u in bounds if all(inside(u, o) for o in bounds)}
+
+def family_bounds(tables: list[TNormTable], le):
+    """Least upper and greatest lower bounds, as rows, read from an order matrix.
+
+    ``le[i][j]`` says table i lies below table j. ``lub[i][j]`` is the rows
+    of the unique table above both i and j that lies below every other
+    such table, or None when there is none; ``glb`` likewise from below.
+    """
+    m = len(tables)
+    ups = [{u for u in range(m) if le[i][u]} for i in range(m)]
+    downs = [{u for u in range(m) if le[u][i]} for i in range(m)]
+
+    def extreme(bounds, cones):
+        best = {tables[u].table for u in bounds if bounds <= cones[u]}
         return best.pop() if len(best) == 1 else None
 
-    lub = [
-        [extreme([u for u in range(m) if le[i][u] and le[j][u]], lambda u, o: le[u][o]) for j in range(m)]
-        for i in range(m)
-    ]
-    glb = [
-        [extreme([u for u in range(m) if le[u][i] and le[u][j]], lambda u, o: le[o][u]) for j in range(m)]
-        for i in range(m)
-    ]
-    return le, lub, glb
+    lub = [[extreme(ups[i] & ups[j], ups) for j in range(m)] for i in range(m)]
+    glb = [[extreme(downs[i] & downs[j], downs) for j in range(m)] for i in range(m)]
+    return lub, glb
+
+
+def reference_restriction_joins(fam) -> tuple[bool, str]:
+    """The restriction-joins check from its definition, as ``(passed, detail)``.
+
+    For every pair of gated selections, in ``fam.members()`` order, the
+    restriction of their union must be the least upper bound of their
+    restrictions that :func:`scan_family_bounds` finds in the family; a
+    union that is not gated fails at its pair. Then, under a join-irreducible
+    top with an inserted atom, adding that atom must leave each restriction
+    as it is.
+    """
+    members = fam.members()
+    _, lub, _ = scan_family_bounds([t for _, t in members])
+    rows = {sel.mask: t.table for sel, t in members}
+    for i, (sel_a, _) in enumerate(members):
+        for j, (sel_b, _) in enumerate(members):
+            if lub[i][j] is None or lub[i][j] != rows.get(sel_a.mask | sel_b.mask):
+                return False, f"({sel_a.label()}, {sel_b.label()}): union is not the least upper bound"
+    ext, lat = fam.ext, fam.ext.original
+    if lat.ji_mask >> lat.top & 1 and lat.top in ext.new_atoms:
+        w1 = ext.new_atoms[lat.top]
+        for sel, t in members:
+            if w1 not in sel and rows.get(sel.mask | 1 << w1) != t.table:
+                return False, f"adding {ext.extended.name(w1)} to {sel.label()} changed the restriction"
+    return True, ""
 
 
 def reference_family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]):
@@ -245,46 +277,48 @@ def reference_family_powerset_isomorphism(lat: FiniteLattice, family: list[Gener
     selections against pointwise order of lifts in both directions; joins
     and meets searched in the family poset against union and intersection
     selections; complementary selections against the lattice laws; and on
-    a Boolean lattice the atom-set map against the lattice order. Member ids
-    come from ``FamilyOrder.index``, so equal lifts share one id. The
-    degenerate-length check is the caller's.
+    a Boolean lattice the atom-set map against the lattice order. The order
+    is a ``tnorm_le`` matrix over the family and bounds are compared by
+    their rows, so equal lifts count as one. The degenerate-length check is
+    the caller's.
     """
     failures: list[str] = []
-    order = FamilyOrder(g.lifted for g in family)
-    ids = order.index
+    tables = [g.lifted for g in family]
+    le = [[tnorm_le(a, b) for b in tables] for a in tables]
+    lub, glb = family_bounds(tables, le)
     count = len(family)
     masks = [g.selection.mask for g in family]
-    by_mask = {m: i for i, m in enumerate(masks)}
+    rows = {m: t.table for m, t in zip(masks, tables)}
     labels = [g.selection.label() for g in family]
     for i in range(count):
         for j in range(count):
             inc = masks[i] & ~masks[j] == 0
-            if inc != order.le(ids[i], ids[j]):
+            if inc != le[i][j]:
                 failures.append(f"selection inclusion and pointwise order disagree on ({labels[i]}, {labels[j]})")
     for i in range(count):
         for j in range(count):
-            if order.lub(ids[i], ids[j]) != ids[by_mask[masks[i] | masks[j]]]:
+            if lub[i][j] != rows[masks[i] | masks[j]]:
                 failures.append(f"join of ({labels[i]}, {labels[j]}) is not the union selection")
-            if order.glb(ids[i], ids[j]) != ids[by_mask[masks[i] & masks[j]]]:
+            if glb[i][j] != rows[masks[i] & masks[j]]:
                 failures.append(f"meet of ({labels[i]}, {labels[j]}) is not the intersection selection")
     full = lat.atoms_mask
-    top_id, bot_id = ids[by_mask[full]], ids[by_mask[0]]
+    position = {m: i for i, m in enumerate(masks)}
     for j in range(count):
-        comp = ids[by_mask[full & ~masks[j]]]
-        if order.lub(ids[j], comp) != top_id or order.glb(ids[j], comp) != bot_id:
+        comp = position[full & ~masks[j]]
+        if lub[j][comp] != rows[full] or glb[j][comp] != rows[0]:
             failures.append(f"complement of {labels[j]} fails the lattice laws")
 
     boolean_self = None
     if lat.is_boolean_atomistic():
         boolean_self = True
-        image = {x: ids[by_mask[lat.atoms_mask & lat.downs[x]]] for x in range(lat.n)}
-        if len(set(image.values())) != lat.n or lat.n != count:
+        image = {x: position[lat.atoms_mask & lat.downs[x]] for x in range(lat.n)}
+        if len({tables[i].table for i in image.values()}) != lat.n or lat.n != count:
             boolean_self = False
             failures.append("atom-set map is not a bijection onto the family")
         else:
             for x in range(lat.n):
                 for y in range(lat.n):
-                    if lat.leq(x, y) != order.le(image[x], image[y]):
+                    if lat.leq(x, y) != le[image[x]][image[y]]:
                         boolean_self = False
                         failures.append(f"lattice order and family order disagree on ({lat.name(x)}, {lat.name(y)})")
     return not failures, failures, boolean_self

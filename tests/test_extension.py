@@ -1,7 +1,10 @@
 """Atomistic extension, the restriction gate, and the restriction family."""
 
+from dataclasses import replace
+
 import pytest
 
+from latnorm import checks
 from latnorm.catalog import chain, double_atom_tower
 from latnorm.checks import check_extension_gate, check_restriction_joins
 from latnorm.construction import (
@@ -14,6 +17,7 @@ from latnorm.construction import (
 )
 from latnorm.errors import ConditionCViolated, DuplicateLabel, LatticeMismatch
 from latnorm.extension import (
+    SFamily,
     condition_c,
     continuity_of_restriction,
     extend,
@@ -23,6 +27,7 @@ from latnorm.extension import (
 )
 from latnorm.lattice import lattice_from_covers
 from latnorm.tnorm import (
+    Verdict,
     is_left_continuous,
     t_drastic,
     t_min,
@@ -30,6 +35,7 @@ from latnorm.tnorm import (
     verify_tnorm,
 )
 
+from oracles import reference_restriction_joins
 from test_tnorm import RESTRICTED_TABLE, table_from_names
 
 
@@ -242,6 +248,64 @@ def test_union_realizes_least_upper_bound(corpus_extension):
             continue
         result = check_restriction_joins(s_family(ext, generated_family(ext.extended)))
         assert result.passed, (name, result.detail)
+
+
+def _joins_parity_cases(corpus_extension):
+    """Each corpus S-family, then the same with one gated member's lift
+    replaced by the drastic and by the min table of the extension."""
+    for name, lat in corpus_extension.items():
+        ext = extend(lat)
+        family = generated_family(ext.extended)
+        fam = s_family(ext, family)
+        yield name, fam
+        for label, table in (("drastic", t_drastic(ext.extended)), ("min", t_min(ext.extended))):
+            for i, entry in enumerate(fam.entries):
+                if entry.restricted is not None:
+                    swapped = family[:i] + [replace(family[i], lifted=table)] + family[i + 1 :]
+                    yield f"{name} {label} at {entry.selection.label()}", s_family(ext, swapped)
+
+
+def test_restriction_joins_matches_reference(corpus_extension, monkeypatch):
+    """The one-atom sweep, and the pairwise walk it falls back on, reach the
+    verdict and the witness of the definition on every case."""
+    calls = []
+    monkeypatch.setattr(checks, "tnorm_le", lambda a, b: calls.append(1) or tnorm_le(a, b))
+    failing = fallback_passed = 0
+    for name, fam in _joins_parity_cases(corpus_extension):
+        if name == "double_atom_tower":
+            tower = fam
+        del calls[:]
+        result = check_restriction_joins(fam)
+        assert (result.passed, result.detail) == reference_restriction_joins(fam), name
+        failing += not result.passed
+        # only a failing sweep walks the pairs with tnorm_le
+        fallback_passed += result.passed and bool(calls)
+    # 272 cases; a replacement can leave every join in place, and on 19 of
+    # them the sweep fails while the pairwise walk passes
+    assert failing == 205
+    assert fallback_passed >= 1
+    # the cases hold shared restrictions and a gated pair whose
+    # intersection fails the gate
+    ext = tower.ext
+    assert len(tower.distinct()) < len(tower.members())
+    a, b = (AtomSelection.from_names(ext.extended, ["w_p", x]) for x in ("a", "b"))
+    assert condition_c(ext, a).ok and condition_c(ext, b).ok
+    assert not condition_c(ext, AtomSelection.from_mask(ext.extended, a.mask & b.mask)).ok
+
+
+def test_restriction_joins_fails_on_an_ungated_union(fig_ext):
+    """A union of two gated selections that is not gated itself fails at
+    the first such pair, as the definition says."""
+    fam = s_family(fig_ext, generated_family(fig_ext.extended))
+    full = fig_ext.extended.atoms_mask
+    entries = tuple(
+        replace(e, condition_c=Verdict(False), restricted=None) if e.selection.mask == full else e
+        for e in fam.entries
+    )
+    cut = SFamily(fig_ext, entries)
+    result = check_restriction_joins(cut)
+    assert (result.passed, result.detail) == reference_restriction_joins(cut)
+    assert result.detail == "(b_w_d, b_w_c): union is not the least upper bound"
 
 
 def test_top_insert_redundancy(corpus_extension):

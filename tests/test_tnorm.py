@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from latnorm.catalog import chain, double_atom_tower, m3, pentagon, random_lattice, stemmed_diamond
 from latnorm.construction import AtomSelection, generated_family, lift, skeleton, skeleton_tnorm
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
-from latnorm.extension import extend, s_family
 from latnorm.lattice import iter_bits, lattice_from_covers, powerset_lattice
 from latnorm.oracle import enumerate_all_tnorms
 from latnorm.tnorm import (
     OK,
-    FamilyOrder,
     TNormTable,
     Verdict,
     idempotents,
@@ -37,7 +35,6 @@ from oracles import (
     full_pairs_monotone,
     reference_continuity_scans,
     reference_verify_tnorm,
-    scan_family_bounds,
 )
 
 # The worked-example restriction table, keyed by element names.
@@ -358,96 +355,6 @@ def test_verify_matches_reference_on_large_lifts():
             grid[x][y] = grid[y][x] = lat.bottom
             for t in (lifted, TNormTable(lat, grid)):
                 assert verify_tnorm(t) == reference_verify_tnorm(t)
-
-
-def assert_order_matches_scans(tables):
-    order = FamilyOrder(tables)
-    le, lub, glb = scan_family_bounds(tables)
-
-    def rows(member):
-        return None if member is None else order.members[member].table
-
-    assert [rows(i) for i in order.index] == [t.table for t in tables]
-    assert len(set(rows(i) for i in range(len(order.members)))) == len(order.members)
-    for i, a in enumerate(order.index):
-        for j, b in enumerate(order.index):
-            assert order.le(a, b) == le[i][j], (i, j)
-            assert rows(order.lub(a, b)) == lub[i][j], (i, j)
-            assert rows(order.glb(a, b)) == glb[i][j], (i, j)
-    return order
-
-
-def test_family_order_matches_scans_on_lifted_families(corpus_extension):
-    for name, lat in corpus_extension.items():
-        big = extend(lat).extended
-        if big.atoms_mask.bit_count() > 8:
-            continue
-        family = [g.lifted for g in generated_family(big)]
-        order = assert_order_matches_scans(family)
-        assert order.index == list(range(len(family))), name
-
-
-def test_family_order_matches_scans_on_shared_restrictions():
-    """Distinct selections share a restriction, and an intersection of
-    passing selections fails the gate, so the meet is not a selection's."""
-    ext = extend(double_atom_tower())
-    members = s_family(ext, generated_family(ext.extended)).members()
-    order = assert_order_matches_scans([t for _, t in members])
-    assert len(order.members) < len(members)
-    position = {sel.mask: i for i, (sel, _) in enumerate(members)}
-    a, b = (AtomSelection.from_names(ext.extended, ["w_p", x]).mask for x in ("a", "b"))
-    assert a & b not in position
-    assert order.glb(order.index[position[a]], order.index[position[b]]) is not None
-
-
-def test_family_order_without_least_upper_bound(p2):
-    a, b = (g.lifted for g in generated_family(p2) if len(g.selection) == 1)
-    assert not tnorm_le(a, b) and not tnorm_le(b, a)
-    drastic = t_drastic(p2)
-    order = FamilyOrder([drastic, a, b, a])
-    assert order.index == [0, 1, 2, 1]
-    assert order.lub(1, 2) is None
-    assert order.glb(1, 2) == 0
-    assert order.lub(0, 1) == 1 and order.glb(0, 1) == 0
-    assert order.le(0, 2) and not order.le(2, 0)
-
-
-def test_family_order_on_empty_and_one_element_families():
-    assert_order_matches_scans([])
-    only = t_min(chain(1))
-    order = assert_order_matches_scans([only, t_drastic(only.lattice), only])
-    assert order.index == [0, 0, 0] and order.ups == [1] and order.downs == [1]
-
-
-FAMILY_LATTICES = [chain(1), chain(2), chain(3), powerset_lattice(2), m3(), pentagon()]
-
-
-@given(st.data())
-def test_family_order_matches_scans_on_random_tables(data):
-    """Families of arbitrary cell grids, none required to be a t-norm:
-    duplicates, and pointwise meets and joins of earlier members so that
-    comparable pairs and bounds occur."""
-    lat = data.draw(st.sampled_from(FAMILY_LATTICES))
-    n = lat.n
-    random_grid = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
-    grids = []
-    for _ in range(data.draw(st.integers(1, 7))):
-        kind = data.draw(st.sampled_from(["random", "duplicate", "meet", "join"])) if grids else "random"
-        if kind == "random":
-            grid = data.draw(random_grid)
-        elif kind == "duplicate":
-            grid = data.draw(st.sampled_from(grids))
-        else:
-            op = lat.meet_table if kind == "meet" else lat.join_table
-            base, other = data.draw(st.sampled_from(grids)), data.draw(random_grid)
-            grid = [[op[a][b] for a, b in zip(r1, r2)] for r1, r2 in zip(base, other)]
-        grids.append(grid)
-    assert_order_matches_scans([TNormTable(lat, grid) for grid in grids])
-
-
-def test_family_order_lattice_mismatch(p2, lat_m3):
-    with pytest.raises(LatticeMismatch):
-        FamilyOrder([t_min(p2), t_min(lat_m3)])
 
 
 def _rule_table(lat, rule):
