@@ -202,6 +202,100 @@ def test_restrict_csv_stdout(tmp_path, fig_file, capsys):
     assert capsys.readouterr().out == golden("table3_restricted.csv")
 
 
+W_C_SKELETON = (
+    ",0,b,1,w_d,w_c\n"
+    "0,0,0,0,0,0\n"
+    "b,0,0,b,0,0\n"
+    "1,0,b,1,w_d,w_c\n"
+    "w_d,0,0,w_d,0,0\n"
+    "w_c,0,0,w_c,0,w_c\n"
+)
+W_C_LIFTED = (
+    ",0,b,d,c,1,w_d,w_c\n"
+    "0,0,0,0,0,0,0,0\n"
+    "b,0,0,0,0,b,0,0\n"
+    "d,0,0,0,0,d,0,0\n"
+    "c,0,0,0,w_c,c,0,w_c\n"
+    "1,0,b,d,c,1,w_d,w_c\n"
+    "w_d,0,0,0,0,w_d,0,0\n"
+    "w_c,0,0,0,w_c,w_c,0,w_c\n"
+)
+W_C_FAIL = "condition_c: fail at c (lift lands outside the lattice at ('c', 'c'))\n"
+FAMILY_LABELS = ["empty", "b", "w_d", "b_w_d", "w_c", "b_w_c", "w_d_w_c", "b_w_d_w_c"]
+GATED_LABELS = ["empty", "b", "b_w_d", "b_w_c", "b_w_d_w_c"]
+
+
+def _pinned_stdout(case: str, ext_file: Path, out: Path):
+    """argv, exit code and the whole stdout per format for one pinned run."""
+    lattice = str(DATA / "stemmed_diamond.json")
+    ext = [str(out / "stemmed_diamond_ext.json"), str(out / "stemmed_diamond_ext_map.json")]
+
+    def wrote(paths):
+        return "".join(f"wrote {p}\n" for p in paths)
+
+    def as_json(obj):
+        return json.dumps(obj, indent=2) + "\n"
+
+    if case == "generate-all":
+        files = [str(out / f"alpha_{label}.csv") for label in FAMILY_LABELS] + [str(out / "index.json")]
+        text = f"wrote 8 lifted tables to {out}\n"
+        return ["generate", str(ext_file), "--all"], 0, {
+            "text": text, "json": as_json({"count": 8, "files": files}), "csv": text}
+    if case == "generate-alpha":
+        files = [str(out / "c_alpha_b_w_d.csv"), str(out / "alpha_b_w_d.csv")]
+        return ["generate", str(ext_file), "--alpha", "b,w_d"], 0, {
+            "text": wrote(files),
+            "json": as_json({"alpha": ["b", "w_d"], "files": files}),
+            "csv": golden("table1_skeleton.csv") + golden("table2_lifted.csv"),
+        }
+    if case == "generate-extend-alpha":
+        files = ext + [str(out / "c_alpha_w_c.csv"), str(out / "alpha_w_c.csv")]
+        return ["generate", lattice, "--extend", "--alpha", "w_c"], 0, {
+            "text": wrote(files),
+            "json": as_json({"alpha": ["w_c"], "files": files}),
+            "csv": W_C_SKELETON + W_C_LIFTED,
+        }
+    if case == "restrict-all":
+        files = ext + [str(out / f"restricted_alpha_{label}.csv") for label in GATED_LABELS]
+        text = f"5 of 8 selections pass the restriction gate; wrote {out}\n"
+        return ["restrict", lattice, "--all"], 0, {
+            "text": text,
+            "json": as_json({"total": 8, "passing": 5, "files": files + [str(out / "index.json")]}),
+            "csv": text,
+        }
+    if case == "restrict-alpha":
+        files = ext + [str(out / "restricted_alpha_b_w_d.csv")]
+        return ["restrict", lattice, "--alpha", "b,w_d"], 0, {
+            "text": "condition_c: pass\n" + wrote(files),
+            "json": as_json({"alpha": ["b", "w_d"], "condition_c": "pass", "files": files}),
+            "csv": golden("table3_restricted.csv"),
+        }
+    assert case == "restrict-fail"
+    return ["restrict", lattice, "--alpha", "w_c"], 1, {
+        "text": W_C_FAIL,
+        "json": as_json({"alpha": ["w_c"], "condition_c": "fail",
+                         "witness": {"join_irreducible": "c", "pair": ["c", "c"]}}),
+        "csv": W_C_FAIL,
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "case",
+    ["generate-all", "generate-alpha", "generate-extend-alpha", "restrict-all", "restrict-alpha", "restrict-fail"],
+)
+def test_generate_and_restrict_pinned_stdout(tmp_path, capsys, case, fmt):
+    """The whole stdout of generate and restrict on the stemmed diamond and its
+    extension; ``--format csv`` prints text where the command has no table."""
+    assert main(["extend", str(DATA / "stemmed_diamond.json"), "--out", str(tmp_path / "ext")]) == 0
+    ext_file = tmp_path / "ext" / "stemmed_diamond_ext.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv, rc, stdout = _pinned_stdout(case, ext_file, out)
+    assert main([*argv, "--out", str(out), "--format", fmt]) == rc
+    assert capsys.readouterr() == (stdout[fmt], "")
+
+
 def test_restrict_full_selection_is_meet(tmp_path, fig_file, fig_lattice):
     from latnorm.tnorm import t_min, table_to_csv
 
