@@ -24,9 +24,6 @@ def main():
     found = 0
     for name, lat in corpus.items():
         ext = extend(lat)
-        if len(ext.extended.atoms()) > 10:
-            print(f"{name}: skipped (too many atoms)")
-            continue
         fam = s_family(ext, generated_family(ext.extended))
         members = fam.members()
         passing = [sel for sel, _ in members]

@@ -35,7 +35,7 @@ from .errors import (
 from .extension import extend, restrict_to_original, s_family
 from .lattice import FiniteLattice, load_lattice
 from .oracle import DEFAULT_SIZE_CAP as DEFAULT_ORACLE_CAP, census
-from .tnorm import TNormTable, table_to_csv
+from .tnorm import table_to_csv
 
 
 def _emit(path: Path, text: str) -> None:
@@ -75,14 +75,55 @@ def _check_file_names(selections, prefix: str) -> None:
         owners[file_name] = sel
 
 
-def _info_obj(lat: FiniteLattice) -> dict:
+def _report(fmt: str, obj, lines, csv_text: str | None = None) -> None:
+    """Print a command's result in the ``--format`` asked for.
+
+    ``json`` prints ``obj``; ``csv`` prints ``csv_text`` where the command
+    has a table to print; every other case prints the text ``lines``.
+    """
+    if fmt == "json":
+        print(json.dumps(obj, indent=2))
+    elif fmt == "csv" and csv_text is not None:
+        sys.stdout.write(csv_text)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _write_or_print(out: str | None, text: str) -> None:
+    """Write ``text`` to the file ``--out`` names, or to stdout without one."""
+    if out:
+        _emit(Path(out), text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
+def _export_family(out: Path, prefix: str, rows) -> list[Path]:
+    """Write ``<prefix><label>.csv`` for each row with a table, then ``index.json``.
+
+    Each row is ``(selection, table or None, extra index fields)``. The index
+    lists every row in order, with ``file`` null for a row without a table.
+    Returns the written paths, ``index.json`` last.
+    """
+    written, index = [], []
+    for selection, table, extra in rows:
+        file_name = None
+        if table is not None:
+            file_name = f"{prefix}{selection.label()}.csv"
+            _emit(out / file_name, table_to_csv(table))
+            written.append(out / file_name)
+        index.append({"alpha": list(selection.names()), "label": selection.label(), **extra, "file": file_name})
+    written.append(out / "index.json")
+    _emit(written[-1], json.dumps({"alphas": index}, indent=2) + "\n")
+    return written
+
+
+def cmd_info(args) -> int:
+    lat = load_lattice(args.lattice)
     atoms = lat.atoms().names()
     jis = lat.join_irreducibles().names()
-    non_atom_jis = tuple(n for n in jis if n not in atoms)
-    notes = []
-    if lat.length <= 1:
-        notes.append("length at most 1: the t-norm on this lattice is unique")
-    return {
+    obj = {
         "elements": list(lat.names),
         "covers": [list(c) for c in lat.covers_named()],
         "bottom": lat.name(lat.bottom),
@@ -90,29 +131,22 @@ def _info_obj(lat: FiniteLattice) -> dict:
         "length": lat.length,
         "atoms": list(atoms),
         "join_irreducibles": list(jis),
-        "non_atom_join_irreducibles": list(non_atom_jis),
+        "non_atom_join_irreducibles": [n for n in jis if n not in atoms],
         "atomistic": lat.is_atomistic(),
         "boolean_atomistic": lat.is_boolean_atomistic(),
-        "notes": notes,
+        "notes": ["length at most 1: the t-norm on this lattice is unique"] if lat.length <= 1 else [],
     }
-
-
-def cmd_info(args) -> int:
-    lat = load_lattice(args.lattice)
-    obj = _info_obj(lat)
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-        return 0
-    print(f"elements ({len(obj['elements'])}): " + ", ".join(obj["elements"]))
-    print(f"covers ({len(obj['covers'])}): " + ", ".join(f"{a}<{b}" for a, b in obj["covers"]))
-    print(f"bottom: {obj['bottom']}  top: {obj['top']}  length: {obj['length']}")
-    print("atoms: " + (", ".join(obj["atoms"]) or "(none)"))
-    print("join-irreducibles: " + (", ".join(obj["join_irreducibles"]) or "(none)"))
-    print("non-atom join-irreducibles: " + (", ".join(obj["non_atom_join_irreducibles"]) or "(none)"))
-    print(f"atomistic: {str(obj['atomistic']).lower()}")
-    print(f"boolean (powerset-isomorphic): {str(obj['boolean_atomistic']).lower()}")
-    for note in obj["notes"]:
-        print(f"note: {note}")
+    _report(args.format, obj, [
+        f"elements ({len(obj['elements'])}): " + ", ".join(obj["elements"]),
+        f"covers ({len(obj['covers'])}): " + ", ".join(f"{a}<{b}" for a, b in obj["covers"]),
+        f"bottom: {obj['bottom']}  top: {obj['top']}  length: {obj['length']}",
+        "atoms: " + (", ".join(obj["atoms"]) or "(none)"),
+        "join-irreducibles: " + (", ".join(obj["join_irreducibles"]) or "(none)"),
+        "non-atom join-irreducibles: " + (", ".join(obj["non_atom_join_irreducibles"]) or "(none)"),
+        f"atomistic: {str(obj['atomistic']).lower()}",
+        f"boolean (powerset-isomorphic): {str(obj['boolean_atomistic']).lower()}",
+        *(f"note: {note}" for note in obj["notes"]),
+    ])
     return 0
 
 
@@ -127,9 +161,7 @@ def _write_extension(ext, stem: str, out: Path) -> list[Path]:
 def cmd_extend(args) -> int:
     lat = load_lattice(args.lattice)
     ext = extend(lat)
-    out = Path(args.out)
-    stem = Path(args.lattice).stem
-    written = _write_extension(ext, stem, out)
+    written = _write_extension(ext, Path(args.lattice).stem, Path(args.out))
     obj = {
         "original_elements": list(lat.names),
         "inserted_atoms": ext.sidecar_map(),
@@ -137,22 +169,17 @@ def cmd_extend(args) -> int:
         "atomistic": ext.extended.is_atomistic(),
         "files": [str(p) for p in written],
     }
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"inserted atoms: {', '.join(obj['inserted_atoms']) or '(none)'}")
-        print(f"extension: {len(obj['extended_elements'])} elements, atomistic: "
-              f"{str(obj['atomistic']).lower()}")
-        for p in written:
-            print(f"wrote {p}")
+    _report(args.format, obj, [
+        f"inserted atoms: {', '.join(obj['inserted_atoms']) or '(none)'}",
+        f"extension: {len(obj['extended_elements'])} elements, atomistic: {str(obj['atomistic']).lower()}",
+        *(f"wrote {p}" for p in written),
+    ])
     return 0
 
 
 def cmd_generate(args) -> int:
     lat = load_lattice(args.lattice)
     out = Path(args.out)
-    stem = Path(args.lattice).stem
-    written: list[Path] = []
     ext = None
     target = lat
     if not lat.is_atomistic():
@@ -167,53 +194,27 @@ def cmd_generate(args) -> int:
         selection = _alpha_selection(target, args.alpha)
         pairs = [(selection, skeleton_tnorm(skel, selection))]
     _check_file_names((selection for selection, _ in pairs), "alpha_")
-    if ext is not None:
-        written += _write_extension(ext, stem, out)
-
-    def write_lifted(selection: AtomSelection, on_c: TNormTable) -> Path:
-        path = out / f"alpha_{selection.label()}.csv"
-        _emit(path, table_to_csv(lift(target, on_c)))
-        return path
+    written = [] if ext is None else _write_extension(ext, Path(args.lattice).stem, out)
 
     if args.all:
-        index = []
-        for selection, on_c in pairs:
-            lifted_path = write_lifted(selection, on_c)
-            index.append(
-                {"alpha": list(selection.names()), "label": selection.label(), "file": lifted_path.name}
-            )
-            written.append(lifted_path)
-        index_path = out / "index.json"
-        _emit(index_path, json.dumps({"alphas": index}, indent=2) + "\n")
-        written.append(index_path)
-        obj = {"count": len(index), "files": [str(p) for p in written]}
-        if args.format == "json":
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"wrote {len(index)} lifted tables to {out}")
+        written += _export_family(out, "alpha_", ((sel, lift(target, on_c), {}) for sel, on_c in pairs))
+        obj = {"count": len(pairs), "files": [str(p) for p in written]}
+        _report(args.format, obj, [f"wrote {len(pairs)} lifted tables to {out}"])
         return 0
 
     selection, on_c = pairs[0]
-    lifted_path = write_lifted(selection, on_c)
-    c_path = out / f"c_alpha_{selection.label()}.csv"
-    _emit(c_path, table_to_csv(on_c))
-    written += [c_path, lifted_path]
+    tables = {"c_alpha_": table_to_csv(on_c), "alpha_": table_to_csv(lift(target, on_c))}
+    for prefix, text in tables.items():
+        written.append(out / f"{prefix}{selection.label()}.csv")
+        _emit(written[-1], text)
     obj = {"alpha": list(selection.names()), "files": [str(p) for p in written]}
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(c_path.read_text(encoding="utf-8"))
-        sys.stdout.write(lifted_path.read_text(encoding="utf-8"))
-    else:
-        for p in written:
-            print(f"wrote {p}")
+    _report(args.format, obj, [f"wrote {p}" for p in written], "".join(tables.values()))
     return 0
 
 
 def cmd_restrict(args) -> int:
     lat = load_lattice(args.lattice)
     out = Path(args.out)
-    stem = Path(args.lattice).stem
     ext = extend(lat)
     if args.all:
         fam = s_family(ext, generated_family(ext.extended, atom_cap=args.atom_cap))
@@ -221,34 +222,16 @@ def cmd_restrict(args) -> int:
     else:
         selection = _alpha_selection(ext.extended, args.alpha)
         _check_file_names([selection], "restricted_alpha_")
-    written = _write_extension(ext, stem, out)
+    written = _write_extension(ext, Path(args.lattice).stem, out)
 
     if args.all:
-        index = []
-        for entry in fam.entries:
-            file_name = None
-            if entry.restricted is not None:
-                path = out / f"restricted_alpha_{entry.selection.label()}.csv"
-                _emit(path, table_to_csv(entry.restricted))
-                written.append(path)
-                file_name = path.name
-            index.append(
-                {
-                    "alpha": list(entry.selection.names()),
-                    "label": entry.selection.label(),
-                    "condition_c": "pass" if entry.condition_c.ok else "fail",
-                    "file": file_name,
-                }
-            )
-        index_path = out / "index.json"
-        _emit(index_path, json.dumps({"alphas": index}, indent=2) + "\n")
-        written.append(index_path)
-        passing = sum(1 for e in index if e["condition_c"] == "pass")
-        obj = {"total": len(index), "passing": passing, "files": [str(p) for p in written]}
-        if args.format == "json":
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"{passing} of {len(index)} selections pass the restriction gate; wrote {out}")
+        written += _export_family(out, "restricted_alpha_", (
+            (e.selection, e.restricted, {"condition_c": "pass" if e.condition_c.ok else "fail"})
+            for e in fam.entries
+        ))
+        total, passing = len(fam.entries), sum(1 for e in fam.entries if e.condition_c.ok)
+        obj = {"total": total, "passing": passing, "files": [str(p) for p in written]}
+        _report(args.format, obj, [f"{passing} of {total} selections pass the restriction gate; wrote {out}"])
         return 0
 
     on_c = skeleton_tnorm(skeleton(ext.extended), selection)
@@ -261,67 +244,39 @@ def cmd_restrict(args) -> int:
             "condition_c": "fail",
             "witness": {"join_irreducible": exc.p, "pair": list(exc.witness)},
         }
-        if args.format == "json":
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"condition_c: fail at {exc.p} (lift lands outside the lattice at {exc.witness})")
+        _report(args.format, obj, [f"condition_c: fail at {exc.p} (lift lands outside the lattice at {exc.witness})"])
         return 1
-    path = out / f"restricted_alpha_{selection.label()}.csv"
-    _emit(path, table_to_csv(restricted))
-    written.append(path)
+    text = table_to_csv(restricted)
+    written.append(out / f"restricted_alpha_{selection.label()}.csv")
+    _emit(written[-1], text)
     obj = {"alpha": list(selection.names()), "condition_c": "pass", "files": [str(p) for p in written]}
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(table_to_csv(restricted))
-    else:
-        print("condition_c: pass")
-        for p in written:
-            print(f"wrote {p}")
+    _report(args.format, obj, ["condition_c: pass", *(f"wrote {p}" for p in written)], text)
     return 0
 
 
 def cmd_census(args) -> int:
     lat = load_lattice(args.lattice)
     report = census(lat, size_cap=args.oracle_cap)
-    text = report.to_json()
-    if args.out:
-        _emit(Path(args.out), text)
-        print(f"wrote {args.out}")
-    elif args.format == "text":
+    if args.out or args.format == "json":
+        _write_or_print(args.out, report.to_json())
+    else:
         print(f"total t-norms: {report.total}")
         for name, count in report.classes.items():
             print(f"  {name}: {count}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
 def cmd_check(args) -> int:
     lat = load_lattice(args.lattice)
     results = run_all_checks(lat, atom_cap=args.atom_cap)
-    if args.format == "json":
-        obj = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        print(json.dumps(obj, indent=2))
-    else:
-        for r in results:
-            print(r.line())
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    obj = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results], "passed": passed}
+    _report(args.format, obj, [r.line() for r in results])
+    return 0 if passed else 1
 
 
 def cmd_export_dot(args) -> int:
-    lat = load_lattice(args.lattice)
-    text = lat.to_dot()
-    if args.out:
-        _emit(Path(args.out), text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, load_lattice(args.lattice).to_dot())
     return 0
 
 

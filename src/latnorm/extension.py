@@ -28,14 +28,13 @@ class ExtendedLattice:
     """A lattice together with its atomistic extension.
 
     Original elements keep their ids in the extension (they come first, in
-    file order), so ``embed`` is the identity on indices; ``new_atoms``
+    file order), so an original id is also its extension id; ``new_atoms``
     maps each non-atom join-irreducible (an original id) to its inserted
     atom (an extension id).
     """
 
     original: FiniteLattice
     extended: FiniteLattice
-    embed: tuple[int, ...]
     new_atoms: dict
 
     def sidecar_map(self) -> dict:
@@ -63,9 +62,8 @@ def extend(lat: FiniteLattice) -> ExtendedLattice:
         covers.append((lat.name(lat.bottom), wname))
         covers.append((wname, lat.name(p)))
     ext = lattice_from_covers(names + new_names, covers)
-    embed = tuple(ext.index(name) for name in lat.names)
     new_atoms = {p: ext.index(f"w_{lat.name(p)}") for p in iter_bits(h_mask)}
-    return ExtendedLattice(original=lat, extended=ext, embed=embed, new_atoms=new_atoms)
+    return ExtendedLattice(original=lat, extended=ext, new_atoms=new_atoms)
 
 
 def condition_c(ext: ExtendedLattice, selection: AtomSelection) -> Verdict:
@@ -80,10 +78,10 @@ def condition_c(ext: ExtendedLattice, selection: AtomSelection) -> Verdict:
     lat = ext.extended
     sel = selection.mask
     for p, w in ext.new_atoms.items():
-        if ext.embed[p] == lat.top:
+        if p == lat.top:
             continue
-        if sel >> w & 1 and not (lat.atoms_mask & lat.downs[ext.embed[p]] & ~(1 << w) & sel):
-            return Verdict(False, "restriction-gate", (lat.name(ext.embed[p]),))
+        if sel >> w & 1 and not (lat.atoms_mask & lat.downs[p] & ~(1 << w) & sel):
+            return Verdict(False, "restriction-gate", (lat.name(p),))
     return OK
 
 
@@ -103,7 +101,7 @@ def restrict_to_original(ext: ExtendedLattice, g: GeneratedTNorm) -> TNormTable:
             if v >= n0:
                 inserted_under = {w: p for p, w in ext.new_atoms.items()}
                 raise ConditionCViolated(
-                    ext.extended.name(ext.embed[inserted_under[v]]),
+                    ext.extended.name(inserted_under[v]),
                     (ext.original.name(x), ext.original.name(y)),
                 )
     table = [row[:n0] for row in g.lifted.table[:n0]]

@@ -107,7 +107,7 @@ class FiniteLattice:
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
     The fingerprint and the pair sets of the order are derived data,
-    filled on first use and kept for the lattice's life; equality, hashing
+    filled on first use and kept in ``_memo`` for the lattice's life; equality, hashing
     and serialization never read them.
     """
 
@@ -125,7 +125,6 @@ class FiniteLattice:
         "ji_mask",
         "length",
         "full_mask",
-        "_fingerprint",
         "_memo",
     )
 
@@ -313,11 +312,11 @@ class FiniteLattice:
 
     def fingerprint(self) -> str:
         """Canonical hash of the element list and cover relation."""
-        fp = self._fingerprint
-        if fp[0] is None:
+        fp = self._memo.get("fingerprint")
+        if fp is None:
             blob = json.dumps(self.to_json_obj(), separators=(",", ":")).encode()
-            fp[0] = hashlib.sha256(blob).hexdigest()
-        return fp[0]
+            fp = self._memo["fingerprint"] = hashlib.sha256(blob).hexdigest()
+        return fp
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -462,7 +461,6 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         ji_mask=ji_mask,
         length=max(height),
         full_mask=(1 << n) - 1,
-        _fingerprint=[None],
         _memo={},
     )
 

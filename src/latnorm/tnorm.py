@@ -52,7 +52,7 @@ class TNormTable:
 
     __slots__ = ("lattice", "table", "verdict", "_monotone", "_row_classes")
 
-    def __init__(self, lattice: FiniteLattice, table, verdict: Verdict | None = None):
+    def __init__(self, lattice: FiniteLattice, table):
         n = lattice.n
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(row) != n for row in rows):
@@ -63,7 +63,7 @@ class TNormTable:
                     raise ValueError(f"table entry {v} is not an element id")
         self.lattice = lattice
         self.table = rows
-        self.verdict = verdict
+        self.verdict = None
         self._monotone = None
         self._row_classes = None
 

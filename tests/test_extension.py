@@ -70,8 +70,8 @@ def test_extend_corpus_properties(corpus_extension):
         ext = extend(lat)
         big = ext.extended
         assert big.is_atomistic(), name
-        # the embedding is the identity on indices and preserves bounds
-        assert ext.embed == tuple(range(lat.n))
+        # the originals come first, in file order, so ids carry over; bounds are kept
+        assert big.names[:lat.n] == lat.names
         assert big.bottom == lat.bottom and big.top == lat.top
         # covers between originals are exactly the original covers
         orig_covers = set(lat.covers)
@@ -88,7 +88,7 @@ def test_extend_corpus_properties(corpus_extension):
         assert set(big.atoms().names()) == expected_atoms, name
         for p, w in ext.new_atoms.items():
             assert (big.bottom, w) in big.covers
-            assert (w, ext.embed[p]) in big.covers
+            assert (w, p) in big.covers
 
 
 def test_extend_name_collision():
@@ -392,12 +392,10 @@ def test_intersection_can_fail_the_gate():
 
 
 def test_meet_anomaly_search_outcome(corpus_extension):
-    """Record which corpus lattices witness the non-closure under intersection."""
+    """Exactly one corpus lattice has two gated selections whose intersection fails the gate."""
     witnesses = []
     for name, lat in corpus_extension.items():
         ext = extend(lat)
-        if ext.extended.atoms_mask.bit_count() > 10:
-            continue
         fam = s_family(ext, generated_family(ext.extended))
         passing = [e.selection for e in fam.entries if e.restricted is not None]
         for i, sa in enumerate(passing):
@@ -409,7 +407,4 @@ def test_meet_anomaly_search_outcome(corpus_extension):
             else:
                 continue
             break
-    # the outcome is recorded, not asserted either way; consistency only
-    for name, la, lb in witnesses:
-        assert name in corpus_extension
-    assert isinstance(witnesses, list)
+    assert witnesses == [("double_atom_tower", "a_w_p", "b_w_p")]
