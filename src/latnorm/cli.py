@@ -219,12 +219,7 @@ def cmd_restrict(args) -> int:
     if args.all:
         fam = s_family(ext, generated_family(ext.extended, atom_cap=args.atom_cap))
         _check_file_names((e.selection for e in fam.entries if e.restricted is not None), "restricted_alpha_")
-    else:
-        selection = _alpha_selection(ext.extended, args.alpha)
-        _check_file_names([selection], "restricted_alpha_")
-    written = _write_extension(ext, Path(args.lattice).stem, out)
-
-    if args.all:
+        written = _write_extension(ext, Path(args.lattice).stem, out)
         written += _export_family(out, "restricted_alpha_", (
             (e.selection, e.restricted, {"condition_c": "pass" if e.condition_c.ok else "fail"})
             for e in fam.entries
@@ -234,6 +229,8 @@ def cmd_restrict(args) -> int:
         _report(args.format, obj, [f"{passing} of {total} selections pass the restriction gate; wrote {out}"])
         return 0
 
+    selection = _alpha_selection(ext.extended, args.alpha)
+    _check_file_names([selection], "restricted_alpha_")
     on_c = skeleton_tnorm(skeleton(ext.extended), selection)
     g = GeneratedTNorm(selection, on_c, lift(ext.extended, on_c))
     try:
@@ -246,6 +243,8 @@ def cmd_restrict(args) -> int:
         }
         _report(args.format, obj, [f"condition_c: fail at {exc.p} (lift lands outside the lattice at {exc.witness})"])
         return 1
+    # written only once the gate passes, so a failing run leaves --out as it was
+    written = _write_extension(ext, Path(args.lattice).stem, out)
     text = table_to_csv(restricted)
     written.append(out / f"restricted_alpha_{selection.label()}.csv")
     _emit(written[-1], text)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, ne
 
 from .errors import LatticeMismatch, NotClosed, TopMissing, UnknownLabel
 from .lattice import ElementSet, FiniteLattice, induced_sublattice
@@ -45,12 +46,15 @@ class TNormTable:
     continuity scans test first and ``verify_tnorm`` learns on the way;
     None means untested. ``_row_classes`` lists, in element order, the
     first row x != top of each class of rows that agree off column top;
-    ``verify_tnorm`` sets it once neutrality, commutativity and
-    monotonicity hold, and None means unknown. Neither cache is part of
-    ``==`` or ``hash``.
+    ``verify_tnorm`` sets it once neutrality and commutativity hold, and
+    None means unknown. ``_generator_rows`` lists, in element order, the
+    class rows of a generating set of the table without top (see
+    :func:`verify_tnorm`); it is set only once the table has verified as
+    a t-norm, and None means unknown. No cache is part of ``==`` or
+    ``hash``.
     """
 
-    __slots__ = ("lattice", "table", "verdict", "_monotone", "_row_classes")
+    __slots__ = ("lattice", "table", "verdict", "_monotone", "_row_classes", "_generator_rows")
 
     def __init__(self, lattice: FiniteLattice, table):
         n = lattice.n
@@ -66,6 +70,7 @@ class TNormTable:
         self.verdict = None
         self._monotone = None
         self._row_classes = None
+        self._generator_rows = None
 
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -102,16 +107,40 @@ def verify_tnorm(t: TNormTable) -> Verdict:
       x gathered through row y: they are T(T(x, y), z) and T(x, T(y, z))
       for every z at once.
 
-    Associativity is swept over one row per class only. Once the first
-    three axioms hold, the rows x != top are grouped by their values off
+    Both sweeps read one row per class only. Once neutrality and
+    commutativity hold, the rows x != top are grouped by their values off
     column top, and the first row of each class in element order is kept
-    (``t._row_classes``). This is exact. A triple with top in it holds by
-    neutrality. For y, z != top, T(y, z) <= T(y, top) = y < top, so when
-    rows x and x' agree off column top the checks at (x, y, z) and
-    (x', y, z) read equal cells; by commutativity the same holds for y and
-    a y' whose row agrees with y's. So the first failing (x, y) of the
-    plain sweep has both x and y first in their classes, and the sweep
-    over those meets it first.
+    (``t._row_classes``).
+
+    - A cover (lo, hi) with hi != top is read at the class rows and at
+      top only. When rows x and x' agree off column top, with x, x' !=
+      top, then T(lo, x) = T(x, lo) = T(x', lo) = T(lo, x') since lo !=
+      top, and likewise T(hi, x) = T(hi, x'). Column top holds the cover
+      itself. A cover into top keeps its whole row: row top is the
+      identity, and x and x' differ there.
+    - Associativity. A triple with top in it holds by neutrality. For
+      y, z != top, T(y, z) <= T(y, top) = y < top, so when rows x and x'
+      agree off column top the checks at (x, y, z) and (x', y, z) read
+      equal cells; by commutativity the same holds for y and a y' whose
+      row agrees with y's. So the first failing (x, y) of the plain sweep
+      has both x and y first in their classes, and the sweep over those
+      meets it first.
+
+    Associativity needs even less: Light's test. If (x g) z = x (g z) for
+    all x, z and every g of a set G that generates the table, the table
+    is associative; the g for which it holds are closed under T, since
+    for such g and h, (x (g h)) z = ((x g) h) z = (x g)(h z) =
+    x (g (h z)) = x ((g h) z). Here G is found from the order. With the
+    first three axioms, T(a, b) <= a ∧ b, so an element v = T(a, b) with
+    a != v and b != v is made from two strictly larger elements; the
+    elements made in no such way generate every element, by induction
+    down from top, which is always among them and, by neutrality, can be
+    left out as g. One pass over the class rows marks the made elements;
+    a cell missed in a twin row only leaves G larger, which is still
+    exact. The middle argument then runs over the class rows of G
+    (``t._generator_rows``, stored once the table verifies), x over every
+    class row and z over whole rows. When that sweep fails, the plain
+    class sweep runs again, so the witness is still its first violation.
 
     A failed row is rescanned cell by cell in the order of the plain sweep
     (cover, then x; x, then y, then z), so the witness is the first
@@ -141,35 +170,51 @@ def verify_tnorm(t: TNormTable) -> Verdict:
             if not verdict.ok:
                 break
     if verdict.ok:
+        firsts: dict = {}
+        # the first row of each element's class; top is its own
+        rep = [x if x == top else firsts.setdefault(row[:top] + row[top + 1 :], x) for x, row in enumerate(tbl)]
+        reps = t._row_classes = tuple(firsts.values())
         comparable = lat.comparable_pairs()
+        # two or more elements whenever there is a cover, so pick returns a tuple
+        pick = itemgetter(*reps, top)
         for lo, hi in lat.covers:
-            if not comparable.issuperset(zip(tbl[lo], tbl[hi])):
+            cells = zip(tbl[lo], tbl[hi]) if hi == top else zip(pick(tbl[lo]), pick(tbl[hi]))
+            if not comparable.issuperset(cells):
                 x = next(x for x, pair in enumerate(zip(tbl[lo], tbl[hi])) if pair not in comparable)
                 verdict = Verdict(False, "monotonicity", (lat.name(x), lat.name(lo), lat.name(hi)))
                 break
         # the table is commutative here, so this is the continuity scans' gate
         t._monotone = verdict.ok
     if verdict.ok:
-        firsts: dict = {}
-        for x, row in enumerate(tbl):
-            if x != top:
-                firsts.setdefault(row[:top] + row[top + 1 :], x)
-        reps = t._row_classes = tuple(firsts.values())
-        # two or more elements whenever there is a class, so itemgetter
-        # returns a row rather than a bare value
-        gathers = [(y, itemgetter(*tbl[y])) for y in reps]
-        for x in reps:
-            rx = tbl[x]
-            for y, gather in gathers:
-                lhs, rhs = tbl[rx[y]], gather(rx)
-                if lhs != rhs:
-                    z = next(z for z, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-                    verdict = Verdict(False, "associativity", (lat.name(x), lat.name(y), lat.name(z)))
-                    break
-            if not verdict.ok:
-                break
+        made: set = set()
+        for a in reps:
+            row = tbl[a]
+            # the values T(a, b) other than a and b
+            made |= set(compress(row, map(ne, row, range(n)))) - {a}
+        generators = tuple(sorted({rep[g] for g in range(n) if g != top and g not in made}))
+        if _associativity_failure(tbl, reps, generators) is None:
+            t._generator_rows = generators
+        else:
+            # Light's test is exact, so the plain class sweep fails too
+            x, y, z = _associativity_failure(tbl, reps, reps)
+            verdict = Verdict(False, "associativity", (lat.name(x), lat.name(y), lat.name(z)))
     t.verdict = verdict
     return verdict
+
+
+def _associativity_failure(tbl: tuple, xs: tuple, ys: tuple) -> tuple[int, int, int] | None:
+    """The first (x, y, z) with T(T(x, y), z) != T(x, T(y, z)), x in ``xs``,
+    then y in ``ys``, then z over the whole row; None if there is none."""
+    # rows have two or more cells whenever ys is not empty, so a gather
+    # returns a row rather than a bare value
+    gathers = [(y, itemgetter(*tbl[y])) for y in ys]
+    for x in xs:
+        rx = tbl[x]
+        for y, gather in gathers:
+            lhs, rhs = tbl[rx[y]], gather(rx)
+            if lhs != rhs:
+                return x, y, next(z for z, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+    return None
 
 
 def t_min(lat: FiniteLattice) -> TNormTable:
@@ -192,8 +237,8 @@ def tnorm_le(t1: TNormTable, t2: TNormTable) -> bool:
     """Pointwise order between two tables on the same lattice."""
     if t1.lattice is not t2.lattice:
         raise LatticeMismatch("tables live on different lattices")
-    ups = t1.lattice.ups
-    return all(ups[a] >> b & 1 for r1, r2 in zip(t1.table, t2.table) for a, b in zip(r1, r2))
+    cells = zip(chain.from_iterable(t1.table), chain.from_iterable(t2.table))
+    return t1.lattice.comparable_pairs().issuperset(cells)
 
 
 def idempotents(t: TNormTable) -> ElementSet:
@@ -236,6 +281,17 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     neutrality, which holds whenever the classes are stored, makes it the
     identity, which preserves every join. The other two scans keep every
     row: left-continuity reads column top wherever x ∨ y = top.
+
+    On a table that has verified as a t-norm, left-semicontinuity first
+    scans its generator rows alone (``t._generator_rows``, see
+    :func:`verify_tnorm`), and if they pass, so does every row. The rows
+    that preserve every join below top are closed under T: if rows a1 and
+    a2 do, and x ∨ y < top, then T(a2, x) ∨ T(a2, y) <= x ∨ y < top, so
+    T(a1, T(a2, ·)) preserves the join of x and y too, and by
+    associativity that composed row is row T(a1, a2). Row top is the
+    identity, every element is a product of generators, and a generator's
+    class row stands for it as above. When a generator row fails, the
+    class rows are scanned as before, so the witness does not change.
     """
     lat = t.lattice
     tbl = t.table
@@ -254,9 +310,13 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     else:
         pairs = [(x, range(x, n)) for x in range(n)]
     table = lat.join_table if op == "join" else meet
-    rows = t._row_classes
-    if rows is None or skip != lat.top:
-        rows = range(n)
+    rows = range(n)
+    if skip == lat.top:
+        gens = t._generator_rows
+        if gens is not None and _rows_preserve(tbl, gens, pairs, table):
+            return OK
+        if t._row_classes is not None:
+            rows = t._row_classes
     for a in rows:
         row = tbl[a]
         for x, ys in pairs:
@@ -267,6 +327,24 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
                 if j != skip and row[j] != oprx[row[y]]:
                     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
     return OK
+
+
+def _rows_preserve(tbl: tuple, rows: tuple, pairs: tuple, table: tuple) -> bool:
+    """Whether every row in ``rows`` preserves ``table``'s operation on every pair in ``pairs``.
+
+    No pair is left out, so ``pairs`` must be a plan that already leaves
+    out the skipped ones: the caller's table has verified, so it is
+    monotone and scanned over planned pairs.
+    """
+    for a in rows:
+        row = tbl[a]
+        for x, ys in pairs:
+            opx = table[x]
+            oprx = table[row[x]]
+            for y in ys:
+                if row[opx[y]] != oprx[row[y]]:
+                    return False
+    return True
 
 
 def is_left_continuous(t: TNormTable) -> Verdict:

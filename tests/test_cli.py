@@ -294,6 +294,27 @@ def test_generate_and_restrict_pinned_stdout(tmp_path, capsys, case, fmt):
     argv, rc, stdout = _pinned_stdout(case, ext_file, out)
     assert main([*argv, "--out", str(out), "--format", fmt]) == rc
     assert capsys.readouterr() == (stdout[fmt], "")
+    # a failed gate writes nothing, not even the extension
+    assert out.exists() == (rc == 0)
+
+
+CHAIN4_W_2_FAIL = {
+    "text": "condition_c: fail at 2 (lift lands outside the lattice at ('2', '2'))\n",
+    "json": json.dumps(
+        {"alpha": ["w_2"], "condition_c": "fail", "witness": {"join_irreducible": "2", "pair": ["2", "2"]}}, indent=2
+    ) + "\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_restrict_gate_failure_leaves_out_empty(tmp_path, capsys, fmt):
+    """``restrict --alpha`` with a selection that fails the gate exits 1,
+    prints the witness and writes no file, the extension included."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["restrict", str(DATA / "chain4.json"), "--alpha", "w_2", "--out", str(out), "--format", fmt]) == 1
+    assert capsys.readouterr() == (CHAIN4_W_2_FAIL["json" if fmt == "json" else "text"], "")
+    assert list(out.iterdir()) == []
 
 
 def test_restrict_full_selection_is_meet(tmp_path, fig_file, fig_lattice):

@@ -118,6 +118,16 @@ def test_tnorm_le_lattice_mismatch(fig_lattice, lat_m3):
         tnorm_le(t_min(fig_lattice), t_min(lat_m3))
 
 
+def test_tnorm_le_matches_cell_by_cell(fig_lattice, lat_m3):
+    """Every ordered pair of t-norms on three lattices, comparable or not."""
+    for lat in (fig_lattice, lat_m3, pentagon()):
+        tables = list(enumerate_all_tnorms(lat))
+        for t1 in tables:
+            for t2 in tables:
+                expected = all(lat.leq(t1.value(x, y), t2.value(x, y)) for x in range(lat.n) for y in range(lat.n))
+                assert tnorm_le(t1, t2) == expected
+
+
 def test_idempotents(restricted, fig_lattice, lat_m3):
     assert set(idempotents(restricted).names()) == {"0", "b", "d", "1"}
     assert len(idempotents(t_min(fig_lattice))) == fig_lattice.n
@@ -355,6 +365,7 @@ def test_verify_matches_reference_on_large_lifts():
             grid[x][y] = grid[y][x] = lat.bottom
             for t in (lifted, TNormTable(lat, grid)):
                 assert verify_tnorm(t) == reference_verify_tnorm(t)
+                assert (t._generator_rows is not None) == (t is lifted)
 
 
 def _rule_table(lat, rule):
@@ -596,11 +607,102 @@ def test_row_classes_keep_verdicts_and_witnesses(name):
         for grid in [lifted, *_twin_row_changes(lat, lifted)]:
             fresh = TNormTable(lat, grid)
             verified = TNormTable(lat, grid)
-            assert verify_tnorm(verified) == reference_verify_tnorm(fresh), grid
+            verdict = verify_tnorm(verified)
+            assert verdict == reference_verify_tnorm(fresh), grid
+            assert (verified._generator_rows is not None) == verdict.ok
             stored += verified._row_classes is not None
             assert verified == fresh and hash(verified) == hash(fresh)
             assert_scans_match_reference(fresh)
     assert stored
+
+
+def test_verify_reads_covers_into_top_in_full():
+    """Rows a and b of this M3 table agree off column top (as do 0 and c),
+    so the class rows stand for both on every cover below top, but not on
+    a cover into top, whose upper row is the identity: T(b, a) = a is not
+    below b."""
+    lat = m3()
+    grid = [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 1, 0, 2], [0, 0, 0, 0, 3], [0, 1, 2, 3, 4]]
+    assert lat.names == ("0", "a", "b", "c", "1")
+    t = TNormTable(lat, grid)
+    assert verify_tnorm(t) == reference_verify_tnorm(t) == Verdict(False, "monotonicity", ("b", "a", "1"))
+    assert t._row_classes == (0, 1)
+
+
+def _generators(t):
+    """The elements of a neutral, commutative, monotone table that equal
+    T(a, b) for no a and b both different from them, by the definition."""
+    made = {v for a, row in enumerate(t.table) for b, v in enumerate(row) if v != a and v != b}
+    return {t.lattice.name(g) for g in range(t.lattice.n) if g not in made}
+
+
+def test_t_min_generator_rows_are_the_coatoms():
+    """The meet on 2^7 is generated by its coatoms and top: 7 generator
+    rows instead of 127 class rows, and left-semicontinuity reads those."""
+    lat = powerset_lattice(7)
+    t = t_min(lat)
+    assert verify_tnorm(t).ok
+    coatoms = tuple(lo for lo, hi in lat.covers if hi == lat.top)
+    assert len(coatoms) == 7 and len(t._row_classes) == 127
+    assert t._generator_rows == tuple(sorted(coatoms))
+    assert is_left_semicontinuous(t) == OK
+
+
+def test_verify_matches_reference_when_the_witness_middle_is_no_generator():
+    """Lifts on 2^4, top last and first, with one monotone cell pair
+    changed, whose first associativity failure in the plain sweep has a
+    middle element outside the generators: the generator sweep fails
+    elsewhere, and the class sweep run after it gives the reference
+    witness."""
+    forged = 0
+    for lat in (ROW_CLASS_LATTICES["2^4"], ROW_CLASS_LATTICES["2^4 reversed"]):
+        for member in generated_family(lat):
+            lifted = member.lifted.table
+            for x, y, v in _monotone_changes(lat, lifted):
+                t = TNormTable(lat, _changed(lifted, x, y, v))
+                expected = reference_verify_tnorm(t)
+                if expected.axiom == "associativity" and expected.witness[1] not in _generators(t):
+                    forged += 1
+                    assert verify_tnorm(t) == expected
+                    assert t._generator_rows is None
+    assert forged >= 20
+
+
+def test_left_semicontinuity_matches_reference_off_the_generator_rows():
+    """Verified t-norms whose first left-semicontinuity failure lies in a
+    row that is not a generator's: the generator rows fail elsewhere or
+    not at all, and the class rows scanned after them give the reference
+    witness. Lifts on Pi4 and every t-norm of the seeded scan lattices."""
+    tables = [member.lifted for member in generated_family(ROW_CLASS_LATTICES["Pi4"])]
+    tables += [t for lat in SCAN_LATTICES.values() for t in enumerate_all_tnorms(lat)]
+    off = 0
+    for t in tables:
+        lat = t.lattice
+        expected = reference_continuity_scans(t)[2]
+        if expected.axiom == "left-semicontinuity" and expected.witness[0] not in _generators(t):
+            off += 1
+            verified = TNormTable(lat, t.table)
+            assert verify_tnorm(verified).ok and verified._generator_rows is not None
+            assert is_left_semicontinuous(verified) == expected
+    assert off >= 500
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_left_semicontinuity_after_a_failed_associativity_sweep(k):
+    """The meet on 2^k with T(a, a) lowered to bottom for an atom a:
+    neutral, commutative and monotone, not associative, and row a breaks
+    a join below top while the generator rows (the coatoms) preserve
+    every one. No generator rows are stored, so the scan reads the class
+    rows and finds row a."""
+    lat = powerset_lattice(k)
+    for a in iter_bits(lat.atoms_mask):
+        grid = _changed(lat.meet_table, a, a, lat.bottom)
+        verified = TNormTable(lat, grid)
+        assert verify_tnorm(verified).axiom == "associativity"
+        assert verified._generator_rows is None and verified._row_classes is not None
+        expected = reference_continuity_scans(TNormTable(lat, grid))
+        assert expected[2].witness[0] == lat.name(a)
+        assert scans(verified) == expected
 
 
 @pytest.mark.slow
@@ -610,7 +712,7 @@ def test_continuity_scans_match_reference_on_large_lifts():
     pair lowered to bottom (no longer monotone) and with T(a, a) lowered
     to bottom for a middle atom a (still monotone, no longer a t-norm).
     The scans run again after ``verify_tnorm``, which stores the row
-    classes on the lifts and the squared copies."""
+    classes on all three and the generator rows on those that verify."""
     pi6 = _partition_lattice(6)
     assert pi6.n == 203 and pi6.atoms_mask.bit_count() == 15
     for lat in (powerset_lattice(8), pi6):
@@ -630,4 +732,7 @@ def test_continuity_scans_match_reference_on_large_lifts():
             squared[atom][atom] = lat.bottom
             for grid in (lifted.table, lowered, squared):
                 verified = assert_scans_match_reference(TNormTable(lat, grid))
-                assert (verified._row_classes is not None) == (grid is not lowered)
+                # the lowered copy is still neutral and commutative, so its
+                # classes are stored; generator rows only on a t-norm
+                assert verified._row_classes is not None
+                assert (verified._generator_rows is not None) == verify_tnorm(verified).ok
