@@ -70,7 +70,6 @@ from .extension import (
     extend,
     restrict_to_original,
     s_family,
-    s_family_join,
 )
 from .oracle import (
     CensusReport,

@@ -158,15 +158,6 @@ def s_family(ext: ExtendedLattice, family: list[GeneratedTNorm]) -> SFamily:
     return SFamily(ext, tuple(entries))
 
 
-def s_family_join(ext: ExtendedLattice, a: AtomSelection, b: AtomSelection) -> AtomSelection:
-    """Union of two gate-passing selections; realizes the join of their restrictions."""
-    for name, sel in (("first", a), ("second", b)):
-        gate = condition_c(ext, sel)
-        if not gate.ok:
-            raise ConditionCViolated(gate.witness[0], f"{name} selection fails the gate")
-    return AtomSelection.from_mask(ext.extended, a.mask | b.mask)
-
-
 @dataclass(frozen=True)
 class RestrictionContinuityReport:
     """Continuity facts about one restriction, with the licensing hypotheses.

@@ -23,7 +23,6 @@ from latnorm.extension import (
     extend,
     restrict_to_original,
     s_family,
-    s_family_join,
 )
 from latnorm.lattice import lattice_from_covers
 from latnorm.tnorm import (
@@ -222,23 +221,13 @@ def test_s_family_distinct_groups_in_first_seen_order():
     assert len(expected) < len(fam.members())
 
 
-def test_s_family_join_examples(fig_ext, fig_lattice):
+def test_union_of_gated_selections_restricts_to_figure_table(fig_ext, fig_lattice):
     a = AtomSelection.from_names(fig_ext.extended, ["b"])
     b = AtomSelection.from_names(fig_ext.extended, ["b", "w_d"])
-    u = s_family_join(fig_ext, a, b)
-    assert u.names() == ("b", "w_d")
-    assert s_family_join(fig_ext, a, a).names() == ("b",)
-    empty = AtomSelection.from_mask(fig_ext.extended, 0)
-    assert s_family_join(fig_ext, empty, a).names() == ("b",)
+    assert condition_c(fig_ext, a).ok and condition_c(fig_ext, b).ok
+    u = AtomSelection.from_mask(fig_ext.extended, a.mask | b.mask)
     g = make_generated(fig_ext, list(u.names()))
     assert restrict_to_original(fig_ext, g) == table_from_names(fig_lattice, RESTRICTED_TABLE)
-
-
-def test_s_family_join_rejects_failing_input(fig_ext):
-    bad = AtomSelection.from_names(fig_ext.extended, ["w_c"])
-    good = AtomSelection.from_names(fig_ext.extended, ["b"])
-    with pytest.raises(ConditionCViolated):
-        s_family_join(fig_ext, bad, good)
 
 
 def test_union_realizes_least_upper_bound(corpus_extension):

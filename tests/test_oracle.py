@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latnorm.catalog import atomistic_corpus, chain, extension_corpus, m4, random_lattice
-from latnorm.construction import generated_family
+from latnorm.construction import generated_family, semicontinuity_criterion
 from latnorm.errors import BoundExceeded
+from latnorm.extension import extend
 from latnorm.lattice import load_lattice
 from latnorm.oracle import (
     CACHE_ENV_VAR,
@@ -61,6 +62,11 @@ def test_chain_nine_count():
     assert sum(1 for _ in enumerate_all_tnorms(chain(9), size_cap=9)) == 13775
 
 
+@pytest.mark.slow
+def test_chain_ten_count():
+    assert sum(1 for _ in enumerate_all_tnorms(chain(10), size_cap=10)) == 86417
+
+
 def _tables_until_bound(stream) -> list:
     seen = []
     with pytest.raises(BoundExceeded):
@@ -109,10 +115,23 @@ def test_small_lattice_totals(p2, p3, lat_m3, fig_extended):
     assert sum(1 for _ in enumerate_all_tnorms(fig_extended)) == 99
 
 
-def test_every_streamed_table_verifies(p2, lat_m3, fig_extended):
-    for lat in (p2, lat_m3, chain(4), fig_extended):
-        for t in enumerate_all_tnorms(lat):
-            assert verify_tnorm(t).ok
+def _associative(t) -> bool:
+    """T(T(a, b), c) = T(a, T(b, c)) over every triple of middle elements."""
+    lat, op = t.lattice, t.table
+    mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
+    return all(op[op[a][b]][c] == op[a][op[b][c]] for a in mids for b in mids for c in mids)
+
+
+def test_every_streamed_table_verifies():
+    """The stream yields its leaves unchecked, so every table is checked
+    here. Each cell order leaves a different share of the triples to each
+    comparison of the partial check."""
+    draws = {f"random{size}_{seed}": random_lattice(size, seed) for size in range(5, 9) for seed in (11, 12, 13)}
+    for name, lat in {**FIXED_LATTICES, **draws}.items():
+        for order in CELL_ORDERS:
+            for t in enumerate_all_tnorms(lat, cell_order=order):
+                assert _associative(t), (name, order, t.table)
+                assert verify_tnorm(t).ok, (name, order, t.table)
 
 
 def test_stream_is_duplicate_free(fig_extended):
@@ -440,11 +459,19 @@ def test_census_report_json_round_trip(lat_m3):
     assert again.lattice_hash == report.lattice_hash
 
 
-def test_oracle_vs_construction(corpus_atomistic):
-    for name, lat in corpus_atomistic.items():
+def test_oracle_vs_construction(corpus_atomistic, corpus_extension):
+    """The atomistic corpus and the extensions of the extension corpus; the
+    latter are atomistic but mostly not Boolean, so some lifts are not
+    left-semicontinuous."""
+    lats = {**corpus_atomistic, **{f"{name}_ext": extend(lat).extended for name, lat in corpus_extension.items()}}
+    for name, lat in lats.items():
         cmp = oracle_vs_construction(lat)
         assert cmp.passed, (name, cmp.failures)
-        assert cmp.skeleton_count == 2 ** len(lat.atoms()) == cmp.family_count
+        atoms = len(lat.atoms()) - (lat.top in lat.atoms())
+        assert cmp.skeleton_count == 2**atoms == cmp.family_count
+        for g in generated_family(lat):
+            criterion = semicontinuity_criterion(lat, g.selection).ok
+            assert bool(is_left_semicontinuous(g.lifted)) == criterion, (name, g.selection.label())
 
 
 def test_oracle_vs_construction_two_chain(two_chain):
