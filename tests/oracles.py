@@ -17,12 +17,9 @@ from latnorm.oracle import DEFAULT_COUNT_CAP, DEFAULT_SIZE_CAP, _check_size
 from latnorm.tnorm import OK, TNormTable, Verdict, tnorm_le
 
 
-def set_based_meets_joins(names, cover_pairs):
-    """Meets and joins recomputed with frozensets only; None if not a lattice.
-
-    Returns (meets, joins) keyed by name pairs, or None when some pair has
-    no unique greatest lower / least upper bound.
-    """
+def set_based_below(names, cover_pairs):
+    """The down-set of each name under the reflexive-transitive closure of
+    the pairs, by fixpoint iteration over sets."""
     below = {n: {n} for n in names}
     changed = True
     while changed:
@@ -32,6 +29,16 @@ def set_based_meets_joins(names, cover_pairs):
             if not new <= below[hi]:
                 below[hi] |= new
                 changed = True
+    return below
+
+
+def set_based_meets_joins(names, cover_pairs):
+    """Meets and joins recomputed with frozensets only; None if not a lattice.
+
+    Returns (meets, joins) keyed by name pairs, or None when some pair has
+    no unique greatest lower / least upper bound.
+    """
+    below = set_based_below(names, cover_pairs)
     above = {n: {m for m in names if n in below[m]} for n in names}
 
     meets, joins = {}, {}

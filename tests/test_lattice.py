@@ -1,8 +1,10 @@
 """Lattice construction, validation and order queries."""
 
 import hashlib
+import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from latnorm.lattice import (
     powerset_lattice,
 )
 
-from oracles import all_subsets_atom_union, set_based_meets_joins
+from oracles import all_subsets_atom_union, set_based_below, set_based_meets_joins
 
 
 def test_fig_lattice_structure(fig_lattice):
@@ -113,19 +115,27 @@ def test_meets_joins_match_set_based_oracle(corpus_extension):
 def bounded_relations(draw):
     """Fixed bottom 0 and top 1, a random order on up to seven middle
     elements (drawn over one linear extension, so acyclic) and the element
-    list in a random order."""
+    list in a random order. The pair list is shuffled and holds redundant
+    pairs: 0 < 1, 0 below and 1 above every middle element, some pairs
+    implied by two middle ones, and repeats of some pairs."""
     k = draw(st.integers(0, 7))
     rng = random.Random(draw(st.integers(0, 2**32)))
     mids = [f"m{i}" for i in range(k)]
     middle = [(mids[i], mids[j]) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
+    implied = [(lo, top) for lo, hi in middle for mid, top in middle if hi == mid and rng.random() < 0.5]
     names = ["0", *mids, "1"]
     rng.shuffle(names)
-    return names, [("0", "1")] + [("0", m) for m in mids] + [(m, "1") for m in mids] + middle
+    pairs = [("0", "1")] + [("0", m) for m in mids] + [(m, "1") for m in mids] + middle + implied
+    pairs += rng.sample(pairs, rng.randint(0, len(pairs) // 4))
+    rng.shuffle(pairs)
+    return names, pairs
 
 
 @settings(max_examples=300)  # non-lattices need four or more middle elements
 @given(bounded_relations())
 def test_lattice_check_matches_set_based_oracle(relation):
+    """Meets, joins and every order field the constructor derives, against
+    values recomputed from sets of names."""
     names, covers = relation
     expected = set_based_meets_joins(names, covers)
     if expected is None:
@@ -138,6 +148,35 @@ def test_lattice_check_matches_set_based_oracle(relation):
         for y in names:
             assert lat.name(lat.meet(lat.index(x), lat.index(y))) == meets[x, y]
             assert lat.name(lat.join(lat.index(x), lat.index(y))) == joins[x, y]
+
+    def mask(elements):
+        return sum(1 << lat.index(x) for x in elements)
+
+    below = set_based_below(names, covers)
+    strictly = {x: below[x] - {x} for x in names}
+    lower = {x: {lo for lo in strictly[x] if not any(lo in strictly[z] for z in strictly[x])} for x in names}
+    assert lat.names == tuple(names)
+    assert set(lat.covers_named()) == {(lo, x) for x in names for lo in lower[x]}
+    assert list(lat.covers) == sorted(set(lat.covers))
+    assert lat.downs == tuple(mask(below[x]) for x in names)
+    assert lat.ups == tuple(mask(y for y in names if x in below[y]) for x in names)
+    assert lat.atoms_mask == mask(x for x in names if lower[x] == {"0"})
+    assert lat.ji_mask == mask(x for x in names if len(lower[x]) == 1)
+    height = {}
+    for x in sorted(names, key=lambda v: len(below[v])):
+        height[x] = max((height[z] + 1 for z in strictly[x]), default=0)
+    assert lat.length == max(height.values())
+
+
+def test_cycle_message_names_an_element_on_the_cycle():
+    """0 < a < b < c < b and c < 1: a and 1 lie below and above a 2-cycle,
+    and in every element order and pair rotation the message names b or c."""
+    pairs = [("0", "a"), ("a", "b"), ("b", "c"), ("c", "b"), ("c", "1")]
+    for names in itertools.permutations(["0", "a", "b", "c", "1"]):
+        for shift in range(len(pairs)):
+            with pytest.raises(CycleDetected) as exc:
+                lattice_from_covers(names, pairs[shift:] + pairs[:shift])
+            assert re.fullmatch(r"cover relation has a cycle through '[bc]'", str(exc.value))
 
 
 def test_extended_fig_atoms(fig_extended):
