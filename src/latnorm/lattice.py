@@ -337,7 +337,10 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
 
     The order relation is the reflexive-transitive closure of the pairs;
     the stored cover list is its transitive reduction, so redundant input
-    pairs are normalized away. Fails if the closure has a cycle, if there
+    pairs are normalized away. One topological order of the pairs gives
+    everything else: the cycle test, the up-sets (walked backwards), the
+    down-sets and the length; the covers are the input pairs with nothing
+    strictly between their ends. Fails if the closure has a cycle, if there
     is no unique bottom or top, or if some pair lacks a unique meet or
     join.
     """
@@ -352,6 +355,7 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     n = len(names)
 
     adj: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for pair in covers:
         lo, hi = pair
         if lo not in index:
@@ -361,38 +365,36 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         if lo == hi:
             raise CycleDetected(f"cover pair ({lo!r}, {hi!r}) is a self-loop")
         adj[index[lo]].append(index[hi])
+        pred[index[hi]].append(index[lo])
 
-    # upward reachability with cycle detection (iterative DFS, three colors)
+    # one topological order of the input pairs (Kahn's) feeds everything below
+    indegree = [len(p) for p in pred]
+    order = [x for x in range(n) if not indegree[x]]
+    for x in order:
+        for hi in adj[x]:
+            indegree[hi] -= 1
+            if not indegree[hi]:
+                order.append(hi)
+    if len(order) < n:
+        # an element left out has a predecessor left out, so n steps back
+        # from one lands on a cycle
+        x = next(x for x in range(n) if indegree[x])
+        for _ in range(n):
+            x = next(lo for lo in pred[x] if indegree[lo])
+        raise CycleDetected(f"cover relation has a cycle through {names[x]!r}")
+
     ups = [0] * n
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for root in range(n):
-        if state[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    raise CycleDetected(f"cover relation has a cycle through {names[nxt]!r}")
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                mask = 1 << node
-                for nxt in adj[node]:
-                    mask |= ups[nxt]
-                ups[node] = mask
-                state[node] = 2
-                stack.pop()
-
+    for x in reversed(order):
+        mask = 1 << x
+        for hi in adj[x]:
+            mask |= ups[hi]
+        ups[x] = mask
     downs = [0] * n
-    for i in range(n):
-        for j in iter_bits(ups[i]):
-            downs[j] |= 1 << i
+    for x in order:
+        mask = 1 << x
+        for lo in pred[x]:
+            mask |= downs[lo]
+        downs[x] = mask
 
     minimal = [i for i in range(n) if downs[i] == 1 << i]
     if len(minimal) != 1:
@@ -421,32 +423,17 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
                 raise NotALattice((names[xi], names[yi]), "join")
             join_table[xi][yi] = join_table[yi][xi] = s
 
-    reduced = []
-    for lo in range(n):
-        for hi in iter_bits(ups[lo] & ~(1 << lo)):
-            if ups[lo] & downs[hi] == (1 << lo) | (1 << hi):
-                reduced.append((lo, hi))
-    reduced.sort()
-
-    atoms_mask = 0
-    lower_cover_count = [0] * n
-    up_adj: list[list[int]] = [[] for _ in range(n)]
+    # A cover of the closure is itself an input pair: a longer path from lo
+    # to hi would put an element strictly between them. So filtering the
+    # input pairs gives the transitive reduction.
+    reduced = sorted({(lo, hi) for lo in range(n) for hi in adj[lo] if ups[lo] & downs[hi] == 1 << lo | 1 << hi})
+    lower: list[list[int]] = [[] for _ in range(n)]
     for lo, hi in reduced:
-        lower_cover_count[hi] += 1
-        up_adj[lo].append(hi)
-        if lo == bottom:
-            atoms_mask |= 1 << hi
-    ji_mask = 0
-    for x in range(n):
-        if x != bottom and lower_cover_count[x] == 1:
-            ji_mask |= 1 << x
-    # longest chain: DP over a topological order of the cover DAG
+        lower[hi].append(lo)
+    # longest chain: lower covers come earlier in the order
     height = [0] * n
-    for x in sorted(range(n), key=lambda v: downs[v].bit_count()):
-        hx = height[x]
-        for hi in up_adj[x]:
-            if height[hi] < hx + 1:
-                height[hi] = hx + 1
+    for x in order:
+        height[x] = max((height[lo] + 1 for lo in lower[x]), default=0)
     return FiniteLattice(
         names=tuple(names),
         _index=index,
@@ -457,8 +444,8 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         join_table=tuple(tuple(row) for row in join_table),
         bottom=bottom,
         top=top,
-        atoms_mask=atoms_mask,
-        ji_mask=ji_mask,
+        atoms_mask=sum(1 << x for x in range(n) if lower[x] == [bottom]),
+        ji_mask=sum(1 << x for x in range(n) if len(lower[x]) == 1),
         length=max(height),
         full_mask=(1 << n) - 1,
         _memo={},
