@@ -160,15 +160,9 @@ def verify_tnorm(t: TNormTable) -> Verdict:
         if tbl[top][x] != x:
             verdict = Verdict(False, "neutral", (lat.name(top), lat.name(x)))
             break
-    if verdict.ok:
-        for x in range(n):
-            row = tbl[x]
-            for y in range(x + 1, n):
-                if row[y] != tbl[y][x]:
-                    verdict = Verdict(False, "commutativity", (lat.name(x), lat.name(y)))
-                    break
-            if not verdict.ok:
-                break
+    if verdict.ok and tuple(zip(*tbl)) != tbl:
+        x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if tbl[x][y] != tbl[y][x])
+        verdict = Verdict(False, "commutativity", (lat.name(x), lat.name(y)))
     if verdict.ok:
         firsts: dict = {}
         # the first row of each element's class; top is its own
@@ -268,9 +262,11 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     table (the result is kept on it). A monotone table is scanned over the
     lattice's planned pairs only, the incomparable x < y whose op is not
     ``skip`` (:meth:`FiniteLattice.incomparable_pairs`, built once per
-    lattice); any other table over every x <= y. Both domains keep the
-    (a, x, y) order and leave out only pairs that hold, so the witness is
-    the first violation of the full scan in either case.
+    lattice); any other table over every x <= y whose op is not ``skip``,
+    planned per call. Both domains keep the (a, x, y) order and leave out
+    only pairs that hold, so the witness is the first violation of the
+    full scan in either case. One kernel, :func:`_preservation_failure`,
+    scans every domain and every set of rows.
 
     With ``skip`` = top (left-semicontinuity) on a table whose row classes
     ``verify_tnorm`` has stored, the a-loop runs over the first row of each
@@ -305,37 +301,29 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
         comparable = lat.comparable_pairs()
         cols = tuple(zip(*tbl))
         monotone = t._monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
+    table = lat.join_table if op == "join" else meet
     if monotone:
         pairs = lat.incomparable_pairs(op, skip)
     else:
-        pairs = [(x, range(x, n)) for x in range(n)]
-    table = lat.join_table if op == "join" else meet
+        pairs = [(x, [y for y in range(x, n) if table[x][y] != skip]) for x in range(n)]
     rows = range(n)
     if skip == lat.top:
         gens = t._generator_rows
-        if gens is not None and _rows_preserve(tbl, gens, pairs, table):
+        if gens is not None and _preservation_failure(tbl, gens, pairs, table) is None:
             return OK
         if t._row_classes is not None:
             rows = t._row_classes
-    for a in rows:
-        row = tbl[a]
-        for x, ys in pairs:
-            opx = table[x]
-            oprx = table[row[x]]
-            for y in ys:
-                j = opx[y]
-                if j != skip and row[j] != oprx[row[y]]:
-                    return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
-    return OK
+    failure = _preservation_failure(tbl, rows, pairs, table)
+    if failure is None:
+        return OK
+    a, x, y = failure
+    return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
 
 
-def _rows_preserve(tbl: tuple, rows: tuple, pairs: tuple, table: tuple) -> bool:
-    """Whether every row in ``rows`` preserves ``table``'s operation on every pair in ``pairs``.
-
-    No pair is left out, so ``pairs`` must be a plan that already leaves
-    out the skipped ones: the caller's table has verified, so it is
-    monotone and scanned over planned pairs.
-    """
+def _preservation_failure(tbl: tuple, rows, pairs, table: tuple) -> tuple[int, int, int] | None:
+    """The first (a, x, y) with T(a, x op y) != T(a, x) op T(a, y), a in
+    ``rows``, then (x, ys) in ``pairs``, then y in ys; None if there is
+    none. ``table`` is op's table."""
     for a in rows:
         row = tbl[a]
         for x, ys in pairs:
@@ -343,8 +331,8 @@ def _rows_preserve(tbl: tuple, rows: tuple, pairs: tuple, table: tuple) -> bool:
             oprx = table[row[x]]
             for y in ys:
                 if row[opx[y]] != oprx[row[y]]:
-                    return False
-    return True
+                    return a, x, y
+    return None
 
 
 def is_left_continuous(t: TNormTable) -> Verdict:
