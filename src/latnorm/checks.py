@@ -110,24 +110,28 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
     """Selection unions realize least upper bounds of gated restrictions.
 
     Let raw(S) be S's lift read on the original lattice's cells, a grid of
-    extension elements; when S passes the gate it is S's restriction. One
-    linear sweep over the entries, which hold every selection, decides the
-    claim:
+    extension elements; when S passes the gate it is S's restriction. Four
+    linear tests decide the claim:
 
+    - the entries hold every subset of the union of their selections;
     - every one-atom step is a join: raw(S) = raw(S - {a}) v raw({a}) cell
       by cell in the extension, for each non-empty S and its lowest atom a;
-    - the union of two gated selections is gated.
+    - S passes the gate exactly when raw(S) is closed, that is, when every
+      cell holds an element of the original;
+    - the original's elements are closed under the extension's join.
 
     By induction raw(S) is raw(empty) joined with raw({a}) for every atom a
-    of S, and the step at a singleton puts raw(empty) below every raw({a}).
-    The original's elements keep their order in the extension, so for gated
-    S and V the restriction of S lies below that of V exactly when raw({a})
-    <= raw(V) for every a in S. The restriction of S + T, gated by the
-    second sweep, therefore lies above those of S and T and below every
-    gated restriction above both: it is their least upper bound in the
-    family. Only when a sweep fails are all pairs walked with
-    :func:`tnorm_le`, naming the first pair whose union is not the least
-    upper bound.
+    of S, and the step at a singleton puts raw(empty) below every raw({a}),
+    so raw(S + T) = raw(S) v raw(T) cell by cell. For gated S and T both
+    grids are closed, so their join is closed too, and S + T, an entry by
+    the first test, is gated by the third: unions of gated selections are
+    gated. The original's elements keep their order in the extension, so
+    for gated S and V the restriction of S lies below that of V exactly
+    when raw({a}) <= raw(V) for every a in S. The restriction of S + T
+    therefore lies above those of S and T and below every gated restriction
+    above both: it is their least upper bound in the family. Only when a
+    test fails are all pairs walked with :func:`tnorm_le`, naming the first
+    pair whose union is not the least upper bound.
 
     Also confirms that adding the atom inserted under a join-irreducible
     top never changes a restriction.
@@ -149,9 +153,17 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
             and all(join[u][v] == w for r1, r2, r in zip(rest, atom, raw[s]) for u, v, w in zip(r1, r2, r))
         )
 
+    def closed(grid):
+        return all(v < n0 for row in grid for v in row)
+
+    selected = 0
+    for s in raw:
+        selected |= s
     if not (
-        all(is_step_join(s) for s in raw if s)
-        and all(a | b in table_of for a in table_of for b in table_of)
+        len(raw) == 1 << selected.bit_count()
+        and all(is_step_join(s) for s in raw if s)
+        and all((s in table_of) == closed(grid) for s, grid in raw.items())
+        and closed(row[:n0] for row in join[:n0])
     ):
         tables = [t for _, t in members]
         ups = [sum(1 << j for j, t in enumerate(tables) if tnorm_le(s, t)) for s in tables]

@@ -297,6 +297,26 @@ def test_restriction_joins_fails_on_an_ungated_union(fig_ext):
     assert result.detail == "(b_w_d, b_w_c): union is not the least upper bound"
 
 
+def test_restriction_joins_decides_the_corpus_without_the_pairwise_walk(corpus_extension, monkeypatch):
+    """On every corpus S-family the linear tests pass on their own."""
+    monkeypatch.setattr(checks, "tnorm_le", lambda a, b: pytest.fail("pairwise walk ran"))
+    for name, lat in corpus_extension.items():
+        ext = extend(lat)
+        result = check_restriction_joins(s_family(ext, generated_family(ext.extended)))
+        assert result.passed, (name, result.detail)
+
+
+def test_restriction_joins_fails_on_a_missing_union(fig_ext):
+    """A family without the union of two gated selections fails at their
+    pair, though every entry it holds is a join step and gated when closed."""
+    fam = s_family(fig_ext, generated_family(fig_ext.extended))
+    full = fig_ext.extended.atoms_mask
+    cut = SFamily(fig_ext, tuple(e for e in fam.entries if e.selection.mask != full))
+    result = check_restriction_joins(cut)
+    assert (result.passed, result.detail) == reference_restriction_joins(cut)
+    assert result.detail == "(b_w_d, b_w_c): union is not the least upper bound"
+
+
 def test_top_insert_redundancy(corpus_extension):
     """Adding the atom inserted under a join-irreducible top never changes
     the restriction."""
