@@ -230,7 +230,9 @@ def test_union_of_gated_selections_restricts_to_figure_table(fig_ext, fig_lattic
     assert restrict_to_original(fig_ext, g) == table_from_names(fig_lattice, RESTRICTED_TABLE)
 
 
-def test_union_realizes_least_upper_bound(corpus_extension):
+def test_union_realizes_least_upper_bound(corpus_extension, monkeypatch):
+    """On every corpus S-family the linear tests decide, without the pairwise walk."""
+    monkeypatch.setattr(checks, "tnorm_le", lambda a, b: pytest.fail("pairwise walk ran"))
     for name, lat in corpus_extension.items():
         ext = extend(lat)
         if ext.extended.atoms_mask.bit_count() > 10:
@@ -283,38 +285,21 @@ def test_restriction_joins_matches_reference(corpus_extension, monkeypatch):
 
 
 def test_restriction_joins_fails_on_an_ungated_union(fig_ext):
-    """A union of two gated selections that is not gated itself fails at
-    the first such pair, as the definition says."""
+    """A union of two gated selections that is not gated itself, or is
+    missing from the family, fails at the first such pair, as the
+    definition says."""
     fam = s_family(fig_ext, generated_family(fig_ext.extended))
     full = fig_ext.extended.atoms_mask
-    entries = tuple(
+    ungated = tuple(
         replace(e, condition_c=Verdict(False), restricted=None) if e.selection.mask == full else e
         for e in fam.entries
     )
-    cut = SFamily(fig_ext, entries)
-    result = check_restriction_joins(cut)
-    assert (result.passed, result.detail) == reference_restriction_joins(cut)
-    assert result.detail == "(b_w_d, b_w_c): union is not the least upper bound"
-
-
-def test_restriction_joins_decides_the_corpus_without_the_pairwise_walk(corpus_extension, monkeypatch):
-    """On every corpus S-family the linear tests pass on their own."""
-    monkeypatch.setattr(checks, "tnorm_le", lambda a, b: pytest.fail("pairwise walk ran"))
-    for name, lat in corpus_extension.items():
-        ext = extend(lat)
-        result = check_restriction_joins(s_family(ext, generated_family(ext.extended)))
-        assert result.passed, (name, result.detail)
-
-
-def test_restriction_joins_fails_on_a_missing_union(fig_ext):
-    """A family without the union of two gated selections fails at their
-    pair, though every entry it holds is a join step and gated when closed."""
-    fam = s_family(fig_ext, generated_family(fig_ext.extended))
-    full = fig_ext.extended.atoms_mask
-    cut = SFamily(fig_ext, tuple(e for e in fam.entries if e.selection.mask != full))
-    result = check_restriction_joins(cut)
-    assert (result.passed, result.detail) == reference_restriction_joins(cut)
-    assert result.detail == "(b_w_d, b_w_c): union is not the least upper bound"
+    missing = tuple(e for e in fam.entries if e.selection.mask != full)
+    for entries in (ungated, missing):
+        cut = SFamily(fig_ext, entries)
+        result = check_restriction_joins(cut)
+        assert (result.passed, result.detail) == reference_restriction_joins(cut)
+        assert result.detail == "(b_w_d, b_w_c): union is not the least upper bound"
 
 
 def test_top_insert_redundancy(corpus_extension):
