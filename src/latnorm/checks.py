@@ -18,9 +18,8 @@ from .construction import (
     family_powerset_isomorphism,
     generated_family,
     semicontinuity_criterion,
-    skeleton,
 )
-from .errors import BoundExceeded, DegenerateLength
+from .errors import DegenerateLength, LatnormError
 from .extension import SFamily, extend, s_family
 from .lattice import FiniteLattice
 from .tnorm import is_left_semicontinuous, tnorm_le, verify_tnorm
@@ -43,12 +42,14 @@ class CheckResult:
 def check_lift_restriction_roundtrip(lat: FiniteLattice, family: list[GeneratedTNorm]) -> CheckResult:
     """Each lift, read on the skeleton's cells, is the skeleton table it was lifted from.
 
-    A cell whose value lies outside the skeleton fails like a wrong value.
+    The cells are those of the member's own skeleton table, whose elements
+    keep their names in ``lat``. A cell whose value lies outside the
+    skeleton fails like a wrong value.
     """
     name = "lift-restriction round-trip"
-    skel = skeleton(lat)
-    ids, pos = skel.to_parent, skel.from_parent
     for g in family:
+        ids = [lat.index(x) for x in g.on_skeleton.lattice.names]
+        pos = {p: i for i, p in enumerate(ids)}
         rows = g.lifted.table
         if any(tuple(pos.get(rows[x][y]) for y in ids) != row for x, row in zip(ids, g.on_skeleton.table)):
             return CheckResult(name, False, f"selection {g.selection.label()} does not round-trip")
@@ -192,16 +193,23 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
 def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[CheckResult]:
     """Run the five checks on one extension, one lifted family and one S-family.
 
-    An atomistic lattice is its own extension. A check whose family exceeds
-    ``atom_cap`` fails under its function name with the cap's message.
+    An atomistic lattice is its own extension. When the family cannot be
+    built (it exceeds ``atom_cap``, or two lifts coincide) every check
+    fails; when only the S-family cannot (restricting a member that passed
+    the gate raises) only the two checks that read it fail. A failed check
+    is reported under its function name with the error's message.
     """
     ext = extend(lat)
     note = "" if lat.is_atomistic() else " (on the atomistic extension)"
     try:
         family = generated_family(ext.extended, atom_cap=atom_cap)
-        fam = s_family(ext, family)
-    except BoundExceeded as exc:
+    except LatnormError as exc:
         family = fam = exc
+    else:
+        try:
+            fam = s_family(ext, family)
+        except LatnormError as exc:
+            fam = exc
     results = []
     for fn, args, suffix in (
         (check_lift_restriction_roundtrip, (ext.extended, family), note),
@@ -210,7 +218,7 @@ def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[C
         (check_extension_gate, (fam,), ""),
         (check_restriction_joins, (fam,), ""),
     ):
-        exceeded = next((a for a in args if isinstance(a, BoundExceeded)), None)
-        res = fn(*args) if exceeded is None else CheckResult(fn.__name__, False, str(exceeded))
+        missing = next((a for a in args if isinstance(a, LatnormError)), None)
+        res = fn(*args) if missing is None else CheckResult(fn.__name__, False, str(missing))
         results.append(CheckResult(res.name + suffix, res.passed, res.detail))
     return results

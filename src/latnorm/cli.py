@@ -69,9 +69,9 @@ def _check_file_names(selections, prefix: str) -> None:
     for sel in selections:
         file_name = f"{prefix}{sel.label()}.csv"
         if Path(file_name).name != file_name:
-            raise UnsafeFileName(file_name, repr(sel.members))
+            raise UnsafeFileName(file_name, repr(sel))
         if file_name in owners:
-            raise OutputCollision(file_name, repr(owners[file_name].members), repr(sel.members))
+            raise OutputCollision(file_name, repr(owners[file_name]), repr(sel))
         owners[file_name] = sel
 
 

@@ -26,49 +26,32 @@ from .tnorm import TNormTable, Verdict, OK, tnorm_le
 DEFAULT_ATOM_CAP = 20
 
 
-@dataclass(frozen=True)
-class AtomSelection:
-    """A subset of a lattice's atoms, the parameter of one generated t-norm."""
+class AtomSelection(ElementSet):
+    """A subset of a lattice's atoms, the parameter of one generated t-norm.
 
-    members: ElementSet
+    An :class:`ElementSet` that holds atoms only; it equals a plain element
+    set with the same lattice and mask.
+    """
 
-    def __post_init__(self):
-        lat = self.members.lattice
-        if self.members.mask & ~lat.atoms_mask:
-            bad = ElementSet(lat, self.members.mask & ~lat.atoms_mask)
+    __slots__ = ()
+
+    def __init__(self, lattice: FiniteLattice, mask: int):
+        super().__init__(lattice, mask)
+        if mask & ~lattice.atoms_mask:
+            bad = ElementSet(lattice, mask & ~lattice.atoms_mask)
             raise NonAtomInAlpha(f"not atoms: {', '.join(bad.names())}")
 
     @classmethod
     def from_names(cls, lat: FiniteLattice, names) -> "AtomSelection":
-        return cls(lat.element_set(names))
+        return cls(lat, lat.element_set(names).mask)
 
     @classmethod
     def from_mask(cls, lat: FiniteLattice, mask: int) -> "AtomSelection":
-        return cls(ElementSet(lat, mask))
-
-    @property
-    def lattice(self) -> FiniteLattice:
-        return self.members.lattice
-
-    @property
-    def mask(self) -> int:
-        return self.members.mask
-
-    def names(self) -> tuple[str, ...]:
-        return self.members.names()
+        return cls(lat, mask)
 
     def label(self) -> str:
         """Filename-friendly label: member names joined in element order."""
-        return "_".join(self.names()) if self.members else "empty"
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, element: int) -> bool:
-        return element in self.members
+        return "_".join(self.names()) if self else "empty"
 
 
 @dataclass(frozen=True)

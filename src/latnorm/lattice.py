@@ -42,6 +42,7 @@ class ElementSet:
 
     Set operations require both operands to belong to the same lattice
     object; mixing indices from two lattices is an error, never a coercion.
+    Immutable, since it hashes by its mask.
     """
 
     __slots__ = ("lattice", "mask")
@@ -49,8 +50,11 @@ class ElementSet:
     def __init__(self, lattice: "FiniteLattice", mask: int):
         if mask < 0 or mask >> lattice.n:
             raise ValueError(f"mask {mask:#x} has bits outside the {lattice.n}-element universe")
-        self.lattice = lattice
-        self.mask = mask
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ElementSet is immutable")
 
     def _check_same(self, other: "ElementSet") -> None:
         if self.lattice is not other.lattice:
@@ -455,22 +459,18 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
 def induced_sublattice(parent: FiniteLattice, members: ElementSet) -> FiniteLattice:
     """Materialize the sub-poset on ``members`` as its own lattice.
 
-    Elements keep their parent names and relative order. Raises
-    :class:`NotALattice` when the induced order fails the lattice axioms.
+    Elements keep their parent names and relative order. Every comparable
+    pair of members goes to :func:`lattice_from_covers`, which reduces them
+    to the covers. Raises :class:`NoBottom` or :class:`NoTop` when the
+    members have no least or greatest element (``{a, b, 1}`` of M3 has no
+    least one) and :class:`NotALattice` when some pair of them lacks a
+    meet or join among them.
     """
     if members.lattice is not parent:
         raise LatticeMismatch("members belong to a different lattice")
-    ids = list(members)
-    names = [parent.names[i] for i in ids]
-    pos = {e: i for i, e in enumerate(ids)}
-    covers = []
-    for a in ids:
-        for b in ids:
-            if a != b and parent.leq(a, b):
-                between = parent.ups[a] & parent.downs[b] & members.mask
-                if between == (1 << a) | (1 << b):
-                    covers.append((names[pos[a]], names[pos[b]]))
-    return lattice_from_covers(names, covers)
+    names = parent.names
+    pairs = [(names[a], names[b]) for a in members for b in iter_bits(parent.ups[a] & members.mask & ~(1 << a))]
+    return lattice_from_covers(members.names(), pairs)
 
 
 def powerset_lattice(k: int) -> FiniteLattice:

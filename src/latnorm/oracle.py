@@ -24,12 +24,13 @@ from typing import Iterator
 
 from .errors import BoundExceeded, LatnormError
 from .lattice import FiniteLattice, iter_bits
-from .construction import generated_family
+from .construction import generated_family, skeleton
 from .tnorm import (
     TNormTable,
     is_left_continuous,
     is_left_semicontinuous,
     is_right_continuous,
+    verify_tnorm,
 )
 
 DEFAULT_SIZE_CAP = 8
@@ -431,9 +432,6 @@ def oracle_vs_construction(
     Boolean: the extension of ``chain(5)`` has 16 lifts and 4
     left-semicontinuous t-norms.
     """
-    from .construction import skeleton
-    from .tnorm import verify_tnorm
-
     if not lat.is_atomistic():
         raise LatnormError("oracle comparison needs an atomistic lattice")
     failures: list[str] = []

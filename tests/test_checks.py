@@ -6,11 +6,12 @@ from dataclasses import replace
 import latnorm.checks
 import latnorm.construction
 import latnorm.extension
-from latnorm.catalog import stemmed_diamond
+from latnorm.catalog import m3, stemmed_diamond
 from latnorm.checks import check_extension_gate, check_lift_restriction_roundtrip, run_all_checks
+from latnorm.cli import main
 from latnorm.construction import generated_family, skeleton
 from latnorm.extension import SFamily, extend, s_family
-from latnorm.tnorm import OK, TNormTable, Verdict
+from latnorm.tnorm import OK, TNormTable, Verdict, t_min
 
 
 def test_all_checks_pass_on_corpus(corpus_extension):
@@ -50,13 +51,16 @@ def test_run_all_checks_builds_one_extension_family_and_s_family(monkeypatch):
     for name in ("extend", "generated_family", "s_family"):
         count(latnorm.checks, name)
     count(latnorm.construction, "generated_family")  # a family of a check's own would show up here
+    # the family's own skeleton; a check that built one again would show up here
+    count(latnorm.construction, "skeleton")
+    count(latnorm.checks, "skeleton", real=latnorm.construction.skeleton, raising=False)
     # s_family gates the family it is given; a lift of its own would show up here
     count(latnorm.extension, "lift", real=latnorm.construction.lift, raising=False)
     count(latnorm.construction, "lift")
     results = run_all_checks(stemmed_diamond())
     assert all(r.passed for r in results)
     # the extension has 3 atoms: 8 lifts, all for the shared family
-    assert calls == {"extend": 1, "generated_family": 1, "s_family": 1, "lift": 8}
+    assert calls == {"extend": 1, "generated_family": 1, "s_family": 1, "skeleton": 1, "lift": 8}
 
 
 def test_extension_gate_check_reads_the_s_family(monkeypatch):
@@ -108,3 +112,42 @@ def test_roundtrip_check_catches_a_wrong_or_escaping_skeleton_cell():
             result = check_lift_restriction_roundtrip(lat, forged)
             assert not result.passed
             assert result.detail == f"selection {victim.selection.label()} does not round-trip"
+    assert check_lift_restriction_roundtrip(lat, []).passed
+
+
+def _check_lines(tmp_path, capsys, lat):
+    path = tmp_path / "lat.json"
+    path.write_text(lat.to_json(), encoding="utf-8")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    return captured.out.splitlines()
+
+
+def test_check_fails_only_the_s_family_checks_when_s_family_raises(tmp_path, capsys, monkeypatch):
+    """A gate that passes every selection lets a lift that leaves the
+    original through, and restricting it raises: the two checks that read
+    the S-family fail with that message, the other three still run."""
+    monkeypatch.setattr(latnorm.extension, "condition_c", lambda ext, selection: OK)
+    lines = _check_lines(tmp_path, capsys, stemmed_diamond())
+    assert [line.split()[0] for line in lines] == ["PASS", "PASS", "PASS", "FAIL", "FAIL"]
+    assert lines[3].startswith("FAIL  check_extension_gate  (restriction gate fails at join-irreducible ")
+    assert lines[4].startswith("FAIL  check_restriction_joins  (restriction gate fails at join-irreducible ")
+
+
+def test_check_fails_every_check_when_the_family_cannot_be_built(tmp_path, capsys, monkeypatch):
+    """Lifts that all collapse to the meet make the family raise on its
+    first duplicate: every check needs the family, so all five fail."""
+    monkeypatch.setattr(latnorm.construction, "lift", lambda lat, on_c: t_min(lat))
+    lines = _check_lines(tmp_path, capsys, m3())
+    detail = "duplicate lift; the generated family must be pairwise distinct"
+    assert lines == [
+        f"FAIL  {name}  ({detail})"
+        for name in (
+            "check_lift_restriction_roundtrip",
+            "check_semicontinuity_criterion",
+            "check_family_isomorphism",
+            "check_extension_gate",
+            "check_restriction_joins",
+        )
+    ]

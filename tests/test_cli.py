@@ -105,7 +105,7 @@ def test_all_export_rejects_file_name_collision(tmp_path, capsys, command, prefi
     out = tmp_path / "out"
     assert main([command, str(path), "--all", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{prefix}a_b.csv" in err and "{a, b}" in err and "{a_b}" in err
+    assert err == f"error: {{a, b}} and {{a_b}} would both be written to '{prefix}a_b.csv'\n"
     assert not out.exists()
 
 
@@ -120,7 +120,10 @@ def test_export_rejects_file_name_with_path_separator(tmp_path, capsys, atom, co
     out = tmp_path / "out" / "sub"
     selection = ["--all"] if mode == "--all" else ["--alpha", atom]
     assert main([command, str(path), *selection, "--out", str(out)]) == 1
-    assert "not a plain file name" in capsys.readouterr().err
+    prefix = "alpha_" if command == "generate" else "restricted_alpha_"
+    assert capsys.readouterr().err == (
+        f"error: {{{atom}}} would be written to '{prefix}{atom}.csv', which is not a plain file name\n"
+    )
     assert [p.name for p in tmp_path.iterdir()] == ["lat.json"]
 
 

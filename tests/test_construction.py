@@ -25,7 +25,7 @@ from latnorm.errors import (
     NotAtomistic,
 )
 from latnorm.extension import extend
-from latnorm.lattice import powerset_lattice
+from latnorm.lattice import ElementSet, powerset_lattice
 from latnorm.oracle import census
 from latnorm.tnorm import (
     idempotents,
@@ -114,8 +114,41 @@ def test_skeleton_tnorm_extremes(fig_extended):
 
 
 def test_selection_rejects_non_atoms(fig_extended):
-    with pytest.raises(NonAtomInAlpha):
+    with pytest.raises(NonAtomInAlpha, match=r"^not atoms: d$"):
         AtomSelection.from_names(fig_extended, ["d"])
+    with pytest.raises(NonAtomInAlpha, match=r"^not atoms: d, c, 1$"):
+        AtomSelection.from_names(fig_extended, ["1", "b", "c", "d"])
+
+
+def test_selection_set_behaviour(fig_extended, lat_m3):
+    """Equality, hashing, membership, size, order and labels of a selection."""
+    sel = AtomSelection.from_names(fig_extended, ["w_d", "b"])
+    same = AtomSelection.from_mask(fig_extended, sel.mask)
+    assert sel == same and hash(sel) == hash(same) and len({sel, same}) == 1
+    assert sel != AtomSelection.from_names(fig_extended, ["b"])
+    assert AtomSelection.from_mask(lat_m3, 0b10) != AtomSelection.from_mask(powerset_lattice(2), 0b10)
+    b, w_d, w_c = (fig_extended.index(x) for x in ("b", "w_d", "w_c"))
+    assert b in sel and w_d in sel and w_c not in sel
+    assert len(sel) == 2 and list(sel) == [b, w_d]
+    assert sel.names() == ("b", "w_d") and sel.label() == "b_w_d"
+    assert sel.lattice is fig_extended and sel.mask == 1 << b | 1 << w_d
+    empty = AtomSelection.from_mask(fig_extended, 0)
+    assert len(empty) == 0 and list(empty) == [] and empty.names() == () and empty.label() == "empty"
+    assert not empty and sel
+    for field, value in (("mask", 1 << fig_extended.top), ("lattice", lat_m3)):
+        with pytest.raises(AttributeError):
+            setattr(sel, field, value)
+    assert sel.names() == ("b", "w_d")
+
+
+def test_selection_is_an_element_set(fig_extended):
+    """A selection equals, and hashes like, the plain element set with its mask."""
+    sel = AtomSelection.from_names(fig_extended, ["b", "w_c"])
+    plain = ElementSet(fig_extended, sel.mask)
+    assert isinstance(sel, ElementSet) and sel == plain and plain == sel and hash(sel) == hash(plain)
+    assert repr(sel) == "{b, w_c}"
+    with pytest.raises(AttributeError):
+        sel.members
 
 
 def test_enumeration_counts(corpus_atomistic):

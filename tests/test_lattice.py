@@ -22,6 +22,8 @@ from latnorm.errors import (
 )
 from latnorm.lattice import (
     ElementSet,
+    induced_sublattice,
+    iter_bits,
     lattice_from_covers,
     lattice_from_json,
     powerset_lattice,
@@ -183,6 +185,73 @@ def test_extended_fig_atoms(fig_extended):
     assert set(fig_extended.atoms().names()) == {"b", "w_d", "w_c"}
     assert fig_extended.is_atomistic()
     assert not fig_extended.is_boolean_atomistic()
+
+
+def _set_based_sublattice_case(parent, mask):
+    """The induced order on the members of ``mask`` reduced with sets of
+    names: (member names, cover pairs, meets and joins or None)."""
+    ids = list(iter_bits(mask))
+    names = [parent.name(i) for i in ids]
+    strictly = {a: {b for b in ids if b != a and parent.leq(b, a)} for a in ids}
+    covers = {
+        (parent.name(lo), parent.name(hi))
+        for hi in ids
+        for lo in strictly[hi]
+        if not any(lo in strictly[z] for z in strictly[hi])
+    }
+    return names, covers, set_based_meets_joins(names, covers)
+
+
+def test_induced_sublattice_matches_set_based_reduction(corpus_extension, corpus_atomistic):
+    """Names, covers and order of the induced sub-poset on whole corpus
+    lattices, their skeleton-like cores and seeded member subsets holding
+    bottom and top; a subset whose induced order is no lattice raises."""
+    rng = random.Random(7)
+    lattices = {**corpus_extension, **corpus_atomistic, "2^4": powerset_lattice(4)}
+    # a and b have two minimal upper bounds among these members
+    bowtie = lattices["2^4"].element_set(["0", "a", "b", "abc", "abd", "abcd"]).mask
+    checked = refused = 0
+    for name, lat in lattices.items():
+        bounds = 1 << lat.bottom | 1 << lat.top
+        masks = [lat.full_mask, lat.atoms_mask | bounds, lat.ji_mask | bounds]
+        masks += [rng.getrandbits(lat.n) | bounds for _ in range(12)]
+        if name == "2^4":
+            masks.append(bowtie)
+        for mask in masks:
+            members = ElementSet(lat, mask)
+            names, covers, expected = _set_based_sublattice_case(lat, mask)
+            if expected is None:
+                with pytest.raises(NotALattice):
+                    induced_sublattice(lat, members)
+                refused += 1
+                continue
+            sub = induced_sublattice(lat, members)
+            ids = list(members)
+            assert sub.names == tuple(names), (name, mask)
+            assert set(sub.covers_named()) == covers, (name, mask)
+            assert list(sub.covers) == sorted(sub.covers)
+            for i, x in enumerate(ids):
+                for j, y in enumerate(ids):
+                    assert sub.leq(i, j) == lat.leq(x, y), (name, mask, x, y)
+            meets, joins = expected
+            for x in names:
+                for y in names:
+                    assert sub.name(sub.meet(sub.index(x), sub.index(y))) == meets[x, y]
+                    assert sub.name(sub.join(sub.index(x), sub.index(y))) == joins[x, y]
+            checked += 1
+    assert checked > 100 and refused > 0
+    full = lattices["N5"]
+    assert induced_sublattice(full, ElementSet(full, full.full_mask)) == full
+
+
+def test_induced_sublattice_without_a_bound(lat_m3):
+    """A subset missing bottom or top has no unique minimal or maximal element."""
+    with pytest.raises(NoBottom):
+        induced_sublattice(lat_m3, lat_m3.element_set(["a", "b", "1"]))
+    with pytest.raises(NoTop):
+        induced_sublattice(lat_m3, lat_m3.element_set(["0", "a", "b"]))
+    with pytest.raises(LatticeMismatch):
+        induced_sublattice(lat_m3, ElementSet(chain(5), 0b10001))
 
 
 def test_powerset_small_cases():
