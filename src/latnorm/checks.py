@@ -26,6 +26,13 @@ from .tnorm import is_left_semicontinuous, tnorm_le, verify_tnorm
 
 CHECK_ATOM_CAP = 12
 
+# the display name of each check, read by the check and by run_all_checks
+_ROUNDTRIP = "lift-restriction round-trip"
+_CRITERION = "left-semicontinuity criterion vs table scan"
+_ISOMORPHISM = "family vs atom-powerset isomorphism"
+_GATE = "extension restriction gate (both directions)"
+_JOINS = "restriction family joins"
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -46,7 +53,7 @@ def check_lift_restriction_roundtrip(lat: FiniteLattice, family: list[GeneratedT
     keep their names in ``lat``. A cell whose value lies outside the
     skeleton fails like a wrong value.
     """
-    name = "lift-restriction round-trip"
+    name = _ROUNDTRIP
     for g in family:
         ids = [lat.index(x) for x in g.on_skeleton.lattice.names]
         pos = {p: i for i, p in enumerate(ids)}
@@ -58,7 +65,7 @@ def check_lift_restriction_roundtrip(lat: FiniteLattice, family: list[GeneratedT
 
 def check_semicontinuity_criterion(lat: FiniteLattice, family: list[GeneratedTNorm]) -> CheckResult:
     """The selection-level criterion matches the table scan for every selection."""
-    name = "left-semicontinuity criterion vs table scan"
+    name = _CRITERION
     for g in family:
         predicted = semicontinuity_criterion(lat, g.selection)
         scanned = is_left_semicontinuous(g.lifted)
@@ -73,7 +80,7 @@ def check_semicontinuity_criterion(lat: FiniteLattice, family: list[GeneratedTNo
 
 def check_family_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -> CheckResult:
     """The lifted family is the atom powerset as an ordered structure."""
-    name = "family vs atom-powerset isomorphism"
+    name = _ISOMORPHISM
     try:
         report = family_powerset_isomorphism(lat, family)
     except DegenerateLength:
@@ -89,7 +96,7 @@ def check_extension_gate(fam: SFamily) -> CheckResult:
     Reads each member's gate verdict and restriction from the S-family and
     sets them against its own closure scan of the lifted table.
     """
-    name = "extension restriction gate (both directions)"
+    name = _GATE
     n0 = fam.ext.original.n
     for entry in fam.entries:
         gate = entry.condition_c
@@ -137,7 +144,7 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
     Also confirms that adding the atom inserted under a join-irreducible
     top never changes a restriction.
     """
-    name = "restriction family joins"
+    name = _JOINS
     ext, lat = fam.ext, fam.ext.original
     n0 = lat.n
     join = ext.extended.join_table
@@ -197,7 +204,7 @@ def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[C
     built (it exceeds ``atom_cap``, or two lifts coincide) every check
     fails; when only the S-family cannot (restricting a member that passed
     the gate raises) only the two checks that read it fail. A failed check
-    is reported under its function name with the error's message.
+    is reported under its display name with the error's message.
     """
     ext = extend(lat)
     note = "" if lat.is_atomistic() else " (on the atomistic extension)"
@@ -211,14 +218,14 @@ def run_all_checks(lat: FiniteLattice, atom_cap: int = CHECK_ATOM_CAP) -> list[C
         except LatnormError as exc:
             fam = exc
     results = []
-    for fn, args, suffix in (
-        (check_lift_restriction_roundtrip, (ext.extended, family), note),
-        (check_semicontinuity_criterion, (ext.extended, family), note),
-        (check_family_isomorphism, (ext.extended, family), note),
-        (check_extension_gate, (fam,), ""),
-        (check_restriction_joins, (fam,), ""),
+    for fn, name, args, suffix in (
+        (check_lift_restriction_roundtrip, _ROUNDTRIP, (ext.extended, family), note),
+        (check_semicontinuity_criterion, _CRITERION, (ext.extended, family), note),
+        (check_family_isomorphism, _ISOMORPHISM, (ext.extended, family), note),
+        (check_extension_gate, _GATE, (fam,), ""),
+        (check_restriction_joins, _JOINS, (fam,), ""),
     ):
         missing = next((a for a in args if isinstance(a, LatnormError)), None)
-        res = fn(*args) if missing is None else CheckResult(fn.__name__, False, str(missing))
+        res = fn(*args) if missing is None else CheckResult(name, False, str(missing))
         results.append(CheckResult(res.name + suffix, res.passed, res.detail))
     return results

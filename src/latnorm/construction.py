@@ -159,17 +159,12 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     top = lat.top
     am = lat.atoms_mask
     spans = [lat.join_all(iter_bits(am & lat.downs[z] & idem_mask)) for z in range(n)]
-    meet = lat.meet_table
-    tbl = [[0] * n for _ in range(n)]
-    for x in range(n):
-        row = tbl[x]
-        if x == top:
-            for y in range(n):
-                row[y] = y
-        else:
-            mrow = meet[x]
-            for y in range(n):
-                row[y] = x if y == top else spans[mrow[y]]
+    tbl = []
+    for x, mrow in enumerate(lat.meet_table):
+        row = list(map(spans.__getitem__, mrow))
+        row[top] = x
+        tbl.append(row)
+    tbl[top] = range(n)
     return TNormTable(lat, tbl)
 
 

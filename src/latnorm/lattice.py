@@ -127,6 +127,7 @@ class FiniteLattice:
         "top",
         "atoms_mask",
         "ji_mask",
+        "mi_mask",
         "length",
         "full_mask",
         "_memo",
@@ -288,6 +289,29 @@ class FiniteLattice:
             plan = self._memo[key] = tuple(plan)
         return plan
 
+    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The pairs of :meth:`incomparable_pairs` with an ``op``-irreducible end.
+
+        An end is join-irreducible (``ji_mask``) for ``op`` "join" and
+        meet-irreducible (``mi_mask``) for "meet". The pairs keep their
+        order and grouping; when no pair is dropped, this is the very tuple
+        :meth:`incomparable_pairs` returns.
+        """
+        key = ("irreducible", op, skip)
+        plan = self._memo.get(key)
+        if plan is None:
+            full = self.incomparable_pairs(op, skip)
+            irreducible = self.ji_mask if op == "join" else self.mi_mask
+            plan = []
+            for x, ys in full:
+                if not irreducible >> x & 1:
+                    ys = tuple(y for y in ys if irreducible >> y & 1)
+                if ys:
+                    plan.append((x, ys))
+            plan = tuple(plan)
+            self._memo[key] = plan = full if plan == full else plan
+        return plan
+
     # -- serialization -----------------------------------------------------------
 
     def covers_named(self) -> list[tuple[str, str]]:
@@ -432,8 +456,10 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     # input pairs gives the transitive reduction.
     reduced = sorted({(lo, hi) for lo in range(n) for hi in adj[lo] if ups[lo] & downs[hi] == 1 << lo | 1 << hi})
     lower: list[list[int]] = [[] for _ in range(n)]
+    upper = [0] * n
     for lo, hi in reduced:
         lower[hi].append(lo)
+        upper[lo] += 1
     # longest chain: lower covers come earlier in the order
     height = [0] * n
     for x in order:
@@ -450,6 +476,7 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         top=top,
         atoms_mask=sum(1 << x for x in range(n) if lower[x] == [bottom]),
         ji_mask=sum(1 << x for x in range(n) if len(lower[x]) == 1),
+        mi_mask=sum(1 << x for x in range(n) if upper[x] == 1),
         length=max(height),
         full_mask=(1 << n) - 1,
         _memo={},

@@ -210,7 +210,10 @@ def enumerate_all_tnorms(
             count += 1
             if count > cap:
                 raise BoundExceeded(f"more than {cap} t-norms; raise the cap to enumerate them")
-            yield TNormTable(lat, tbl)
+            t = TNormTable(lat, tbl)
+            # every cell lies in its interval, so the continuity scans' gate holds
+            t._monotone = True
+            yield t
             return
         x, y = cells[k]
         row_x, row_y = tbl[x], tbl[y]

@@ -61,10 +61,10 @@ class TNormTable:
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"table must be {n}x{n}")
-        for row in rows:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} is not an element id")
+        ids = frozenset(range(n))
+        if not ids.issuperset(chain.from_iterable(rows)):
+            bad = next(v for v in chain.from_iterable(rows) if v not in ids)
+            raise ValueError(f"table entry {bad} is not an element id")
         self.lattice = lattice
         self.table = rows
         self.verdict = None
@@ -96,7 +96,7 @@ def verify_tnorm(t: TNormTable) -> Verdict:
     """Check the four t-norm axioms, returning the first violation found.
 
     The axioms are checked in the order neutral, commutativity,
-    monotonicity, associativity; the last two sweep whole rows.
+    monotonicity, associativity; the last two compare rows at once.
 
     - Monotonicity is only checked across cover pairs; transitivity of the
       order carries it to all comparable pairs (cross-checked in the tests
@@ -107,24 +107,34 @@ def verify_tnorm(t: TNormTable) -> Verdict:
       x gathered through row y: they are T(T(x, y), z) and T(x, T(y, z))
       for every z at once.
 
-    Both sweeps read one row per class only. Once neutrality and
-    commutativity hold, the rows x != top are grouped by their values off
-    column top, and the first row of each class in element order is kept
-    (``t._row_classes``).
+    Both sweeps read class columns. Once neutrality and commutativity
+    hold, the rows x != top are grouped by their values off column top,
+    and the first row of each class in element order is kept
+    (``t._row_classes``). Every row v is then read once at those columns
+    and at top, as ``proj[v]``, and the sweeps compare these projections.
 
-    - A cover (lo, hi) with hi != top is read at the class rows and at
-      top only. When rows x and x' agree off column top, with x, x' !=
-      top, then T(lo, x) = T(x, lo) = T(x', lo) = T(lo, x') since lo !=
-      top, and likewise T(hi, x) = T(hi, x'). Column top holds the cover
+    - A cover (lo, hi) with hi != top compares the projections of rows lo
+      and hi. When rows x and x' agree off column top, with x, x' != top,
+      then T(lo, x) = T(x, lo) = T(x', lo) = T(lo, x') since lo != top,
+      and likewise T(hi, x) = T(hi, x'). Column top holds the cover
       itself. A cover into top keeps its whole row: row top is the
       identity, and x and x' differ there.
-    - Associativity. A triple with top in it holds by neutrality. For
-      y, z != top, T(y, z) <= T(y, top) = y < top, so when rows x and x'
-      agree off column top the checks at (x, y, z) and (x', y, z) read
-      equal cells; by commutativity the same holds for y and a y' whose
-      row agrees with y's. So the first failing (x, y) of the plain sweep
-      has both x and y first in their classes, and the sweep over those
-      meets it first.
+    - Associativity, x and y. A triple with top in it holds by
+      neutrality. For y, z != top, T(y, z) <= T(y, top) = y < top, so
+      when rows x and x' agree off column top the checks at (x, y, z) and
+      (x', y, z) read equal cells; by commutativity the same holds for y
+      and a y' whose row agrees with y's. So the first failing (x, y) of
+      the plain sweep has both x and y first in their classes, and the
+      sweep over those meets it first.
+    - Associativity, z. For x, y != top, T(x, y) <= T(x, top) = x < top.
+      So when rows z and z' agree off column top, with z, z' != top,
+      T(T(x, y), z) = T(z, T(x, y)) = T(z', T(x, y)) = T(T(x, y), z'),
+      and T(y, z) = T(z, y) = T(z', y) = T(y, z'), so T(x, T(y, z)) =
+      T(x, T(y, z')). At z = top both sides are T(x, y). So (x, y) fails
+      at some z exactly when it fails at a class column: comparing
+      ``proj[T(x, y)]`` with row x gathered through ``proj[y]`` decides
+      it, and only a failing (x, y) is read again in whole rows to name
+      its first z.
 
     Associativity needs even less: Light's test. If (x g) z = x (g z) for
     all x, z and every g of a set G that generates the table, the table
@@ -139,7 +149,8 @@ def verify_tnorm(t: TNormTable) -> Verdict:
     a cell missed in a twin row only leaves G larger, which is still
     exact. The middle argument then runs over the class rows of G
     (``t._generator_rows``, stored once the table verifies), x over every
-    class row and z over whole rows. When that sweep fails, the plain
+    class row and z over the class columns, which decide each (x, g) as
+    above since g != top. When that sweep fails, the plain
     class sweep runs again, so the witness is still its first violation.
 
     A failed row is rescanned cell by cell in the order of the plain sweep
@@ -171,8 +182,9 @@ def verify_tnorm(t: TNormTable) -> Verdict:
         comparable = lat.comparable_pairs()
         # two or more elements whenever there is a cover, so pick returns a tuple
         pick = itemgetter(*reps, top)
+        proj = [pick(row) for row in tbl]
         for lo, hi in lat.covers:
-            cells = zip(tbl[lo], tbl[hi]) if hi == top else zip(pick(tbl[lo]), pick(tbl[hi]))
+            cells = zip(tbl[lo], tbl[hi]) if hi == top else zip(proj[lo], proj[hi])
             if not comparable.issuperset(cells):
                 x = next(x for x, pair in enumerate(zip(tbl[lo], tbl[hi])) if pair not in comparable)
                 verdict = Verdict(False, "monotonicity", (lat.name(x), lat.name(lo), lat.name(hi)))
@@ -186,27 +198,31 @@ def verify_tnorm(t: TNormTable) -> Verdict:
             # the values T(a, b) other than a and b
             made |= set(compress(row, map(ne, row, range(n)))) - {a}
         generators = tuple(sorted({rep[g] for g in range(n) if g != top and g not in made}))
-        if _associativity_failure(tbl, reps, generators) is None:
+        if _associativity_failure(tbl, proj, reps, generators) is None:
             t._generator_rows = generators
         else:
             # Light's test is exact, so the plain class sweep fails too
-            x, y, z = _associativity_failure(tbl, reps, reps)
+            x, y, z = _associativity_failure(tbl, proj, reps, reps)
             verdict = Verdict(False, "associativity", (lat.name(x), lat.name(y), lat.name(z)))
     t.verdict = verdict
     return verdict
 
 
-def _associativity_failure(tbl: tuple, xs: tuple, ys: tuple) -> tuple[int, int, int] | None:
+def _associativity_failure(tbl: tuple, proj: list, xs: tuple, ys: tuple) -> tuple[int, int, int] | None:
     """The first (x, y, z) with T(T(x, y), z) != T(x, T(y, z)), x in ``xs``,
-    then y in ``ys``, then z over the whole row; None if there is none."""
-    # rows have two or more cells whenever ys is not empty, so a gather
-    # returns a row rather than a bare value
-    gathers = [(y, itemgetter(*tbl[y])) for y in ys]
+    then y in ``ys``, then z over the whole row; None if there is none.
+
+    ``proj[v]`` is row v read at the class columns and top, which decide
+    each (x, y) (see :func:`verify_tnorm`); a failing (x, y) is read again
+    in whole rows to name its first z."""
+    # projections have two or more cells whenever ys is not empty, so a
+    # gather returns a row rather than a bare value
+    gathers = [(y, itemgetter(*proj[y])) for y in ys]
     for x in xs:
         rx = tbl[x]
         for y, gather in gathers:
-            lhs, rhs = tbl[rx[y]], gather(rx)
-            if lhs != rhs:
+            if proj[rx[y]] != gather(rx):
+                lhs, rhs = tbl[rx[y]], itemgetter(*tbl[y])(rx)
                 return x, y, next(z for z, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
     return None
 
@@ -259,14 +275,30 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     with x and y comparable: x op y is then one of x and y, and so is
     T(a, x) op T(a, y), the same one. So after the empty family comes a
     gate: the table's columns are compared across every cover, once per
-    table (the result is kept on it). A monotone table is scanned over the
-    lattice's planned pairs only, the incomparable x < y whose op is not
-    ``skip`` (:meth:`FiniteLattice.incomparable_pairs`, built once per
-    lattice); any other table over every x <= y whose op is not ``skip``,
-    planned per call. Both domains keep the (a, x, y) order and leave out
-    only pairs that hold, so the witness is the first violation of the
-    full scan in either case. One kernel, :func:`_preservation_failure`,
-    scans every domain and every set of rows.
+    table (the result is kept on it). A monotone table is planned over the
+    incomparable x < y whose op is not ``skip``
+    (:meth:`FiniteLattice.incomparable_pairs`, built once per lattice);
+    any other table over every x <= y whose op is not ``skip``, planned
+    per call. Both domains keep the (a, x, y) order and leave out only
+    pairs that hold, so the witness is the first violation of the full
+    scan in either case. One kernel, :func:`_preservation_failure`, scans
+    every domain and every set of rows.
+
+    A monotone table reads fewer pairs still: those with an
+    op-irreducible end (:meth:`FiniteLattice.irreducible_end_pairs`). A
+    row passes them exactly when it passes every planned pair. Take
+    joins; meets are dual. Let row a preserve the joins of the kept
+    pairs, and let x ∨ y != ``skip``. Write y = j1 ∨ ... ∨ jk with every
+    ji join-irreducible (k = 0 for y = bottom, where x ∨ y = x is
+    comparable to y). Each step s ∨ ji from a partial join s = x ∨ j1 ∨
+    ... ∨ j(i-1), or s = j1 ∨ ... ∨ j(i-1), is at most x ∨ y, so it is
+    below top whenever x ∨ y is, and it is a kept pair, a diagonal pair
+    or a comparable pair, which holds by monotonicity. By induction
+    T(a, x ∨ y) = T(a, x) ∨ T(a, j1) ∨ ... ∨ T(a, jk) and T(a, y) =
+    T(a, j1) ∨ ... ∨ T(a, jk), so the pair holds. So the first failing
+    row is the same on both domains; when the kept pairs leave some out,
+    that one row is scanned again over every planned pair to name the
+    witness of the full scan.
 
     With ``skip`` = top (left-semicontinuity) on a table whose row classes
     ``verify_tnorm`` has stored, the a-loop runs over the first row of each
@@ -303,9 +335,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
         monotone = t._monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
     table = lat.join_table if op == "join" else meet
     if monotone:
-        pairs = lat.incomparable_pairs(op, skip)
+        full = lat.incomparable_pairs(op, skip)
+        pairs = lat.irreducible_end_pairs(op, skip)
     else:
-        pairs = [(x, [y for y in range(x, n) if table[x][y] != skip]) for x in range(n)]
+        full = pairs = [(x, [y for y in range(x, n) if table[x][y] != skip]) for x in range(n)]
     rows = range(n)
     if skip == lat.top:
         gens = t._generator_rows
@@ -316,6 +349,8 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     failure = _preservation_failure(tbl, rows, pairs, table)
     if failure is None:
         return OK
+    if pairs is not full:
+        failure = _preservation_failure(tbl, failure[:1], full, table)
     a, x, y = failure
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
 

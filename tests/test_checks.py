@@ -131,8 +131,8 @@ def test_check_fails_only_the_s_family_checks_when_s_family_raises(tmp_path, cap
     monkeypatch.setattr(latnorm.extension, "condition_c", lambda ext, selection: OK)
     lines = _check_lines(tmp_path, capsys, stemmed_diamond())
     assert [line.split()[0] for line in lines] == ["PASS", "PASS", "PASS", "FAIL", "FAIL"]
-    assert lines[3].startswith("FAIL  check_extension_gate  (restriction gate fails at join-irreducible ")
-    assert lines[4].startswith("FAIL  check_restriction_joins  (restriction gate fails at join-irreducible ")
+    assert lines[3].startswith("FAIL  extension restriction gate (both directions)  (restriction gate fails at join-irreducible ")
+    assert lines[4].startswith("FAIL  restriction family joins  (restriction gate fails at join-irreducible ")
 
 
 def test_check_fails_every_check_when_the_family_cannot_be_built(tmp_path, capsys, monkeypatch):
@@ -144,10 +144,10 @@ def test_check_fails_every_check_when_the_family_cannot_be_built(tmp_path, capsy
     assert lines == [
         f"FAIL  {name}  ({detail})"
         for name in (
-            "check_lift_restriction_roundtrip",
-            "check_semicontinuity_criterion",
-            "check_family_isomorphism",
-            "check_extension_gate",
-            "check_restriction_joins",
+            "lift-restriction round-trip",
+            "left-semicontinuity criterion vs table scan",
+            "family vs atom-powerset isomorphism",
+            "extension restriction gate (both directions)",
+            "restriction family joins",
         )
     ]

@@ -406,35 +406,35 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 CAP2_CHECKS = {
     "stemmed_diamond": [
-        ("check_lift_restriction_roundtrip (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_semicontinuity_criterion (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_family_isomorphism (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_extension_gate", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_restriction_joins", False, "3 atoms exceeds the enumeration cap 2"),
+        ("lift-restriction round-trip (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("left-semicontinuity criterion vs table scan (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("family vs atom-powerset isomorphism (on the atomistic extension)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("extension restriction gate (both directions)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("restriction family joins", False, "3 atoms exceeds the enumeration cap 2"),
     ],
     "m3": [
-        ("check_lift_restriction_roundtrip", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_semicontinuity_criterion", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_family_isomorphism", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_extension_gate", False, "3 atoms exceeds the enumeration cap 2"),
-        ("check_restriction_joins", False, "3 atoms exceeds the enumeration cap 2"),
+        ("lift-restriction round-trip", False, "3 atoms exceeds the enumeration cap 2"),
+        ("left-semicontinuity criterion vs table scan", False, "3 atoms exceeds the enumeration cap 2"),
+        ("family vs atom-powerset isomorphism", False, "3 atoms exceeds the enumeration cap 2"),
+        ("extension restriction gate (both directions)", False, "3 atoms exceeds the enumeration cap 2"),
+        ("restriction family joins", False, "3 atoms exceeds the enumeration cap 2"),
     ],
 }
 
 CAP2_TEXT = {
     "stemmed_diamond": (
-        "FAIL  check_lift_restriction_roundtrip (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_semicontinuity_criterion (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_family_isomorphism (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_extension_gate  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_restriction_joins  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  lift-restriction round-trip (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  left-semicontinuity criterion vs table scan (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  family vs atom-powerset isomorphism (on the atomistic extension)  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  extension restriction gate (both directions)  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  restriction family joins  (3 atoms exceeds the enumeration cap 2)\n"
     ),
     "m3": (
-        "FAIL  check_lift_restriction_roundtrip  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_semicontinuity_criterion  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_family_isomorphism  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_extension_gate  (3 atoms exceeds the enumeration cap 2)\n"
-        "FAIL  check_restriction_joins  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  lift-restriction round-trip  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  left-semicontinuity criterion vs table scan  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  family vs atom-powerset isomorphism  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  extension restriction gate (both directions)  (3 atoms exceeds the enumeration cap 2)\n"
+        "FAIL  restriction family joins  (3 atoms exceeds the enumeration cap 2)\n"
     ),
 }
 
@@ -442,7 +442,7 @@ CAP2_TEXT = {
 @pytest.mark.parametrize("stem", ["stemmed_diamond", "m3"])
 def test_check_reports_exceeded_atom_cap(stem, capsys):
     """Every check, the isomorphism check included, reads the one family;
-    over ``--atom-cap`` each fails under its function name."""
+    over ``--atom-cap`` each fails under its display name."""
     path = str(DATA / f"{stem}.json")
     assert main(["check", path, "--atom-cap", "2"]) == 1
     assert capsys.readouterr().out == CAP2_TEXT[stem]

@@ -164,6 +164,7 @@ def test_lattice_check_matches_set_based_oracle(relation):
     assert lat.ups == tuple(mask(y for y in names if x in below[y]) for x in names)
     assert lat.atoms_mask == mask(x for x in names if lower[x] == {"0"})
     assert lat.ji_mask == mask(x for x in names if len(lower[x]) == 1)
+    assert lat.mi_mask == mask(x for x in names if sum(x in lower[y] for y in names) == 1)
     height = {}
     for x in sorted(names, key=lambda v: len(below[v])):
         height[x] = max((height[z] + 1 for z in strictly[x]), default=0)

@@ -22,6 +22,7 @@ from latnorm.oracle import (
     oracle_vs_construction,
 )
 from latnorm.tnorm import (
+    TNormTable,
     is_continuous,
     is_left_continuous,
     is_left_semicontinuous,
@@ -30,7 +31,7 @@ from latnorm.tnorm import (
     verify_tnorm,
 )
 
-from oracles import reference_enumerate_all_tnorms
+from oracles import full_pairs_monotone, reference_enumerate_all_tnorms
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CELL_ORDERS = ("default", "lex", "reverse")
@@ -97,6 +98,16 @@ def test_stream_matches_reference_on_corpus(name, order):
 def test_stream_matches_reference_on_random_lattices(size, seed, order):
     # random_lattice starts at 2 elements
     assert_same_stream(chain(1) if size == 1 else random_lattice(size, seed), order)
+
+
+@pytest.mark.parametrize("order", CELL_ORDERS)
+def test_streamed_tables_are_marked_monotone(order):
+    """Every table comes out with the continuity scans' gate set, and a
+    fresh copy is monotone over every comparable pair."""
+    for name, lat in FIXED_LATTICES.items():
+        for t in enumerate_all_tnorms(lat, cell_order=order):
+            assert t._monotone is True
+            assert full_pairs_monotone(TNormTable(lat, t.table)), (name, t.table)
 
 
 def test_three_chain_tables_by_hand():

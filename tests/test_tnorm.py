@@ -81,6 +81,21 @@ def test_t_drastic_values():
     assert t.value(a, b) == cube.bottom
 
 
+def test_table_refuses_cells_that_are_not_element_ids():
+    """The shape first, then the first cell in row order that is not an
+    element id; a float such as 1.5 is not one, while 1.0 equals 1."""
+    lat = chain(3)
+    with pytest.raises(ValueError, match=r"^table must be 3x3$"):
+        TNormTable(lat, [[0, 0, 0], [0, 1, 1]])
+    for bad, shown in ((1.5, "1.5"), (3, "3"), (-1, "-1"), ("1", "1"), (None, "None")):
+        grid = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
+        grid[1][2] = bad
+        grid[2][0] = 7
+        with pytest.raises(ValueError, match=rf"^table entry {shown} is not an element id$"):
+            TNormTable(lat, grid)
+    assert TNormTable(lat, [[0, 0, 0], [0, 1.0, 1], [0, 1, 2]]) == t_min(lat)
+
+
 def test_single_cell_mutation_is_caught(fig_lattice, restricted):
     grid = [list(row) for row in restricted.table]
     d, c = fig_lattice.index("d"), fig_lattice.index("c")
@@ -736,3 +751,122 @@ def test_continuity_scans_match_reference_on_large_lifts():
                 # classes are stored; generator rows only on a t-norm
                 assert verified._row_classes is not None
                 assert (verified._generator_rows is not None) == verify_tnorm(verified).ok
+
+
+# the plans the three scans read: (op, skip) with skip = top for left-semicontinuity
+def _scan_plans(lat):
+    return [("join", -1), ("meet", -1), ("join", lat.top)]
+
+
+def _irreducible_by_covers(lat, op):
+    """Elements with exactly one lower cover (joins) or one upper cover (meets)."""
+    end = 1 if op == "join" else 0
+    counts = [0] * lat.n
+    for cover in lat.covers:
+        counts[cover[end]] += 1
+    return {x for x in range(lat.n) if counts[x] == 1}
+
+
+def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(corpus_atomistic, corpus_extension):
+    """On the corpus, 2^4 and Pi4 (both orders): the pairs with an
+    irreducible end, by the covers, in the planned order; the very tuple
+    of :meth:`incomparable_pairs` when that drops nothing."""
+    lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES}
+    dropped = 0
+    for lat in lats.values():
+        for op, skip in _scan_plans(lat):
+            full = lat.incomparable_pairs(op, skip)
+            plan = lat.irreducible_end_pairs(op, skip)
+            irreducible = _irreducible_by_covers(lat, op)
+            flat = [(x, y) for x, ys in full for y in ys]
+            assert [(x, y) for x, ys in plan for y in ys] == [p for p in flat if irreducible & set(p)]
+            assert all(ys for _, ys in plan)
+            assert (plan is full) == (plan == full)
+            assert lat.irreducible_end_pairs(op, skip) is plan
+            dropped += plan is not full
+    assert dropped >= 6
+
+
+def _meet_through(lat, kept):
+    """Top neutral; elsewhere cell (x, y) is the join of the elements named
+    in ``kept`` that lie below x ∧ y. Commutative and monotone."""
+    kept = [lat.index(k) for k in kept]
+    top = lat.top
+    through = [lat.join_all(k for k in kept if lat.leq(k, v)) for v in range(lat.n)]
+    grid = [[x if y == top else y if x == top else through[lat.meet(x, y)] for y in range(lat.n)] for x in range(lat.n)]
+    return TNormTable(lat, grid)
+
+
+# One table per scan whose first failure in the full scan is at a pair
+# with two reducible ends, so the irreducible-end plan meets a later pair
+# of the failing row first: (scan, op, skip is top, table, witness).
+REDUCIBLE_END_WITNESSES = [
+    ("left-continuity", "join", False, t_drastic(_reversed(powerset_lattice(4))), ("bcd", "bcd", "acd")),
+    ("right-continuity", "meet", False, _meet_through(powerset_lattice(4), ["ab", "ac"]), ("abc", "ab", "ac")),
+    ("left-semicontinuity", "join", True, _meet_through(_reversed(powerset_lattice(4)), ["ab"]), ("abd", "bd", "ad")),
+]
+
+
+@pytest.mark.parametrize("axiom, op, below_top, t, witness", REDUCIBLE_END_WITNESSES, ids=[w[0] for w in REDUCIBLE_END_WITNESSES])
+def test_scans_rescan_the_failing_row_for_a_witness_with_reducible_ends(axiom, op, below_top, t, witness):
+    """The failing row is read again over every planned pair, so the
+    witness is the reference's, not the first kept pair that fails."""
+    lat = t.lattice
+    assert full_pairs_monotone(t) and t.table == tuple(zip(*t.table))
+    skip = lat.top if below_top else -1
+    assert lat.irreducible_end_pairs(op, skip) is not lat.incomparable_pairs(op, skip)
+    irreducible = _irreducible_by_covers(lat, op)
+    assert not irreducible & {lat.index(witness[1]), lat.index(witness[2])}
+    scan = {"left-continuity": 0, "right-continuity": 1, "left-semicontinuity": 2}[axiom]
+    assert_scans_match_reference(t)
+    assert scans(t)[scan] == Verdict(False, axiom, witness)
+
+
+# each of these drops pairs from at least one plan
+PLANNED_GRID_LATTICES = [ROW_CLASS_LATTICES[name] for name in ("2^4", "2^4 reversed", "Pi4", "Pi4 reversed")]
+
+
+def _row(lat, a, kind, values, bump):
+    """A monotone row a with T(a, bottom) = bottom and T(a, top) = a: below
+    top, a ∧ the join of ``values`` at the join-irreducibles below y
+    ("join") or a ∧ the meet of those at the meet-irreducibles above y
+    ("meet", bottom kept at bottom); either one joined with a ∧ ``bump[1]``
+    on the up-set of ``bump[0]`` unless that is bottom. On a distributive
+    lattice an unbumped row preserves every join, or every meet, below
+    top."""
+    n = lat.n
+    if kind.startswith("join"):
+        row = [lat.join_all(values[j] for j in iter_bits(lat.ji_mask & lat.downs[y])) for y in range(n)]
+    else:
+        row = []
+        for y in range(n):
+            v = lat.top
+            for m in iter_bits(lat.mi_mask & lat.ups[y]):
+                v = lat.meet(v, values[m])
+            row.append(v)
+        row[lat.bottom] = lat.bottom
+    row = [lat.meet(a, v) for v in row]
+    row[lat.top] = a
+    z, w = bump
+    if kind.endswith("bump") and z != lat.bottom:
+        row = [lat.join(v, lat.meet(a, w)) if lat.leq(z, y) else v for y, v in enumerate(row)]
+    return row
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_planned_scans_match_reference_on_random_monotone_grids(data):
+    """Monotone grids on lattices whose plans drop pairs, built row by row
+    to preserve most joins or meets, so the first failure tends to lie
+    deep in the scan: the three scans give the reference verdicts and
+    witnesses."""
+    lat = data.draw(st.sampled_from(PLANNED_GRID_LATTICES))
+    n = lat.n
+    element = st.integers(0, n - 1)
+    grid = []
+    for a in range(n):
+        kind = data.draw(st.sampled_from(["join", "join", "meet", "meet", "join bump", "meet bump"]))
+        values = data.draw(st.lists(element, min_size=n, max_size=n))
+        grid.append(_row(lat, a, kind, values, (data.draw(element), data.draw(element))))
+    assert all(lat.leq(row[lo], row[hi]) for row in grid for lo, hi in lat.covers)
+    assert_scans_match_reference(TNormTable(lat, grid))
