@@ -753,11 +753,6 @@ def test_continuity_scans_match_reference_on_large_lifts():
                 assert (verified._generator_rows is not None) == verify_tnorm(verified).ok
 
 
-# the plans the three scans read: (op, skip) with skip = top for left-semicontinuity
-def _scan_plans(lat):
-    return [("join", -1), ("meet", -1), ("join", lat.top)]
-
-
 def _irreducible_by_covers(lat, op):
     """Elements with exactly one lower cover (joins) or one upper cover (meets)."""
     end = 1 if op == "join" else 0
@@ -774,7 +769,8 @@ def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(cor
     lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES}
     dropped = 0
     for lat in lats.values():
-        for op, skip in _scan_plans(lat):
+        # the plans of left-continuity, right-continuity and left-semicontinuity
+        for op, skip in (("join", -1), ("meet", -1), ("join", lat.top)):
             full = lat.incomparable_pairs(op, skip)
             plan = lat.irreducible_end_pairs(op, skip)
             irreducible = _irreducible_by_covers(lat, op)
@@ -822,7 +818,7 @@ def test_scans_rescan_the_failing_row_for_a_witness_with_reducible_ends(axiom, o
     assert scans(t)[scan] == Verdict(False, axiom, witness)
 
 
-# each of these drops pairs from at least one plan
+# on each of these the left- and right-continuity plans drop pairs
 PLANNED_GRID_LATTICES = [ROW_CLASS_LATTICES[name] for name in ("2^4", "2^4 reversed", "Pi4", "Pi4 reversed")]
 
 
@@ -832,8 +828,8 @@ def _row(lat, a, kind, values, bump):
     ("join") or a ∧ the meet of those at the meet-irreducibles above y
     ("meet", bottom kept at bottom); either one joined with a ∧ ``bump[1]``
     on the up-set of ``bump[0]`` unless that is bottom. On a distributive
-    lattice an unbumped row preserves every join, or every meet, below
-    top."""
+    lattice an unbumped "join" row preserves every join below top, and an
+    unbumped "meet" row every meet above bottom."""
     n = lat.n
     if kind.startswith("join"):
         row = [lat.join_all(values[j] for j in iter_bits(lat.ji_mask & lat.downs[y])) for y in range(n)]
