@@ -20,10 +20,8 @@ from .errors import (
     NonAtomInAlpha,
     NotAtomistic,
 )
-from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
+from .lattice import DEFAULT_ATOM_CAP, ElementSet, FiniteLattice, induced_sublattice, iter_bits
 from .tnorm import TNormTable, Verdict, OK, tnorm_le
-
-DEFAULT_ATOM_CAP = 20
 
 
 class AtomSelection(ElementSet):
@@ -226,16 +224,21 @@ def semicontinuity_criterion(lat: FiniteLattice, selection: AtomSelection) -> Ve
     witnesses z are equivalent to quantifying over arbitrary families
     (the family's join serves as z, and the witness set serves as the
     family), which keeps the check polynomial.
+
+    The gathered join runs over the join-irreducibles below z that do not
+    dominate u, and that is the same element: every w below z that does
+    not dominate u is the join of the join-irreducibles below w, and none
+    of those dominates u either, since w would then dominate u.
     """
     if selection.lattice is not lat:
         raise LatticeMismatch("selection belongs to a different lattice")
     top = lat.top
     for u in selection:
-        not_above_u = ~lat.ups[u]
+        candidates = lat.ji_mask & ~lat.ups[u]
         for z in range(lat.n):
             if z == top:
                 continue
-            gathered = lat.join_all(iter_bits(lat.downs[z] & not_above_u))
+            gathered = lat.join_all(iter_bits(lat.downs[z] & candidates))
             if lat.leq(u, gathered):
                 return Verdict(False, "left-semicontinuity-criterion", (lat.name(u), lat.name(z)))
     return OK

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 POWERSET_MAX_ATOMS = 10
-INDEPENDENCE_BASE_CAP = 20
+DEFAULT_ATOM_CAP = 20
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -194,27 +194,29 @@ class FiniteLattice:
         return ElementSet(self, self.ji_mask & self.downs[x])
 
     def is_atomistic(self) -> bool:
-        """True iff every element is the join of the atoms below it."""
-        return all(self.join_all(iter_bits(self.atoms_mask & self.downs[x])) == x for x in range(self.n))
+        """True iff every element is the join of the atoms below it.
+
+        That is, iff every join-irreducible is an atom. If all are atoms,
+        every element, as the join of the join-irreducibles below it, is a
+        join of atoms below it, hence the join of all of them. Conversely,
+        a join-irreducible j that is no atom is not the join of the atoms
+        below it: they lie strictly below j, and so does every finite join
+        of elements strictly below j, the empty join included.
+        """
+        return not self.ji_mask & ~self.atoms_mask
 
     def is_boolean_atomistic(self) -> bool:
-        """True iff the lattice is atomistic and atom sets turn joins into unions.
+        """True iff the lattice is atomistic with 2^k elements for its k atoms.
 
-        The pairwise form suffices: unions over arbitrary finite families
-        follow by induction, with the empty family handled by A(0) = {}.
-        A true result certifies that the lattice is isomorphic to the
-        powerset of its atoms.
+        In an atomistic lattice x <= y exactly when the atoms below x lie
+        below y, since x is the join of its atoms; so x -> (atoms below x)
+        is an order embedding into the powerset of the atoms. With 2^k
+        elements it is onto, so it is an isomorphism, and atom sets turn
+        joins into unions. Conversely, a lattice isomorphic to the powerset
+        of its atoms has 2^k elements. A true result certifies that the
+        lattice is isomorphic to the powerset of its atoms.
         """
-        if not self.is_atomistic():
-            return False
-        am = self.atoms_mask
-        downs = self.downs
-        for x in range(self.n):
-            ax = am & downs[x]
-            for y in range(x, self.n):
-                if am & downs[self.join_table[x][y]] != ax | (am & downs[y]):
-                    return False
-        return True
+        return self.is_atomistic() and self.n == 1 << self.atoms_mask.bit_count()
 
     def is_independent(self, subset: ElementSet) -> bool:
         """True iff every member meets the join of the others at bottom.
@@ -243,8 +245,8 @@ class FiniteLattice:
             raise LatticeMismatch("base belongs to a different lattice")
         members = list(base)
         k = len(members)
-        if k > INDEPENDENCE_BASE_CAP:
-            raise BoundExceeded(f"base has {k} elements, cap is {INDEPENDENCE_BASE_CAP}")
+        if k > DEFAULT_ATOM_CAP:
+            raise BoundExceeded(f"base has {k} elements, cap is {DEFAULT_ATOM_CAP}")
         independent = []
         for sub in range(1 << k):
             mask = 0
@@ -267,50 +269,41 @@ class FiniteLattice:
             )
         return pairs
 
-    def incomparable_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Incomparable pairs x < y of element ids, grouped by x.
-
-        Leaves out the pairs whose join (``op`` "join") or meet (``op``
-        "meet") is ``skip``. Holds one ``(x, ys)`` for each x that has some
-        such y, with ``ys`` ascending.
-        """
-        key = (op, skip)
-        plan = self._memo.get(key)
-        if plan is None:
-            table = {"join": self.join_table, "meet": self.meet_table}[op]
-            n = self.n
-            plan = []
-            for x in range(n):
-                related = self.ups[x] | self.downs[x]
-                row = table[x]
-                ys = tuple(y for y in range(x + 1, n) if not related >> y & 1 and row[y] != skip)
-                if ys:
-                    plan.append((x, ys))
-            plan = self._memo[key] = tuple(plan)
-        return plan
-
-    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The pairs of :meth:`incomparable_pairs` with an ``op``-irreducible end.
+    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], bool]:
+        """The incomparable pairs x < y with an ``op``-irreducible end, and
+        whether they are all the incomparable pairs.
 
         An end is join-irreducible (``ji_mask``) for ``op`` "join" and
-        meet-irreducible (``mi_mask``) for "meet". The pairs keep their
-        order and grouping; when no pair is dropped, this is the very tuple
-        :meth:`incomparable_pairs` returns.
+        meet-irreducible (``mi_mask``) for "meet". Pairs whose join (``op``
+        "join") or meet (``op`` "meet") is ``skip`` are left out. Returns
+        ``(plan, complete)``: ``plan`` holds one ``(x, ys)`` for each x that
+        has some kept y, with ``ys`` ascending, and ``complete`` is True
+        when no incomparable pair x < y whose op is not ``skip`` was left
+        out for want of an irreducible end. The y incomparable to x and
+        above it in element order are the bits of
+        ``full_mask & ~(ups[x] | downs[x])`` above bit x; when x is
+        reducible only the irreducible ones are kept. Memoised.
         """
-        key = ("irreducible", op, skip)
-        plan = self._memo.get(key)
-        if plan is None:
-            full = self.incomparable_pairs(op, skip)
+        key = (op, skip)
+        memo = self._memo.get(key)
+        if memo is None:
+            table = self.join_table if op == "join" else self.meet_table
             irreducible = self.ji_mask if op == "join" else self.mi_mask
+            full, ups, downs = self.full_mask, self.ups, self.downs
             plan = []
-            for x, ys in full:
+            complete = True
+            for x in range(self.n):
+                row = table[x]
+                ys = full & ~(ups[x] | downs[x]) & -(2 << x)
                 if not irreducible >> x & 1:
-                    ys = tuple(y for y in ys if irreducible >> y & 1)
+                    if complete and any(row[y] != skip for y in iter_bits(ys & ~irreducible)):
+                        complete = False
+                    ys &= irreducible
+                ys = tuple(y for y in iter_bits(ys) if row[y] != skip)
                 if ys:
                     plan.append((x, ys))
-            plan = tuple(plan)
-            self._memo[key] = plan = full if plan == full else plan
-        return plan
+            memo = self._memo[key] = (tuple(plan), complete)
+        return memo
 
     # -- serialization -----------------------------------------------------------
 

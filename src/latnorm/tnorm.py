@@ -270,24 +270,24 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     op is ``unit``, is checked first as T(a, unit) = a ∧ unit, which reads
     T(a, 0) = 0 for joins and the neutral axiom for meets.
 
-    Most pairs cannot fail. A diagonal pair never does, and when every row
-    is monotone (T(a, x) <= T(a, y) whenever x <= y) neither does a pair
-    with x and y comparable: x op y is then one of x and y, and so is
+    A diagonal pair never fails: T(a, x op x) = T(a, x) = T(a, x) op
+    T(a, x). So the full scan runs over every x < y whose op is not
+    ``skip`` (:func:`_every_pair`), and its first violation is the
+    witness. Every shortcut below keeps that witness.
+
+    When every row is monotone (T(a, x) <= T(a, y) whenever x <= y), no
+    comparable pair fails either: x op y is then one of x and y, and so is
     T(a, x) op T(a, y), the same one. So after the empty family comes a
     gate: the table's columns are compared across every cover, once per
-    table (the result is kept on it). A monotone table is planned over the
-    incomparable x < y whose op is not ``skip``
-    (:meth:`FiniteLattice.incomparable_pairs`, built once per lattice);
-    any other table over every x <= y whose op is not ``skip``, planned
-    per call. Both domains keep the (a, x, y) order and leave out only
-    pairs that hold, so the witness is the first violation of the full
-    scan in either case. One kernel, :func:`_preservation_failure`, scans
-    every domain and every set of rows.
+    table (the result is kept on it). A table that fails it is scanned
+    over every x < y, listed per call. A monotone one is scanned over one
+    plan per lattice, the incomparable pairs with an op-irreducible end
+    (:meth:`FiniteLattice.irreducible_end_pairs`). One kernel,
+    :func:`_preservation_failure`, scans every domain and every set of
+    rows.
 
-    A monotone table reads fewer pairs still: those with an
-    op-irreducible end (:meth:`FiniteLattice.irreducible_end_pairs`). A
-    row passes them exactly when it passes every planned pair. Take
-    joins; meets are dual. Let row a preserve the joins of the kept
+    A monotone row passes the plan exactly when it passes every pair.
+    Take joins; meets are dual. Let row a preserve the joins of the kept
     pairs, and let x ∨ y != ``skip``. Write y = j1 ∨ ... ∨ jk with every
     ji join-irreducible (k = 0 for y = bottom, where x ∨ y = x is
     comparable to y). Each step s ∨ ji from a partial join s = x ∨ j1 ∨
@@ -296,9 +296,13 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     or a comparable pair, which holds by monotonicity. By induction
     T(a, x ∨ y) = T(a, x) ∨ T(a, j1) ∨ ... ∨ T(a, jk) and T(a, y) =
     T(a, j1) ∨ ... ∨ T(a, jk), so the pair holds. So the first failing
-    row is the same on both domains; when the kept pairs leave some out,
-    that one row is scanned again over every planned pair to name the
-    witness of the full scan.
+    row is the same on the plan and on every pair. Within that row, a
+    monotone row never fails at a comparable pair, so its first failure
+    over every x < y is its first failure over the incomparable pairs.
+    When the plan is complete, it holds all of those, and its first
+    failure is the witness. When it is not, the failing row alone is
+    scanned again over every x < y, produced lazily up to its first
+    failure, to name the witness.
 
     With ``skip`` = top (left-semicontinuity) on a table whose row classes
     ``verify_tnorm`` has stored, the a-loop runs over the first row of each
@@ -335,10 +339,9 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
         monotone = t._monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
     table = lat.join_table if op == "join" else meet
     if monotone:
-        full = lat.incomparable_pairs(op, skip)
-        pairs = lat.irreducible_end_pairs(op, skip)
+        pairs, complete = lat.irreducible_end_pairs(op, skip)
     else:
-        full = pairs = [(x, [y for y in range(x, n) if table[x][y] != skip]) for x in range(n)]
+        pairs, complete = list(_every_pair(table, skip)), True
     rows = range(n)
     if skip == lat.top:
         gens = t._generator_rows
@@ -349,10 +352,17 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     failure = _preservation_failure(tbl, rows, pairs, table)
     if failure is None:
         return OK
-    if pairs is not full:
-        failure = _preservation_failure(tbl, failure[:1], full, table)
+    if not complete:
+        failure = _preservation_failure(tbl, failure[:1], _every_pair(table, skip), table)
     a, x, y = failure
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
+
+
+def _every_pair(table: tuple, skip: int):
+    """Yield each x with the ys > x whose op is not ``skip``, ascending;
+    ``table`` is op's table."""
+    for x, row in enumerate(table):
+        yield x, [y for y in range(x + 1, len(row)) if row[y] != skip]
 
 
 def _preservation_failure(tbl: tuple, rows, pairs, table: tuple) -> tuple[int, int, int] | None:

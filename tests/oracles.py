@@ -158,6 +158,37 @@ def all_subsets_atom_union(lat: FiniteLattice) -> bool:
     return True
 
 
+def atomistic_by_joins(lat: FiniteLattice) -> bool:
+    """Every element is the join of the atoms below it, joined one by one."""
+    return all(join_of(lat, iter_bits(lat.atoms_mask & lat.downs[x])) == x for x in range(lat.n))
+
+
+def boolean_by_pairwise_unions(lat: FiniteLattice) -> bool:
+    """Atomistic, and the atoms below each pairwise join are the union of
+    the atoms below its arguments."""
+    if not atomistic_by_joins(lat):
+        return False
+    am = lat.atoms_mask
+    for x in range(lat.n):
+        for y in range(x, lat.n):
+            if am & lat.downs[lat.join(x, y)] != (am & lat.downs[x]) | (am & lat.downs[y]):
+                return False
+    return True
+
+
+def reference_semicontinuity_criterion(lat: FiniteLattice, selection: AtomSelection) -> Verdict:
+    """The selection-level criterion, gathering every element below z that
+    does not dominate u, not only the join-irreducible ones."""
+    for u in selection:
+        for z in range(lat.n):
+            if z == lat.top:
+                continue
+            gathered = join_of(lat, iter_bits(lat.downs[z] & ~lat.ups[u]))
+            if lat.leq(u, gathered):
+                return Verdict(False, "left-semicontinuity-criterion", (lat.name(u), lat.name(z)))
+    return OK
+
+
 def all_subsets_semicontinuity_condition(lat: FiniteLattice, selection: AtomSelection) -> bool:
     """Literal selection-level condition over every subset with join below top.
 

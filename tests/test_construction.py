@@ -25,7 +25,7 @@ from latnorm.errors import (
     NotAtomistic,
 )
 from latnorm.extension import extend
-from latnorm.lattice import ElementSet, powerset_lattice
+from latnorm.lattice import ElementSet, iter_bits, powerset_lattice
 from latnorm.oracle import census
 from latnorm.tnorm import (
     idempotents,
@@ -42,7 +42,9 @@ from oracles import (
     double_join_lift,
     independent_subsets_spanning,
     reference_family_powerset_isomorphism,
+    reference_semicontinuity_criterion,
 )
+from test_lattice import mask_fact_lattices
 
 # Worked-example tables keyed by element names: the skeleton t-norm for the
 # selection {b, w_d} and its lift to the extended lattice.
@@ -314,6 +316,21 @@ def test_semicontinuity_criterion_witness_reduction_matches_all_subsets(
             assert semicontinuity_criterion(lat, sel).ok == all_subsets_semicontinuity_condition(
                 lat, sel
             ), (lat.names, sel.label())
+
+
+def test_semicontinuity_criterion_gathers_join_irreducibles(corpus_atomistic, corpus_extension):
+    """Joining only the join-irreducibles below z that do not dominate u
+    gives the reference's verdict and witness on every selection, on
+    atomistic and non-atomistic lattices alike."""
+    failing = 0
+    for lat in mask_fact_lattices(corpus_atomistic, corpus_extension):
+        atoms = list(iter_bits(lat.atoms_mask))
+        for mask in range(1 << len(atoms)):
+            sel = AtomSelection.from_mask(lat, sum(1 << a for i, a in enumerate(atoms) if mask >> i & 1))
+            expected = reference_semicontinuity_criterion(lat, sel)
+            assert semicontinuity_criterion(lat, sel) == expected, (lat.names, sel.label())
+            failing += not expected.ok and not lat.is_atomistic()
+    assert failing
 
 
 def test_semicontinuity_vacuous_cases(p3, fig_extended):

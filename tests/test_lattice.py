@@ -20,6 +20,7 @@ from latnorm.errors import (
     NoTop,
     UnknownLabel,
 )
+from latnorm.extension import extend
 from latnorm.lattice import (
     ElementSet,
     induced_sublattice,
@@ -29,7 +30,14 @@ from latnorm.lattice import (
     powerset_lattice,
 )
 
-from oracles import all_subsets_atom_union, set_based_below, set_based_meets_joins
+from oracles import (
+    all_subsets_atom_union,
+    atomistic_by_joins,
+    boolean_by_pairwise_unions,
+    set_based_below,
+    set_based_meets_joins,
+)
+from test_tnorm import ROW_CLASS_LATTICES
 
 
 def test_fig_lattice_structure(fig_lattice):
@@ -315,6 +323,27 @@ def test_pairwise_boolean_check_matches_all_subsets(corpus_extension, corpus_ato
         assert lat.is_boolean_atomistic() == expected
 
 
+def mask_fact_lattices(corpus_atomistic, corpus_extension):
+    """The corpora and seeded draws of 2-10 elements, each with its
+    atomistic extension; 2^0 to 2^6, Pi4 and N5."""
+    lats = [*corpus_atomistic.values(), *corpus_extension.values()]
+    lats += [random_lattice(size, seed) for size in range(2, 11) for seed in range(10)]
+    lats += [extend(lat).extended for lat in lats]
+    return lats + [powerset_lattice(k) for k in range(7)] + [ROW_CLASS_LATTICES["Pi4"], pentagon()]
+
+
+def test_atomisticity_and_booleanness_read_off_the_masks(corpus_atomistic, corpus_extension):
+    """Every join-irreducible an atom, and 2^k elements for k atoms: the
+    same verdicts as joining the atoms below each element and comparing
+    atom sets across every pairwise join."""
+    kinds = set()
+    for lat in mask_fact_lattices(corpus_atomistic, corpus_extension):
+        atomistic, boolean = atomistic_by_joins(lat), boolean_by_pairwise_unions(lat)
+        assert (lat.is_atomistic(), lat.is_boolean_atomistic()) == (atomistic, boolean), lat.names
+        kinds.add((atomistic, boolean))
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
 def test_atoms_of_meet_are_intersection(corpus_extension):
     for lat in corpus_extension.values():
         am = lat.atoms_mask
@@ -418,28 +447,32 @@ def test_atoms_below(fig_extended):
 
 
 def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
-    """Comparable and planned incomparable pairs, straight from ``leq``."""
+    """Comparable pairs and the planned pairs, straight from ``leq``."""
     for name, lat in {**corpus_extension, **corpus_atomistic, "chain1": chain(1)}.items():
         n = lat.n
         assert lat.comparable_pairs() == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
         for op, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+            covers = [hi if op == "join" else lo for lo, hi in lat.covers]
+            irreducible = {x for x in range(n) if covers.count(x) == 1}
             for skip in (-1, lat.top, lat.bottom):
-                plan = lat.incomparable_pairs(op, skip)
-                expected = [
+                plan, complete = lat.irreducible_end_pairs(op, skip)
+                incomparable = [
                     (x, y)
                     for x in range(n)
                     for y in range(x + 1, n)
                     if not lat.leq(x, y) and not lat.leq(y, x) and table[x][y] != skip
                 ]
+                expected = [p for p in incomparable if irreducible & set(p)]
                 assert [(x, y) for x, ys in plan for y in ys] == expected, (name, op, skip)
+                assert complete == (expected == incomparable), (name, op, skip)
                 assert all(ys for _, ys in plan)
-                assert lat.incomparable_pairs(op, skip) is plan
+                assert lat.irreducible_end_pairs(op, skip)[0] is plan
 
 
 def test_pair_caches_stay_out_of_equality_and_serialization(fig_lattice):
     fresh = stemmed_diamond()
     fig_lattice.comparable_pairs()
-    fig_lattice.incomparable_pairs("join", fig_lattice.top)
+    fig_lattice.irreducible_end_pairs("join", fig_lattice.top)
     assert fig_lattice == fresh and hash(fig_lattice) == hash(fresh)
     assert fig_lattice.fingerprint() == fresh.fingerprint()
     assert fig_lattice.to_json_obj() == fresh.to_json_obj()
