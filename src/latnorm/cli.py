@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             return args.fn(args)
-        except (LatnormError, FileNotFoundError) as exc:
+        except (LatnormError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except (ValueError, json.JSONDecodeError) as exc:

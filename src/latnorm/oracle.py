@@ -4,13 +4,14 @@ This is the ground truth the generation theory is checked against, so it
 deliberately shares nothing with the construction pipeline: tables are
 found by backtracking over undecided cells straight from the axioms.
 Rows and columns of top and bottom are forced; commutativity halves the
-cells. Monotonicity makes each cell's candidates an interval: at least
-the join of its already assigned neighbours below, at most the meet of
-those above and of the meet of its arguments. Partial associativity
-prunes during the search, and it is complete: every leaf is a t-norm
-and is yielded unchecked. The census classifies each table by
-continuity; a left-continuous table is left-semicontinuous without a
-second scan.
+cells. The cells are searched smallest first, so a cell's neighbours
+below are assigned before it and those above after it. Monotonicity
+then makes each cell's candidates an interval: at least the join of its
+neighbours below, at most the meet of its arguments. Partial
+associativity, one comparison per triple, prunes during the search, and
+it is complete: every leaf is a t-norm and is yielded unchecked. The
+census classifies each table by continuity; a left-continuous table is
+left-semicontinuous without a second scan.
 """
 
 from __future__ import annotations
@@ -56,17 +57,15 @@ def enumerate_all_tnorms(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
-    cell_order: str = "default",
 ) -> Iterator[TNormTable]:
     """Stream every t-norm on the lattice, duplicate-free.
 
-    ``cell_order`` picks the backtracking order of the free cells; any
-    choice yields the same set of tables, which the tests exploit as a
-    determinism check. For a fixed order the stream is deterministic.
+    The free cells (x, y) are searched smallest first: by ascending
+    |↓x| + |↓y|, ties broken by ids, so the stream is deterministic.
     Each cell's candidates form an interval: above the join of its
-    monotone neighbours below that are already assigned, and below the
-    meet of those above and of ``meet(x, y)``; they are tried in
-    ascending element order. Raises when the element count exceeds
+    monotone neighbours below, which all come earlier, and below
+    ``meet(x, y)``, as every neighbour above comes later; they are tried
+    in ascending element order. Raises when the element count exceeds
     ``size_cap`` or more than ``cap`` tables exist.
 
     Every leaf is a t-norm, so it is yielded without a second check.
@@ -75,37 +74,30 @@ def enumerate_all_tnorms(
     commutativity, and the intervals give monotonicity. Associativity
     follows from the partial check ``consistent``:
 
+    - The order. Let the cell {a, b} lie under {x, y}, with a <= x and
+      b <= y after matching, and let the two cells differ. Then one
+      inequality is strict, so |↓a| + |↓b| < |↓x| + |↓y|, and the lower
+      cell comes first. So the interval bounds read every assigned
+      neighbour of a cell, and those are all its neighbours below.
     - A triple with top or bottom in it holds by the forced rows. Fix
       middle elements a, b, c and write ab = T(a, b), bc = T(b, c). The
       triple (a, b, c) states T(ab, c) = T(a, bc) and reads four cells:
       the first-level cells (a, b) and (b, c) and the second-level cells
-      (ab, c) and (a, bc). As ab <= meet(a, b) < top, a second-level
-      cell is never in the top row; when ab is bottom, (ab, c) is in the
-      forced bottom row, and likewise for bc. The other cells are free.
-    - (a, b, a) holds by commutativity: T(ab, a) = T(a, ba). The mirror
-      (c, b, a) states the same equation as (a, b, c), read on the same
-      cells of the commutative table, so only a before c in ``mids``
-      needs a check.
-    - Let cell k be the triple's free cell that comes last in ``cells``.
-      When cell k is tried with its leaf value, every free cell of the
-      triple already holds its leaf value, so both sides can be read.
-      Cells up to k keep their values while the search goes deeper, so
-      a comparison passed on the way to a leaf still holds at the leaf.
-    - If cell k is a first-level cell, the other first-level cell comes
-      no later, so ``touching[k]`` holds whichever of the triple and
-      its mirror has its first element earlier in ``mids`` and compares
-      its two sides. This covers a second-level cell that is also a
-      first-level cell, such as (ab, c) = (b, c) when ab = b.
-    - Otherwise cell k is (ab, c) or (a, bc), with value v, and the
-      first-level cells come earlier. If it is (ab, c), then (a, b) is
-      among ``producers[ab]``, and ``consistent`` reads cell k with ab
-      first and c second; on the diagonal branch, where ab = c, that is
-      the only way to read it. For the producer it compares v with both
-      T(a, T(b, c)) and T(b, T(a, c)), so whichever way round (a, b)
-      stored its rows, one comparison is the triple's. If cell k is
-      (a, bc), the same holds for the mirror (c, b, a): its second-level
-      cell (bc, a) is cell k, and the comparison of T(bc, a) with
-      T(c, T(b, a)) = T(ab, c) is the triple's.
+      (ab, c) and (a, bc). (a, b, a) holds by commutativity: T(ab, a) =
+      T(a, ba). The mirror (c, b, a) states the same equation as
+      (a, b, c), read on the same cells of the commutative table, so
+      only a before c in ``mids`` needs a check.
+    - Second-level cells come early. T(a, b) <= a ∧ b, so (ab, c) lies
+      under or equals (b, c), and (a, bc) lies under or equals (a, b).
+      As ab < top, a second-level cell is never in the top row; when ab
+      is bottom, (ab, c) is in the forced bottom row, and likewise for
+      bc.
+    - So one comparison decides each triple. Let cell k be the later of
+      its two first-level cells; ``touching[k]`` holds the triple. When
+      cell k is tried, all four cells hold values, so ``consistent``
+      compares both sides. Cells up to k keep their values while the
+      search goes deeper, so a comparison passed on the way to a leaf
+      still holds at the leaf.
     """
     _check_size(lat, size_cap)
     n = lat.n
@@ -123,14 +115,7 @@ def enumerate_all_tnorms(
 
     mids = [x for x in range(n) if x not in (bot, top)]
     cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
-    if cell_order == "default":
-        cells.sort(key=lambda c: (-(lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count()), c))
-    elif cell_order == "lex":
-        cells.sort()
-    elif cell_order == "reverse":
-        cells.sort(reverse=True)
-    else:
-        raise ValueError(f"unknown cell order {cell_order!r}")
+    cells.sort(key=lambda c: (lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count(), c))
     position = {cell: k for k, cell in enumerate(cells)}
 
     # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending
@@ -140,65 +125,29 @@ def enumerate_all_tnorms(
         (a, b), (x, y) = p, q
         return (leq(a, x) and leq(b, y)) or (leq(a, y) and leq(b, x))
 
-    # Per cell, the maximal earlier cells below it and the minimal earlier
-    # cells above it, each as a row and a column. Assigned cells stay
-    # pairwise monotone, so these bound the interval exactly as every
-    # assigned neighbour would. Only the touching triples whose other
-    # first-level cell is assigned too are kept: on the rest the partial
-    # check cannot fail yet. A triple (a, b, c) and its mirror (c, b, a)
-    # compare the same two cells of a commutative table, and (a, b, a)
-    # compares one cell with itself, so only a < c is kept.
+    # Per cell, the maximal cells below it, each as a row and a column.
+    # Assigned cells stay pairwise monotone, so these bound the interval
+    # exactly as every neighbour below would.
     below: list[list[tuple[list, int]]] = []
-    above: list[list[tuple[list, int]]] = []
-    touching: list[list[tuple[list, int, list, int]]] = []
     for k, cell in enumerate(cells):
         lower = [p for p in cells[:k] if under(p, cell)]
-        upper = [p for p in cells[:k] if under(cell, p)]
         maximal = [p for p in lower if not any(q != p and under(p, q) for q in lower)]
-        minimal = [p for p in upper if not any(q != p and under(q, p) for q in upper)]
         below.append([(tbl[a], b) for a, b in maximal])
-        above.append([(tbl[a], b) for a, b in minimal])
-        pair = set(cell)
-        triples = []
-        for i, a in enumerate(mids):
-            for b in mids:
-                for c in mids[i + 1 :]:
-                    if {a, b} == pair:
-                        other = (b, c)
-                    elif {b, c} == pair:
-                        other = (a, b)
-                    else:
-                        continue
-                    if position[min(other), max(other)] <= k:
-                        triples.append((tbl[a], b, tbl[b], c))
-        touching.append(triples)
 
-    # producers[v] holds the rows of the mid cells currently mapping to v,
-    # so an assignment can also recheck triples it completes at second level
-    producers: list[list[tuple[list, list]]] = [[] for _ in range(n)]
+    # Each triple (a, b, c), a before c, goes to the later of its two
+    # first-level cells.
+    touching: list[list[tuple[list, int, list, int]]] = [[] for _ in cells]
+    for i, a in enumerate(mids):
+        for b in mids:
+            first = position[min(a, b), max(a, b)]
+            for c in mids[i + 1 :]:
+                k = max(first, position[min(b, c), max(b, c)])
+                touching[k].append((tbl[a], b, tbl[b], c))
 
-    def consistent(k: int, x: int, y: int, v: int) -> bool:
+    def consistent(k: int) -> bool:
         for row_a, b, row_b, c in touching[k]:
-            abc = tbl[row_a[b]][c]
-            if abc is not None:
-                a_bc = row_a[row_b[c]]
-                if a_bc is not None and a_bc != abc:
-                    return False
-        # triples whose second-level cell is this one: T(T(a, b), s) with
-        # T(a, b) = x and s = y, or the reverse; (s, b, a) and (s, a, b)
-        # mirror the two checked here
-        for first, second in ((x, y), (y, x)) if x != y else ((x, y),):
-            for row_a, row_b in producers[first]:
-                bs = row_b[second]
-                if bs is not None:
-                    a_bs = row_a[bs]
-                    if a_bs is not None and a_bs != v:
-                        return False
-                a_s = row_a[second]
-                if a_s is not None:
-                    b_as = row_b[a_s]
-                    if b_as is not None and b_as != v:
-                        return False
+            if tbl[row_a[b]][c] != row_a[row_b[c]]:
+                return False
         return True
 
     count = 0
@@ -220,17 +169,11 @@ def enumerate_all_tnorms(
         lo = bot
         for row, b in below[k]:
             lo = join[lo][row[b]]
-        hi = meet[x][y]
-        for row, b in above[k]:
-            hi = meet[hi][row[b]]
-        rows = (row_x, row_y)
-        for v in interval[lo][hi]:
+        for v in interval[lo][meet[x][y]]:
             row_x[y] = v
             row_y[x] = v
-            producers[v].append(rows)
-            if consistent(k, x, y, v):
+            if consistent(k):
                 yield from search(k + 1)
-            producers[v].pop()
         row_x[y] = None
         row_y[x] = None
 

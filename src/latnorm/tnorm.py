@@ -41,20 +41,16 @@ OK = Verdict(True)
 class TNormTable:
     """A total binary operation table over one lattice's elements.
 
-    ``verdict`` caches the verification result; None means unchecked.
     ``_monotone`` caches whether every row is monotone, which the
     continuity scans test first and ``verify_tnorm`` learns on the way;
-    None means untested. ``_row_classes`` lists, in element order, the
-    first row x != top of each class of rows that agree off column top;
-    ``verify_tnorm`` sets it once neutrality and commutativity hold, and
-    None means unknown. ``_generator_rows`` lists, in element order, the
+    None means untested. ``_generator_rows`` lists, in element order, the
     class rows of a generating set of the table without top (see
     :func:`verify_tnorm`); it is set only once the table has verified as
     a t-norm, and None means unknown. No cache is part of ``==`` or
     ``hash``.
     """
 
-    __slots__ = ("lattice", "table", "verdict", "_monotone", "_row_classes", "_generator_rows")
+    __slots__ = ("lattice", "table", "_monotone", "_generator_rows")
 
     def __init__(self, lattice: FiniteLattice, table):
         n = lattice.n
@@ -67,9 +63,7 @@ class TNormTable:
             raise ValueError(f"table entry {bad} is not an element id")
         self.lattice = lattice
         self.table = rows
-        self.verdict = None
         self._monotone = None
-        self._row_classes = None
         self._generator_rows = None
 
     def value(self, x: int, y: int) -> int:
@@ -109,8 +103,7 @@ def verify_tnorm(t: TNormTable) -> Verdict:
 
     Both sweeps read class columns. Once neutrality and commutativity
     hold, the rows x != top are grouped by their values off column top,
-    and the first row of each class in element order is kept
-    (``t._row_classes``). Every row v is then read once at those columns
+    and the first row of each class in element order is kept. Every row v is then read once at those columns
     and at top, as ``proj[v]``, and the sweeps compare these projections.
 
     - A cover (lo, hi) with hi != top compares the projections of rows lo
@@ -157,8 +150,6 @@ def verify_tnorm(t: TNormTable) -> Verdict:
     (cover, then x; x, then y, then z), so the witness is the first
     violation that sweep meets, not merely one in the failed row.
     """
-    if t.verdict is not None:
-        return t.verdict
     lat = t.lattice
     tbl = t.table
     n = lat.n
@@ -178,7 +169,7 @@ def verify_tnorm(t: TNormTable) -> Verdict:
         firsts: dict = {}
         # the first row of each element's class; top is its own
         rep = [x if x == top else firsts.setdefault(row[:top] + row[top + 1 :], x) for x, row in enumerate(tbl)]
-        reps = t._row_classes = tuple(firsts.values())
+        reps = tuple(firsts.values())
         comparable = lat.comparable_pairs()
         # two or more elements whenever there is a cover, so pick returns a tuple
         pick = itemgetter(*reps, top)
@@ -204,7 +195,6 @@ def verify_tnorm(t: TNormTable) -> Verdict:
             # Light's test is exact, so the plain class sweep fails too
             x, y, z = _associativity_failure(tbl, proj, reps, reps)
             verdict = Verdict(False, "associativity", (lat.name(x), lat.name(y), lat.name(z)))
-    t.verdict = verdict
     return verdict
 
 
@@ -304,16 +294,6 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     scanned again over every x < y, produced lazily up to its first
     failure, to name the witness.
 
-    With ``skip`` = top (left-semicontinuity) on a table whose row classes
-    ``verify_tnorm`` has stored, the a-loop runs over the first row of each
-    class only. No scanned pair reads column top then: x op y is not top,
-    and x and y lie below it. So rows that agree off column top give
-    identical checks, and a row left out has a twin earlier in element
-    order that was checked already. The top row is left out too;
-    neutrality, which holds whenever the classes are stored, makes it the
-    identity, which preserves every join. The other two scans keep every
-    row: left-continuity reads column top wherever x ∨ y = top.
-
     On a table that has verified as a t-norm, left-semicontinuity first
     scans its generator rows alone (``t._generator_rows``, see
     :func:`verify_tnorm`), and if they pass, so does every row. The rows
@@ -322,8 +302,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     T(a1, T(a2, ·)) preserves the join of x and y too, and by
     associativity that composed row is row T(a1, a2). Row top is the
     identity, every element is a product of generators, and a generator's
-    class row stands for it as above. When a generator row fails, the
-    class rows are scanned as before, so the witness does not change.
+    class row stands for it. No scanned pair reads column top: x ∨ y is
+    not top, and x and y lie below it. So rows that agree off column top
+    give identical checks. When a generator row fails, every row is
+    scanned as before, so the witness does not change.
     """
     lat = t.lattice
     tbl = t.table
@@ -342,14 +324,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
         pairs, complete = lat.irreducible_end_pairs(op, skip)
     else:
         pairs, complete = list(_every_pair(table, skip)), True
-    rows = range(n)
-    if skip == lat.top:
-        gens = t._generator_rows
-        if gens is not None and _preservation_failure(tbl, gens, pairs, table) is None:
-            return OK
-        if t._row_classes is not None:
-            rows = t._row_classes
-    failure = _preservation_failure(tbl, rows, pairs, table)
+    gens = t._generator_rows
+    if skip == lat.top and gens is not None and _preservation_failure(tbl, gens, pairs, table) is None:
+        return OK
+    failure = _preservation_failure(tbl, range(n), pairs, table)
     if failure is None:
         return OK
     if not complete:

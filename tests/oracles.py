@@ -7,11 +7,12 @@ no code path with the production reductions it cross-checks.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from typing import Iterator
 
 from latnorm.errors import BoundExceeded
-from latnorm.lattice import FiniteLattice, iter_bits
+from latnorm.lattice import FiniteLattice, iter_bits, lattice_from_covers
 from latnorm.construction import AtomSelection, AtomSkeleton, GeneratedTNorm
 from latnorm.oracle import DEFAULT_COUNT_CAP, DEFAULT_SIZE_CAP, _check_size
 from latnorm.tnorm import OK, TNormTable, Verdict, tnorm_le
@@ -451,6 +452,26 @@ def reference_continuity_scans(t: TNormTable) -> tuple[Verdict, Verdict, Verdict
     )
 
 
+# The element lists a lattice is relabelled with: as given, sorted by
+# name, reversed, and shuffled with a fixed seed.
+LABELLINGS = ("default", "lex", "reverse", "shuffled")
+
+
+def relabeled(lat: FiniteLattice, how: str) -> FiniteLattice:
+    """The same lattice with its elements listed the way ``how`` names
+    (see ``LABELLINGS``); the ids, and so every id order, change with it."""
+    names = list(lat.names)
+    if how == "lex":
+        names.sort()
+    elif how == "reverse":
+        names.reverse()
+    elif how == "shuffled":
+        random.Random(0).shuffle(names)
+    elif how != "default":
+        raise ValueError(f"unknown labelling {how!r}")
+    return lattice_from_covers(names, lat.covers_named())
+
+
 def reference_enumerate_all_tnorms(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,
@@ -460,10 +481,13 @@ def reference_enumerate_all_tnorms(
     """Every t-norm on the lattice, streamed by the original backtracking search.
 
     The body of ``enumerate_all_tnorms`` before its interval domains,
-    kept verbatim except for this docstring: every candidate is tested
-    against every monotone neighbour, ``triple_ok`` runs on every touching
-    triple, and the leaf sweep indexes a list of triples. The production
-    enumerator must yield the same tables in the same order, and raise
+    kept verbatim except for this docstring and the ``"ascending"``
+    order: every candidate is tested against every monotone neighbour,
+    ``triple_ok`` runs on every touching triple, ``producers`` rechecks
+    the triples an assignment completes at second level, and the leaf
+    sweep indexes a list of triples, so every order yields the same set
+    of tables. In the ``"ascending"`` order, the production enumerator's,
+    it must yield the same tables in the same order, and raise
     ``BoundExceeded`` at the same ``cap``.
     """
     _check_size(lat, size_cap)
@@ -484,6 +508,8 @@ def reference_enumerate_all_tnorms(
     cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
     if cell_order == "default":
         cells.sort(key=lambda c: (-(lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count()), c))
+    elif cell_order == "ascending":
+        cells.sort(key=lambda c: (lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count(), c))
     elif cell_order == "lex":
         cells.sort()
     elif cell_order == "reverse":

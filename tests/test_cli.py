@@ -540,6 +540,27 @@ def test_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "{dir}"],
+        ["generate", "{data}/m3.json", "--all", "--out", "{file}"],
+        ["export-dot", "{data}/m3.json", "--out", "{file}/x.dot"],
+    ],
+    ids=["read a directory", "write into a file", "write below a file"],
+)
+def test_os_errors_are_one_error_line(tmp_path, capsys, argv):
+    """An input or output path the system refuses exits 1 with one plain
+    error line, not a traceback."""
+    (tmp_path / "file").write_text("")
+    data = Path(__file__).resolve().parent.parent / "data"
+    paths = {"dir": tmp_path, "data": data, "file": tmp_path / "file"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

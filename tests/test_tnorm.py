@@ -35,6 +35,7 @@ from oracles import (
     full_pairs_monotone,
     reference_continuity_scans,
     reference_verify_tnorm,
+    relabeled,
 )
 
 # The worked-example restriction table, keyed by element names.
@@ -458,8 +459,8 @@ def scans(t):
 def assert_scans_match_reference(t):
     """Same verdicts, axioms and witnesses as the cell scan: on a fresh
     table, again once its monotonicity gate is known, and after
-    ``verify_tnorm``, which may record the gate and the row classes on the
-    way. Returns the verified table."""
+    ``verify_tnorm``, which may record the gate and the generator rows on
+    the way. Returns the verified table."""
     fresh = TNormTable(t.lattice, t.table)
     expected = reference_continuity_scans(fresh)
     assert scans(fresh) == expected, fresh.table
@@ -554,11 +555,6 @@ def _partition_lattice(k):
     return lattice_from_covers(sorted(map(name, parts), key=lambda s: (-s.count("|"), s)), covers)
 
 
-def _reversed(lat):
-    """The same lattice with its element ids reversed: top comes first."""
-    return lattice_from_covers(lat.names[::-1], lat.covers_named())
-
-
 def _has_earlier_twin(lat, grid, x):
     """Whether some row x' < x, both below top, agrees with row x off column top."""
     top = lat.top
@@ -604,8 +600,8 @@ ROW_CLASS_LATTICES = {
     "2^3": powerset_lattice(3),
     "2^4": powerset_lattice(4),
     "Pi4": _partition_lattice(4),
-    "2^4 reversed": _reversed(powerset_lattice(4)),
-    "Pi4 reversed": _reversed(_partition_lattice(4)),
+    "2^4 reversed": relabeled(powerset_lattice(4), "reverse"),
+    "Pi4 reversed": relabeled(_partition_lattice(4), "reverse"),
 }
 
 
@@ -614,9 +610,8 @@ def test_row_classes_keep_verdicts_and_witnesses(name):
     """Every selection's lift, and copies changed in a row with an earlier
     off-top twin: ``verify_tnorm`` and the three scans give the reference
     verdicts and witnesses, on a fresh table and once ``verify_tnorm`` has
-    stored the row classes, which never change ``==`` or ``hash``."""
+    run, which never changes ``==`` or ``hash``."""
     lat = ROW_CLASS_LATTICES[name]
-    stored = 0
     for member in generated_family(lat):
         lifted = member.lifted.table
         for grid in [lifted, *_twin_row_changes(lat, lifted)]:
@@ -625,10 +620,8 @@ def test_row_classes_keep_verdicts_and_witnesses(name):
             verdict = verify_tnorm(verified)
             assert verdict == reference_verify_tnorm(fresh), grid
             assert (verified._generator_rows is not None) == verdict.ok
-            stored += verified._row_classes is not None
             assert verified == fresh and hash(verified) == hash(fresh)
             assert_scans_match_reference(fresh)
-    assert stored
 
 
 def test_verify_reads_covers_into_top_in_full():
@@ -641,7 +634,6 @@ def test_verify_reads_covers_into_top_in_full():
     assert lat.names == ("0", "a", "b", "c", "1")
     t = TNormTable(lat, grid)
     assert verify_tnorm(t) == reference_verify_tnorm(t) == Verdict(False, "monotonicity", ("b", "a", "1"))
-    assert t._row_classes == (0, 1)
 
 
 def _generators(t):
@@ -653,12 +645,12 @@ def _generators(t):
 
 def test_t_min_generator_rows_are_the_coatoms():
     """The meet on 2^7 is generated by its coatoms and top: 7 generator
-    rows instead of 127 class rows, and left-semicontinuity reads those."""
+    rows instead of all 128, and left-semicontinuity reads those."""
     lat = powerset_lattice(7)
     t = t_min(lat)
     assert verify_tnorm(t).ok
     coatoms = tuple(lo for lo, hi in lat.covers if hi == lat.top)
-    assert len(coatoms) == 7 and len(t._row_classes) == 127
+    assert len(coatoms) == 7
     assert t._generator_rows == tuple(sorted(coatoms))
     assert is_left_semicontinuous(t) == OK
 
@@ -686,7 +678,7 @@ def test_verify_matches_reference_when_the_witness_middle_is_no_generator():
 def test_left_semicontinuity_matches_reference_off_the_generator_rows():
     """Verified t-norms whose first left-semicontinuity failure lies in a
     row that is not a generator's: the generator rows fail elsewhere or
-    not at all, and the class rows scanned after them give the reference
+    not at all, and the rows scanned after them give the reference
     witness. Lifts on Pi4 and every t-norm of the seeded scan lattices."""
     tables = [member.lifted for member in generated_family(ROW_CLASS_LATTICES["Pi4"])]
     tables += [t for lat in SCAN_LATTICES.values() for t in enumerate_all_tnorms(lat)]
@@ -707,14 +699,14 @@ def test_left_semicontinuity_after_a_failed_associativity_sweep(k):
     """The meet on 2^k with T(a, a) lowered to bottom for an atom a:
     neutral, commutative and monotone, not associative, and row a breaks
     a join below top while the generator rows (the coatoms) preserve
-    every one. No generator rows are stored, so the scan reads the class
-    rows and finds row a."""
+    every one. No generator rows are stored, so the scan reads every row
+    and finds row a."""
     lat = powerset_lattice(k)
     for a in iter_bits(lat.atoms_mask):
         grid = _changed(lat.meet_table, a, a, lat.bottom)
         verified = TNormTable(lat, grid)
         assert verify_tnorm(verified).axiom == "associativity"
-        assert verified._generator_rows is None and verified._row_classes is not None
+        assert verified._generator_rows is None
         expected = reference_continuity_scans(TNormTable(lat, grid))
         assert expected[2].witness[0] == lat.name(a)
         assert scans(verified) == expected
@@ -726,8 +718,8 @@ def test_continuity_scans_match_reference_on_large_lifts():
     full selection and two seeded ones, each also with one symmetric cell
     pair lowered to bottom (no longer monotone) and with T(a, a) lowered
     to bottom for a middle atom a (still monotone, no longer a t-norm).
-    The scans run again after ``verify_tnorm``, which stores the row
-    classes on all three and the generator rows on those that verify."""
+    The scans run again after ``verify_tnorm``, which stores the
+    generator rows on those that verify."""
     pi6 = _partition_lattice(6)
     assert pi6.n == 203 and pi6.atoms_mask.bit_count() == 15
     for lat in (powerset_lattice(8), pi6):
@@ -749,7 +741,6 @@ def test_continuity_scans_match_reference_on_large_lifts():
                 verified = assert_scans_match_reference(TNormTable(lat, grid))
                 # the lowered copy is still neutral and commutative, so its
                 # classes are stored; generator rows only on a t-norm
-                assert verified._row_classes is not None
                 assert (verified._generator_rows is not None) == verify_tnorm(verified).ok
 
 
@@ -803,9 +794,9 @@ def _meet_through(lat, kept):
 # with two reducible ends, so the irreducible-end plan meets a later pair
 # of the failing row first: (scan, op, skip is top, table, witness).
 REDUCIBLE_END_WITNESSES = [
-    ("left-continuity", "join", False, t_drastic(_reversed(powerset_lattice(4))), ("bcd", "bcd", "acd")),
+    ("left-continuity", "join", False, t_drastic(relabeled(powerset_lattice(4), "reverse")), ("bcd", "bcd", "acd")),
     ("right-continuity", "meet", False, _meet_through(powerset_lattice(4), ["ab", "ac"]), ("abc", "ab", "ac")),
-    ("left-semicontinuity", "join", True, _meet_through(_reversed(powerset_lattice(4)), ["ab"]), ("abd", "bd", "ad")),
+    ("left-semicontinuity", "join", True, _meet_through(relabeled(powerset_lattice(4), "reverse"), ["ab"]), ("abd", "bd", "ad")),
 ]
 
 
