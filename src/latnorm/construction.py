@@ -21,7 +21,7 @@ from .errors import (
     NotAtomistic,
 )
 from .lattice import DEFAULT_ATOM_CAP, ElementSet, FiniteLattice, induced_sublattice, iter_bits
-from .tnorm import TNormTable, Verdict, OK, tnorm_le
+from .tnorm import TNormTable, Verdict, OK, idempotents, tnorm_le
 
 
 class AtomSelection(ElementSet):
@@ -146,13 +146,10 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     """
     if not lat.is_atomistic():
         raise NotAtomistic("lift needs an atomistic lattice")
-    sub = t_on_skeleton.lattice
-    idem_mask = 0
-    for ci in range(sub.n):
-        if ci != sub.bottom and ci != sub.top and t_on_skeleton.table[ci][ci] == ci:
-            idem_mask |= 1 << lat.index(sub.names[ci])
-    # top can be an atom only in the degenerate length-1 case; there the
-    # formula below never consults idem_mask
+    idem_mask = lat.element_set(idempotents(t_on_skeleton).names()).mask
+    # idem_mask also holds bottom and top; spans ANDs it with the atoms,
+    # and top can be an atom only in the degenerate length-1 case, where
+    # the formula below never consults idem_mask
     n = lat.n
     top = lat.top
     am = lat.atoms_mask

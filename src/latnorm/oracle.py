@@ -7,7 +7,7 @@ Rows and columns of top and bottom are forced; commutativity halves the
 cells. The cells are searched smallest first, so a cell's neighbours
 below are assigned before it and those above after it. Monotonicity
 then makes each cell's candidates an interval: at least the join of its
-neighbours below, at most the meet of its arguments. Partial
+cover neighbours below, at most the meet of its arguments. Partial
 associativity, one comparison per triple, prunes during the search, and
 it is complete: every leaf is a t-norm and is yielded unchecked. The
 census classifies each table by continuity; a left-continuous table is
@@ -63,7 +63,7 @@ def enumerate_all_tnorms(
     The free cells (x, y) are searched smallest first: by ascending
     |↓x| + |↓y|, ties broken by ids, so the stream is deterministic.
     Each cell's candidates form an interval: above the join of its
-    monotone neighbours below, which all come earlier, and below
+    cover neighbours below, which all come earlier, and below
     ``meet(x, y)``, as every neighbour above comes later; they are tried
     in ascending element order. Raises when the element count exceeds
     ``size_cap`` or more than ``cap`` tables exist.
@@ -77,8 +77,19 @@ def enumerate_all_tnorms(
     - The order. Let the cell {a, b} lie under {x, y}, with a <= x and
       b <= y after matching, and let the two cells differ. Then one
       inequality is strict, so |↓a| + |↓b| < |↓x| + |↓y|, and the lower
-      cell comes first. So the interval bounds read every assigned
-      neighbour of a cell, and those are all its neighbours below.
+      cell comes first. So every neighbour of a cell below it is assigned
+      before it, and every neighbour above it after it.
+    - The lower bound. The cover neighbours of (x, y) below are (x', y)
+      for each lower cover x' of x and (x, y') for each lower cover y'
+      of y; by the order they come first. When x is an atom, (bottom, y)
+      lies in the forced bottom row and adds nothing to the join. Let a
+      free cell {a, b} lie under {x, y} as above, and say a < x. Then
+      a <= x' for some lower cover x' of x, and x' is not bottom, as a
+      is a middle element, so {a, b} lies under or equals the free cell
+      (x', y); likewise when b < y. Each assigned cell is at least the
+      join of its cover neighbours below, so the assigned cells grow
+      along every chain of cover steps, and the join over the cover
+      neighbours is the join over every cell below.
     - A triple with top or bottom in it holds by the forced rows. Fix
       middle elements a, b, c and write ab = T(a, b), bc = T(b, c). The
       triple (a, b, c) states T(ab, c) = T(a, bc) and reads four cells:
@@ -103,7 +114,6 @@ def enumerate_all_tnorms(
     n = lat.n
     bot, top = lat.bottom, lat.top
     meet, join = lat.meet_table, lat.join_table
-    leq = lat.leq
 
     tbl: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -121,18 +131,12 @@ def enumerate_all_tnorms(
     # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending
     interval = [[list(iter_bits(lat.ups[lo] & lat.downs[hi])) for hi in range(n)] for lo in range(n)]
 
-    def under(p: tuple[int, int], q: tuple[int, int]) -> bool:
-        (a, b), (x, y) = p, q
-        return (leq(a, x) and leq(b, y)) or (leq(a, y) and leq(b, x))
-
-    # Per cell, the maximal cells below it, each as a row and a column.
-    # Assigned cells stay pairwise monotone, so these bound the interval
-    # exactly as every neighbour below would.
-    below: list[list[tuple[list, int]]] = []
-    for k, cell in enumerate(cells):
-        lower = [p for p in cells[:k] if under(p, cell)]
-        maximal = [p for p in lower if not any(q != p and under(p, q) for q in lower)]
-        below.append([(tbl[a], b) for a, b in maximal])
+    # Per cell (x, y), its cover neighbours below, each as a row and a
+    # column: (x', y) for each lower cover x' of x and (x, y') for each
+    # lower cover y' of y. Their join is the join over every cell below,
+    # as the docstring proves.
+    lower = [[lo for lo, hi in lat.covers if hi == x] for x in range(n)]
+    below = [[(tbl[a], y) for a in lower[x]] + [(tbl[x], b) for b in lower[y]] for x, y in cells]
 
     # Each triple (a, b, c), a before c, goes to the later of its two
     # first-level cells.
@@ -350,18 +354,14 @@ class OracleComparison:
     family_count: int
 
 
-def oracle_vs_construction(
-    lat: FiniteLattice,
-    cap: int = DEFAULT_COUNT_CAP,
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> OracleComparison:
+def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
     """Confirm the constructed families are complete, sound and classified.
 
     On the skeleton, brute force must find exactly the selection-generated
-    tables. Every lift must verify as a t-norm. Within ``size_cap``, the
-    brute-force left-semicontinuous tables must be exactly the lifts that
-    are left-semicontinuous themselves. That holds on every atomistic
-    lattice:
+    tables. Every lift must verify as a t-norm. Within
+    ``DEFAULT_SIZE_CAP`` elements, the brute-force left-semicontinuous
+    tables must be exactly the lifts that are left-semicontinuous
+    themselves. That holds on every atomistic lattice:
 
     - Left-semicontinuity gives T(x, 0) = 0 and T(x, y v z) =
       T(x, y) v T(x, z) whenever y v z < top.
@@ -382,7 +382,7 @@ def oracle_vs_construction(
         raise LatnormError("oracle comparison needs an atomistic lattice")
     failures: list[str] = []
     skel = skeleton(lat)
-    brute = {t.table for t in enumerate_all_tnorms(skel.lattice, cap=cap, size_cap=size_cap)}
+    brute = {t.table for t in enumerate_all_tnorms(skel.lattice)}
     family = generated_family(lat)
     constructed = {g.on_skeleton.table for g in family}
     if brute != constructed:
@@ -394,13 +394,9 @@ def oracle_vs_construction(
         verdict = verify_tnorm(g.lifted)
         if not verdict.ok:
             failures.append(f"lift of {g.selection.label()} is not a t-norm: {verdict.describe()}")
-    if lat.n <= size_cap:
+    if lat.n <= DEFAULT_SIZE_CAP:
         lsc_lifts = {g.lifted.table for g in family if is_left_semicontinuous(g.lifted)}
-        lsc_tables = {
-            t.table
-            for t in enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap)
-            if is_left_semicontinuous(t)
-        }
+        lsc_tables = {t.table for t in enumerate_all_tnorms(lat) if is_left_semicontinuous(t)}
         if lsc_tables != lsc_lifts:
             failures.append(
                 f"left-semicontinuous tables ({len(lsc_tables)}) are not exactly "

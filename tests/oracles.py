@@ -366,10 +366,9 @@ def reference_family_powerset_isomorphism(lat: FiniteLattice, family: list[Gener
 def reference_verify_tnorm(t: TNormTable) -> Verdict:
     """The four t-norm axioms swept cell by cell, first violation returned.
 
-    The body of ``verify_tnorm`` before its row sweeps, kept verbatim except
-    that it neither reads nor writes ``t.verdict``: neutral, commutativity,
-    monotonicity over covers (x inner), then associativity in (x, y, z)
-    order, each stopping at its first failing cell.
+    The body of ``verify_tnorm`` before its row sweeps: neutral,
+    commutativity, monotonicity over covers (x inner), then associativity
+    in (x, y, z) order, each stopping at its first failing cell.
     """
     lat = t.lattice
     tbl = t.table
@@ -476,19 +475,19 @@ def reference_enumerate_all_tnorms(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
-    cell_order: str = "default",
 ) -> Iterator[TNormTable]:
     """Every t-norm on the lattice, streamed by the original backtracking search.
 
     The body of ``enumerate_all_tnorms`` before its interval domains,
-    kept verbatim except for this docstring and the ``"ascending"``
-    order: every candidate is tested against every monotone neighbour,
-    ``triple_ok`` runs on every touching triple, ``producers`` rechecks
-    the triples an assignment completes at second level, and the leaf
-    sweep indexes a list of triples, so every order yields the same set
-    of tables. In the ``"ascending"`` order, the production enumerator's,
-    it must yield the same tables in the same order, and raise
-    ``BoundExceeded`` at the same ``cap``.
+    kept verbatim except for this docstring and its cell order, the
+    production enumerator's: cells (x, y) by ascending |↓x| + |↓y|, ties
+    by ids. Every candidate is tested against every monotone neighbour
+    below and above, ``triple_ok`` runs on every touching triple,
+    ``producers`` rechecks the triples an assignment completes at second
+    level, and the leaf sweep checks every triple, so none of the
+    production enumerator's proofs is relied on. It must yield the same
+    tables in the same order, and raise ``BoundExceeded`` at the same
+    ``cap``.
     """
     _check_size(lat, size_cap)
     n = lat.n
@@ -506,16 +505,7 @@ def reference_enumerate_all_tnorms(
 
     mids = [x for x in range(n) if x not in (bot, top)]
     cells = [(x, y) for i, x in enumerate(mids) for y in mids[i:]]
-    if cell_order == "default":
-        cells.sort(key=lambda c: (-(lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count()), c))
-    elif cell_order == "ascending":
-        cells.sort(key=lambda c: (lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count(), c))
-    elif cell_order == "lex":
-        cells.sort()
-    elif cell_order == "reverse":
-        cells.sort(reverse=True)
-    else:
-        raise ValueError(f"unknown cell order {cell_order!r}")
+    cells.sort(key=lambda c: (lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count(), c))
 
     domains = [[v for v in range(n) if leq(v, meet[x][y])] for x, y in cells]
     below: list[list[tuple[int, int]]] = []

@@ -23,9 +23,10 @@ from latnorm.errors import (
     DegenerateLengthWarning,
     NonAtomInAlpha,
     NotAtomistic,
+    UnknownLabel,
 )
 from latnorm.extension import extend
-from latnorm.lattice import ElementSet, iter_bits, powerset_lattice
+from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, powerset_lattice
 from latnorm.oracle import census
 from latnorm.tnorm import (
     idempotents,
@@ -193,6 +194,15 @@ def test_lift_rejects_non_atomistic(fig_lattice, fig_extended):
     table = skeleton_tnorm(skel, AtomSelection.from_mask(fig_extended, 0))
     with pytest.raises(NotAtomistic):
         lift(fig_lattice, table)
+
+
+def test_lift_rejects_unknown_bound_names(lat_m3):
+    """A skeleton table whose bottom and top names are missing from the
+    lattice is rejected, as a missing atom name is."""
+    atoms = ["a", "b", "c"]
+    renamed = lattice_from_covers(["bot", *atoms, "top"], [("bot", a) for a in atoms] + [(a, "top") for a in atoms])
+    with pytest.raises(UnknownLabel):
+        lift(lat_m3, t_min(renamed))
 
 
 def test_lift_equals_double_join_reference(corpus_atomistic, corpus_extension):

@@ -81,14 +81,14 @@ def _tables_until_bound(stream) -> list:
 
 
 def assert_same_stream(lat) -> None:
-    """The same tables in the same order as the reference search in the
-    same cell order, and ``BoundExceeded`` after the same ``cap`` tables."""
+    """The same tables in the same order as the reference search, and
+    ``BoundExceeded`` after the same ``cap`` tables."""
     tables = [t.table for t in enumerate_all_tnorms(lat)]
-    assert tables == [t.table for t in reference_enumerate_all_tnorms(lat, cell_order="ascending")]
+    assert tables == [t.table for t in reference_enumerate_all_tnorms(lat)]
     assert len(tables) == len(list(enumerate_all_tnorms(lat, cap=len(tables))))
     cap = len(tables) // 2
     assert _tables_until_bound(enumerate_all_tnorms(lat, cap=cap)) == tables[:cap]
-    assert _tables_until_bound(reference_enumerate_all_tnorms(lat, cap=cap, cell_order="ascending")) == tables[:cap]
+    assert _tables_until_bound(reference_enumerate_all_tnorms(lat, cap=cap)) == tables[:cap]
 
 
 @pytest.mark.parametrize("how", LABELLINGS)
@@ -251,7 +251,7 @@ def reference_census(lat) -> tuple[int, dict, dict]:
         counts["generated"] = None
     witnesses: dict = {}
     total = 0
-    for t in reference_enumerate_all_tnorms(lat, cell_order="ascending"):
+    for t in reference_enumerate_all_tnorms(lat):
         total += 1
         left, right = bool(is_left_continuous(t)), bool(is_right_continuous(t))
         hits = {
