@@ -21,7 +21,7 @@ from .errors import (
     NotAtomistic,
 )
 from .lattice import DEFAULT_ATOM_CAP, ElementSet, FiniteLattice, induced_sublattice, iter_bits
-from .tnorm import TNormTable, Verdict, OK, idempotents, tnorm_le
+from .tnorm import TNormTable, Verdict, OK, tnorm_le
 
 
 class AtomSelection(ElementSet):
@@ -109,8 +109,8 @@ def skeleton_tnorm(skel: AtomSkeleton, selection: AtomSelection) -> TNormTable:
     chosen = {skel.from_parent[a] for a in selection}
     tbl = [[bot] * n for _ in range(n)]
     for x in range(n):
-        tbl[x][top] = sub.meet(x, top)
-        tbl[top][x] = sub.meet(top, x)
+        tbl[x][top] = x
+        tbl[top][x] = x
         if x in chosen:
             tbl[x][x] = x
     return TNormTable(sub, tbl)
@@ -143,10 +143,21 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     below the meet of the arguments; this closed form agrees with the
     double join over all atoms below each argument (kept as a test
     oracle) and always yields a t-norm.
+
+    The table's elements must be named, in order, as the bottom, the
+    atoms and the top of ``lat``: a missing name raises
+    :class:`UnknownLabel`, any other list :class:`LatticeMismatch`.
     """
     if not lat.is_atomistic():
         raise NotAtomistic("lift needs an atomistic lattice")
-    idem_mask = lat.element_set(idempotents(t_on_skeleton).names()).mask
+    ids = [lat.index(name) for name in t_on_skeleton.lattice.names]
+    if ids != list(iter_bits(lat.atoms_mask | 1 << lat.bottom | 1 << lat.top)):
+        raise LatticeMismatch("table is not on the skeleton of this lattice")
+    on_skeleton = t_on_skeleton.table
+    idem_mask = 0
+    for i, p in enumerate(ids):
+        if on_skeleton[i][i] == i:
+            idem_mask |= 1 << p
     # idem_mask also holds bottom and top; spans ANDs it with the atoms,
     # and top can be an atom only in the degenerate length-1 case, where
     # the formula below never consults idem_mask

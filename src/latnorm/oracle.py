@@ -17,10 +17,7 @@ left-semicontinuous without a second scan.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from .errors import BoundExceeded, LatnormError
@@ -36,8 +33,6 @@ from .tnorm import (
 
 DEFAULT_SIZE_CAP = 8
 DEFAULT_COUNT_CAP = 1_000_000
-CENSUS_CACHE_VERSION = 1
-CACHE_ENV_VAR = "LATNORM_CACHE_DIR"
 
 CLASS_NAMES = (
     "left_semicontinuous",
@@ -191,13 +186,16 @@ def _table_rows(t: TNormTable) -> list[list[str]]:
 
 @dataclass
 class CensusReport:
-    """Counts and witnesses from exhaustively classifying every t-norm."""
+    """Counts and witnesses from exhaustively classifying every t-norm.
+
+    ``version`` numbers the JSON layout of :meth:`to_json_obj`.
+    """
 
     lattice_hash: str
     total: int
     classes: dict
     witnesses: dict = field(default_factory=dict)
-    version: int = CENSUS_CACHE_VERSION
+    version: int = 1
 
     def to_json_obj(self) -> dict:
         return {
@@ -211,88 +209,20 @@ class CensusReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2) + "\n"
 
-    @classmethod
-    def from_json_obj(cls, obj: dict, lat: FiniteLattice) -> "CensusReport":
-        """Read a report on ``lat`` back, raising ValueError on a field of the
-        wrong type or a value that no census of ``lat`` can produce.
-
-        ``classes`` must map exactly the names in ``CLASS_NAMES`` to counts
-        in 0..``total``; a bool is not a count. Only ``generated`` may be
-        null, and it is null exactly when ``lat`` is not atomistic. Each
-        witness is filed under a class name and holds the lists
-        ``elements`` and ``rows``.
-        """
-        if not isinstance(obj, dict):
-            raise ValueError(f"a census report is a JSON object, not {type(obj).__name__}")
-        report = cls(
-            lattice_hash=obj["lattice_hash"],
-            total=obj["total"],
-            classes=obj["classes"],
-            witnesses=obj.get("witnesses", {}),
-            version=obj.get("version", 0),
-        )
-        classes = report.classes
-        if not (
-            isinstance(report.lattice_hash, str)
-            and type(report.version) is int
-            and type(report.total) is int
-            and isinstance(classes, dict)
-            and classes.keys() == set(CLASS_NAMES)
-            and all(v is None or type(v) is int for v in classes.values())
-            and isinstance(report.witnesses, dict)
-        ):
-            raise ValueError("a census report field has the wrong type")
-        counts = [v for name, v in classes.items() if v is not None or name != "generated"]
-        if report.total < 0 or not all(type(v) is int and 0 <= v <= report.total for v in counts):
-            raise ValueError("a census report total is negative or a class count is not in 0..total")
-        if (classes["generated"] is None) == lat.is_atomistic():
-            raise ValueError("a census report's generated count does not fit the lattice")
-        for name, witness in report.witnesses.items():
-            if not (
-                name in CLASS_NAMES
-                and isinstance(witness, dict)
-                and isinstance(witness.get("elements"), list)
-                and isinstance(witness.get("rows"), list)
-            ):
-                raise ValueError(f"census report witness {name!r} is not a table")
-        return report
-
 
 def census(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
-    cache_dir: str | os.PathLike | None = None,
 ) -> CensusReport:
     """Classify every t-norm on the lattice by continuity and family membership.
 
     ``generated`` counts tables that coincide with a lifted family member;
     it is null for non-atomistic lattices, where the family is not
-    defined. Reports are cached as JSON keyed by the lattice fingerprint
-    when a cache directory is given (or set via ``LATNORM_CACHE_DIR``);
-    the cache is advisory: a path that cannot be read, a report with a
-    field of the wrong type or an impossible value (see
-    :meth:`CensusReport.from_json_obj`) and a version mismatch are all
-    misses, and it never answers for a lattice above ``size_cap``. It is
-    written through a temporary file, so a reader never sees a
-    half-written report.
+    defined. Every call enumerates afresh; nothing is read from or
+    written to disk.
     """
     _check_size(lat, size_cap)
-    fingerprint = lat.fingerprint()
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
-    cache_path = None
-    if cache_dir:
-        cache_path = Path(cache_dir) / f"census_{fingerprint}.json"
-        if cache_path.exists():
-            try:
-                obj = json.loads(cache_path.read_text(encoding="utf-8"))
-                report = CensusReport.from_json_obj(obj, lat)
-                if report.version == CENSUS_CACHE_VERSION and report.lattice_hash == fingerprint:
-                    return report
-            except (OSError, ValueError, KeyError):
-                pass
-
     atomistic = lat.is_atomistic()
     family_tables = None
     if atomistic:
@@ -322,26 +252,12 @@ def census(
                 counts[name] += 1
                 if name not in witnesses:
                     witnesses[name] = {"elements": list(lat.names), "rows": _table_rows(t)}
-    report = CensusReport(
-        lattice_hash=fingerprint,
+    return CensusReport(
+        lattice_hash=lat.fingerprint(),
         total=total,
         classes=counts,
         witnesses=witnesses,
     )
-    if cache_path is not None:
-        tmp_name = None
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            with tempfile.NamedTemporaryFile(
-                "w", encoding="utf-8", dir=cache_path.parent, prefix=f"{cache_path.name}.", delete=False
-            ) as tmp:
-                tmp_name = tmp.name
-                tmp.write(report.to_json())
-            os.replace(tmp_name, cache_path)
-        except OSError:
-            if tmp_name is not None:
-                Path(tmp_name).unlink(missing_ok=True)
-    return report
 
 
 @dataclass
@@ -358,7 +274,8 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
     """Confirm the constructed families are complete, sound and classified.
 
     On the skeleton, brute force must find exactly the selection-generated
-    tables. Every lift must verify as a t-norm. Within
+    tables; it has length at most 2 and 2^k t-norms, so it is enumerated
+    at any size. Every lift must verify as a t-norm. Within
     ``DEFAULT_SIZE_CAP`` elements, the brute-force left-semicontinuous
     tables must be exactly the lifts that are left-semicontinuous
     themselves. That holds on every atomistic lattice:
@@ -382,7 +299,7 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
         raise LatnormError("oracle comparison needs an atomistic lattice")
     failures: list[str] = []
     skel = skeleton(lat)
-    brute = {t.table for t in enumerate_all_tnorms(skel.lattice)}
+    brute = {t.table for t in enumerate_all_tnorms(skel.lattice, size_cap=skel.lattice.n)}
     family = generated_family(lat)
     constructed = {g.on_skeleton.table for g in family}
     if brute != constructed:

@@ -359,11 +359,29 @@ def test_census_oracle_cap(tmp_path, capsys):
     assert main(["census", str(path), "--oracle-cap", "9"]) == 0
 
 
+def test_census_ignores_a_report_in_the_former_cache_dir(tmp_path, monkeypatch, capsys):
+    """``census`` once printed the report filed under the lattice's
+    fingerprint in LATNORM_CACHE_DIR; a well-formed one with a wrong total
+    is neither read nor rewritten now."""
+    path = DATA / "m3.json"
+    assert main(["census", str(path)]) == 0
+    expected = capsys.readouterr().out
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / f"census_{load_lattice(path).fingerprint()}.json"
+    stale.write_text(json.dumps({**json.loads(expected), "total": 12345}), encoding="utf-8")
+    before = stale.read_bytes()
+    monkeypatch.setenv("LATNORM_CACHE_DIR", str(cache))
+    assert main(["census", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert [p.name for p in cache.iterdir()] == [stale.name]
+    assert stale.read_bytes() == before
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
 def test_census_cache_holding_no_object_is_a_miss(tmp_path, monkeypatch, capsys, text):
-    """Valid JSON that is not a report object is recomputed, not a traceback."""
+    """Valid JSON that is not a report object in LATNORM_CACHE_DIR is ignored."""
     path = DATA / "chain4.json"
-    monkeypatch.delenv("LATNORM_CACHE_DIR", raising=False)
     assert main(["census", str(path)]) == 0
     expected = capsys.readouterr().out
     monkeypatch.setenv("LATNORM_CACHE_DIR", str(tmp_path))
@@ -375,10 +393,9 @@ def test_census_cache_holding_no_object_is_a_miss(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("key", IMPOSSIBLE_REPORTS)
 def test_census_cache_holding_impossible_report_is_a_miss(tmp_path, monkeypatch, capsys, key):
-    """A well-typed report that no census can produce is recomputed, not printed."""
+    """A well-typed report that no census can produce in LATNORM_CACHE_DIR is ignored."""
     lat_name, changes = IMPOSSIBLE_REPORTS[key]
     path = DATA / f"{lat_name}.json"
-    monkeypatch.delenv("LATNORM_CACHE_DIR", raising=False)
     assert main(["census", str(path)]) == 0
     expected = capsys.readouterr().out
     obj = {**json.loads(expected), **changes}

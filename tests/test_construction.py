@@ -21,6 +21,7 @@ from latnorm.errors import (
     BoundExceeded,
     DegenerateLength,
     DegenerateLengthWarning,
+    LatticeMismatch,
     NonAtomInAlpha,
     NotAtomistic,
     UnknownLabel,
@@ -203,6 +204,21 @@ def test_lift_rejects_unknown_bound_names(lat_m3):
     renamed = lattice_from_covers(["bot", *atoms, "top"], [("bot", a) for a in atoms] + [(a, "top") for a in atoms])
     with pytest.raises(UnknownLabel):
         lift(lat_m3, t_min(renamed))
+
+
+@pytest.mark.parametrize(
+    "names, covers",
+    [
+        # every name is in M3, but the chain 0 < a < 1 misses two atoms
+        (["0", "a", "1"], [("0", "a"), ("a", "1")]),
+        # M3's skeleton with its atoms out of element order
+        (["0", "b", "a", "c", "1"], [(lo, hi) for a in "bac" for lo, hi in (("0", a), (a, "1"))]),
+    ],
+    ids=["missing atoms", "atoms out of order"],
+)
+def test_lift_rejects_a_table_off_the_skeleton(lat_m3, names, covers):
+    with pytest.raises(LatticeMismatch):
+        lift(lat_m3, t_min(lattice_from_covers(names, covers)))
 
 
 def test_lift_equals_double_join_reference(corpus_atomistic, corpus_extension):
