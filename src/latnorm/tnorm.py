@@ -112,6 +112,15 @@ def verify_tnorm(t: TNormTable) -> Verdict:
       and likewise T(hi, x) = T(hi, x'). Column top holds the cover
       itself. A cover into top keeps its whole row: row top is the
       identity, and x and x' differ there.
+    - Such a cover is checked once per pair of row classes. At the class
+      columns, which are not top, ``proj[lo]`` and ``proj[hi]`` equal the
+      projections of the first rows of their classes, by the argument
+      above; at column top they read (lo, hi), a comparable pair. So the
+      outcome depends only on the ordered pair of classes. A cover whose
+      rows share a class compares equal cells and holds; one whose pair
+      has held before holds again. Both are skipped; the sweep stops at
+      its first failure, so every pair it records has held, and the first
+      failing cover in cover order is still the one it meets.
     - Associativity, x and y. A triple with top in it holds by
       neutrality. For y, z != top, T(y, z) <= T(y, top) = y < top, so
       when rows x and x' agree off column top the checks at (x, y, z) and
@@ -174,8 +183,16 @@ def verify_tnorm(t: TNormTable) -> Verdict:
         # two or more elements whenever there is a cover, so pick returns a tuple
         pick = itemgetter(*reps, top)
         proj = [pick(row) for row in tbl]
+        passed: set = set()  # class pairs of covers below top that held
         for lo, hi in lat.covers:
-            cells = zip(tbl[lo], tbl[hi]) if hi == top else zip(proj[lo], proj[hi])
+            if hi == top:
+                cells = zip(tbl[lo], tbl[hi])
+            else:
+                classes = (rep[lo], rep[hi])
+                if classes[0] == classes[1] or classes in passed:
+                    continue
+                passed.add(classes)
+                cells = zip(proj[lo], proj[hi])
             if not comparable.issuperset(cells):
                 x = next(x for x, pair in enumerate(zip(tbl[lo], tbl[hi])) if pair not in comparable)
                 verdict = Verdict(False, "monotonicity", (lat.name(x), lat.name(lo), lat.name(hi)))
@@ -203,15 +220,70 @@ def _associativity_failure(tbl: tuple, proj: list, xs: tuple, ys: tuple) -> tupl
     then y in ``ys``, then z over the whole row; None if there is none.
 
     ``proj[v]`` is row v read at the class columns and top, which decide
-    each (x, y) (see :func:`verify_tnorm`); a failing (x, y) is read again
-    in whole rows to name its first z."""
-    # projections have two or more cells whenever ys is not empty, so a
-    # gather returns a row rather than a bare value
-    gathers = [(y, itemgetter(*proj[y])) for y in ys]
+    each (x, y) (see :func:`verify_tnorm`): (x, y) holds exactly when
+    ``proj[w]``, w = T(x, y), equals row x gathered through ``proj[y]``.
+    A failing (x, y) is read again in whole rows to name its first z.
+    The table must be commutative.
+
+    Row y's compare can run on value blocks. Let D_y be the distinct
+    values of ``proj[y]``, and let the block of d in D_y be the columns
+    where ``proj[y]`` holds d. The gathered row reads x's cell at d, that
+    is T(x, d), at every column of d's block. So the compare holds
+    exactly when ``proj[w]`` is constant on every block and its value on
+    d's block is T(x, d):
+
+    - if the compare holds, then at each column c of d's block
+      ``proj[w]`` reads T(x, d), the same for every such c;
+    - if ``proj[w]`` reads T(x, d) throughout each block of d, it reads
+      at c the gathered cell T(x, proj[y][c]).
+
+    So for each w, the values of ``proj[w]`` at the first column of each
+    block are the expected tuple when it is constant on the blocks, and
+    "never" (None) otherwise, and each (x, y) gathers x's row at D_y
+    alone, |D_y| cells instead of the whole projection. Every verdict is
+    the same, so the first failing (x, y) and its rescan are too. The
+    expected values are built for each w the sweep meets, T(x, y) for x
+    in ``xs``, and no other: each one reads all of ``proj[w]``, and on
+    large tables few rows are met from one y.
+
+    The compare on the whole projection is the trivial partition, one
+    column per block, with ``proj`` itself as the expected values; both
+    run in one loop. Blocks pay only when their set-up costs less than
+    they save over ``xs``, so y uses them when 4 |D_y| <= len(xs).
+    D_y holds T(y, top) = y and T(y, b) = bottom for the class b of
+    bottom, so |D_y| >= 2 unless y is bottom, and below 8 rows of ``xs``
+    no D_y is built. Measured on the sweeps of the generator rows (best
+    of 9, py3.11): over the 451 tables of a seeded ``check`` pass, all at
+    most 8 elements, 0.62 ms whole, 1.11 ms with blocks on the 160 rows
+    of 4 to 7 ``xs`` that qualify (all bottom), 3.5 ms with blocks on
+    every row; over the five lifts of a seeded ``lift`` pass, 13.3 ms
+    whole against 5.2 ms with blocks on 162 of 189 rows (5.4 ms at
+    2 |D_y|, 6.6 ms at 8 |D_y|, 5.6 ms on every row).
+    """
+    blocks = len(xs) >= 8
+    plans = []
+    for y in ys:
+        py = proj[y]
+        values = tuple(dict.fromkeys(py)) if blocks else ()
+        if blocks and 4 * len(values) <= len(xs):
+            slot = dict(zip(values, range(len(values))))
+            spread = itemgetter(*map(slot.__getitem__, py))
+            starts = tuple(map(py.index, values))
+            # padded with a repeated item, so one block still gathers a tuple
+            head = itemgetter(*starts, starts[0])
+            expected = {}
+            # the w = T(x, y) = T(y, x) met, read off row y
+            for w in set(map(tbl[y].__getitem__, xs)):
+                e = head(proj[w])
+                expected[w] = e if spread(e) == proj[w] else None
+            plans.append((y, itemgetter(*values, values[0]), expected))
+        else:
+            # projections have two or more cells, so the gather returns a tuple
+            plans.append((y, itemgetter(*py), proj))
     for x in xs:
         rx = tbl[x]
-        for y, gather in gathers:
-            if proj[rx[y]] != gather(rx):
+        for y, gather, expected in plans:
+            if expected[rx[y]] != gather(rx):
                 lhs, rhs = tbl[rx[y]], itemgetter(*tbl[y])(rx)
                 return x, y, next(z for z, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
     return None

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from latnorm.catalog import (
     pentagon,
     stemmed_diamond,
 )
+from latnorm.errors import DegenerateLengthWarning
 from latnorm.extension import extend
 from latnorm.lattice import powerset_lattice
 
@@ -82,3 +84,9 @@ def lat_n5():
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def degenerate_warning(lat):
+    """Expect the warning that a lattice of length at most 1, its own
+    skeleton, gives when its skeleton is built; expect nothing otherwise."""
+    return pytest.warns(DegenerateLengthWarning) if lat.length <= 1 else contextlib.nullcontext()

@@ -244,7 +244,8 @@ def test_lift_extremes(corpus_atomistic):
 def test_family_sizes(fig_extended, p2, two_chain):
     assert len(generated_family(fig_extended)) == 8
     assert len(generated_family(p2)) == 4
-    assert len(generated_family(two_chain)) == 1
+    with pytest.warns(DegenerateLengthWarning):
+        assert len(generated_family(two_chain)) == 1
 
 
 def test_family_pairwise_distinct(corpus_atomistic):

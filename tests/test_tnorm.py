@@ -643,6 +643,105 @@ def _generators(t):
     return {t.lattice.name(g) for g in range(t.lattice.n) if g not in made}
 
 
+def _stored_generator_rows(t):
+    """What ``verify_tnorm`` stores as ``_generator_rows`` on a t-norm,
+    read cell by cell off its docstring: rows x != top are grouped by
+    their cells off column top, the first of each class kept; an element
+    is made when it is T(a, b) for a kept row a and differs from a and b;
+    the result is the kept rows of the classes of the elements below top
+    made in no such way, ascending."""
+    lat = t.lattice
+    tbl = t.table
+    first, rep = {}, {}
+    for x in range(lat.n):
+        if x != lat.top:
+            rep[x] = first.setdefault(tuple(v for z, v in enumerate(tbl[x]) if z != lat.top), x)
+    made = {tbl[a][b] for a in first.values() for b in range(lat.n) if tbl[a][b] not in (a, b)}
+    return tuple(sorted({rep[g] for g in rep if g not in made}))
+
+
+def _assert_verify_matches_reference(lat, grid):
+    """``verify_tnorm`` gives the reference verdict and witness, and stores
+    the generator rows exactly when the table verifies and the monotone
+    flag exactly when neutrality and commutativity hold."""
+    t = TNormTable(lat, grid)
+    expected = reference_verify_tnorm(TNormTable(lat, grid))
+    assert verify_tnorm(t) == expected
+    assert t._generator_rows == (_stored_generator_rows(t) if expected.ok else None)
+    assert t._monotone == (None if expected.axiom in ("neutral", "commutativity") else expected.axiom != "monotonicity")
+    return expected
+
+
+BLOCK_LIFTS = {"Pi5": _partition_lattice(5), "2^6": powerset_lattice(6)}
+
+
+@pytest.mark.parametrize("name", BLOCK_LIFTS)
+def test_verify_matches_reference_on_value_blocks(name):
+    """Seeded lifts on Pi5 and 2^6, each followed by up to three symmetric
+    monotone changes made one after another: their class rows are many
+    and take few values, so most middle rows compare on value blocks, and
+    some changes break associativity at such a row. Each table gives the
+    reference verdict, witness, generator rows and monotone flag."""
+    lat = BLOCK_LIFTS[name]
+    skel = skeleton(lat)
+    atoms = [lat.name(a) for a in iter_bits(lat.atoms_mask)]
+    verdicts = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        chosen = [a for a in atoms if rng.random() < 0.5]
+        grid = [list(row) for row in lift(lat, skeleton_tnorm(skel, AtomSelection.from_names(lat, chosen))).table]
+        verdicts.append(_assert_verify_matches_reference(lat, grid))
+        for _ in range(3):
+            changes = _monotone_changes(lat, grid)
+            if not changes:
+                break
+            grid = _changed(grid, *rng.choice(changes))
+            verdicts.append(_assert_verify_matches_reference(lat, grid))
+    assert {v.axiom for v in verdicts} == {None, "associativity"}
+
+
+def test_verify_matches_reference_on_a_one_value_block():
+    """The meet on chain(20), and seeded copies with up to three
+    symmetric monotone changes made one after another: every element
+    below top generates the meet, and bottom's projection holds one
+    value, so row bottom compares through a single block."""
+    lat = chain(20)
+    assert _assert_verify_matches_reference(lat, lat.meet_table).ok
+    verdicts = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        grid = lat.meet_table
+        for _ in range(3):
+            grid = _changed(grid, *rng.choice(_monotone_changes(lat, grid)))
+            verdicts.append(_assert_verify_matches_reference(lat, grid))
+    assert {v.axiom for v in verdicts} == {None, "associativity"}
+
+
+def test_verify_pins_a_block_failure_with_constant_values():
+    """A lift on Pi4 with T(01|23, 01|23) raised from bottom to 01|23 and
+    T(01|23, 023|1) from bottom to their meet 0|1|23. Row 01|23 compares
+    on value blocks, in Light's sweep and in the rerun, and at (01|23,
+    01|23) the row met is constant on every block but differs from the
+    gathered row at some block's value."""
+    lat = ROW_CLASS_LATTICES["Pi4"]
+    chosen = ["02|1|3", "03|1|2", "0|12|3", "0|13|2"]
+    grid = lift(lat, skeleton_tnorm(skeleton(lat), AtomSelection.from_names(lat, chosen))).table
+    a, b, c = (lat.index(name) for name in ("01|23", "023|1", "0|1|23"))
+    grid = _changed(_changed(grid, a, a, a), a, b, c)
+    expected = _assert_verify_matches_reference(lat, grid)
+    assert expected == Verdict(False, "associativity", ("01|23", "01|23", "023|1"))
+
+
+def test_verify_checks_a_pair_of_row_classes_in_each_order():
+    """On the chain 0 < p < q < r < 1, rows p and r agree off column top
+    and row q lies above them at (q, q). The cover (p, q) holds, and the
+    cover (q, r) joins the same two classes in the other order; it fails."""
+    lat = lattice_from_covers(["0", "p", "q", "r", "1"], [("0", "p"), ("p", "q"), ("q", "r"), ("r", "1")])
+    grid = [[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 1, 0, 2], [0, 0, 0, 0, 3], [0, 1, 2, 3, 4]]
+    expected = _assert_verify_matches_reference(lat, grid)
+    assert expected == Verdict(False, "monotonicity", ("q", "q", "r"))
+
+
 def test_t_min_generator_rows_are_the_coatoms():
     """The meet on 2^7 is generated by its coatoms and top: 7 generator
     rows instead of all 128, and left-semicontinuity reads those."""
