@@ -110,9 +110,9 @@ class FiniteLattice:
 
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
-    The fingerprint and the pair sets of the order are derived data,
-    filled on first use and kept in ``_memo`` for the lattice's life; equality, hashing
-    and serialization never read them.
+    The fingerprint, the set of element ids and the pair sets of the order
+    are derived data, filled on first use and kept in ``_memo`` for the
+    lattice's life; equality, hashing and serialization never read them.
     """
 
     __slots__ = (
@@ -189,9 +189,6 @@ class FiniteLattice:
 
     def atoms_below(self, x: int) -> ElementSet:
         return ElementSet(self, self.atoms_mask & self.downs[x])
-
-    def ji_below(self, x: int) -> ElementSet:
-        return ElementSet(self, self.ji_mask & self.downs[x])
 
     def is_atomistic(self) -> bool:
         """True iff every element is the join of the atoms below it.

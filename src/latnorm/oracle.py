@@ -10,8 +10,8 @@ then makes each cell's candidates an interval: at least the join of its
 cover neighbours below, at most the meet of its arguments. Partial
 associativity, one comparison per triple, prunes during the search, and
 it is complete: every leaf is a t-norm and is yielded unchecked. The
-census classifies each table by continuity; a left-continuous table is
-left-semicontinuous without a second scan.
+census classifies each table by continuity row by row, and each distinct
+row once (:func:`_row_classes`).
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from typing import Iterator
 from .errors import BoundExceeded, LatnormError
 from .lattice import FiniteLattice, iter_bits
 from .construction import generated_family, skeleton
-from .tnorm import (
-    TNormTable,
-    is_left_continuous,
-    is_left_semicontinuous,
-    is_right_continuous,
-    verify_tnorm,
-)
+from .tnorm import TNormTable, _preservation_failure, is_left_semicontinuous, verify_tnorm
 
 DEFAULT_SIZE_CAP = 8
 DEFAULT_COUNT_CAP = 1_000_000
@@ -184,6 +178,53 @@ def _table_rows(t: TNormTable) -> list[list[str]]:
     return [[names[v] for v in row] for row in t.table]
 
 
+def _row_classes(lat: FiniteLattice):
+    """A function from an oracle leaf's table to its continuity classes.
+
+    It returns bits in ``CLASS_NAMES`` order: 1 left-semicontinuous,
+    2 left-continuous, 4 right-continuous. A table's bits are the AND of
+    its middle rows' bits. Each distinct row is classified once, by the
+    kernel of the three scans, :func:`latnorm.tnorm._preservation_failure`,
+    on each scan's plan from ``irreducible_end_pairs``; the memo of rows
+    lives as long as the returned function. The bits are the verdicts of
+    ``is_left_semicontinuous``, ``is_left_continuous`` and
+    ``is_right_continuous`` on every oracle leaf, so census counts and
+    witnesses, the first table of each class in the stream, are theirs:
+
+    - Each scan first checks the empty family, T(a, 0) = 0 for joins and
+      T(a, 1) = a for meets. Every leaf has its forced rows, so both hold.
+    - Every leaf is monotone (its ``_monotone`` is set), so each scan
+      then runs its plan over the rows one after the other. A monotone
+      row passes the plan exactly when it passes every pair (the proof is
+      in :func:`latnorm.tnorm._preserves`), so the verdict on a row
+      depends on that row alone, and the table passes exactly when each
+      row does. A failing row's witness is not needed here, so neither is
+      the rescan of an incomplete plan.
+    - Row bottom is constant and row top is the identity, so both
+      preserve every join and meet, and only the middle rows are read.
+    """
+    scans = [
+        (bit, lat.irreducible_end_pairs(op, skip)[0], lat.join_table if op == "join" else lat.meet_table)
+        for bit, op, skip in ((1, "join", lat.top), (2, "join", -1), (4, "meet", -1))
+    ]
+    mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
+    memo: dict = {}
+
+    def classes(table: tuple) -> int:
+        bits = 7
+        for a in mids:
+            row = table[a]
+            hit = memo.get(row)
+            if hit is None:
+                hit = memo[row] = sum(
+                    bit for bit, plan, op in scans if _preservation_failure((row,), (0,), plan, op) is None
+                )
+            bits &= hit
+        return bits
+
+    return classes
+
+
 @dataclass
 class CensusReport:
     """Counts and witnesses from exhaustively classifying every t-norm.
@@ -233,17 +274,15 @@ def census(
         counts["generated"] = None
     witnesses: dict = {}
     total = 0
+    classes = _row_classes(lat)
     for t in enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap):
         total += 1
-        left = bool(is_left_continuous(t))
-        right = bool(is_right_continuous(t))
+        bits = classes(t.table)
         hits = {
-            # left-continuity implies left-semicontinuity: the latter checks
-            # the same empty family and a subset of the pairs
-            "left_semicontinuous": left or bool(is_left_semicontinuous(t)),
-            "left_continuous": left,
-            "right_continuous": right,
-            "continuous": left and right,
+            "left_semicontinuous": bits & 1,
+            "left_continuous": bits & 2,
+            "right_continuous": bits & 4,
+            "continuous": (bits & 6) == 6,
         }
         if atomistic:
             hits["generated"] = t.table in family_tables
@@ -313,7 +352,8 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
             failures.append(f"lift of {g.selection.label()} is not a t-norm: {verdict.describe()}")
     if lat.n <= DEFAULT_SIZE_CAP:
         lsc_lifts = {g.lifted.table for g in family if is_left_semicontinuous(g.lifted)}
-        lsc_tables = {t.table for t in enumerate_all_tnorms(lat) if is_left_semicontinuous(t)}
+        classes = _row_classes(lat)
+        lsc_tables = {t.table for t in enumerate_all_tnorms(lat) if classes(t.table) & 1}
         if lsc_tables != lsc_lifts:
             failures.append(
                 f"left-semicontinuous tables ({len(lsc_tables)}) are not exactly "

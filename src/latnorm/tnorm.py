@@ -54,10 +54,12 @@ class TNormTable:
 
     def __init__(self, lattice: FiniteLattice, table):
         n = lattice.n
-        rows = tuple(tuple(row) for row in table)
-        if len(rows) != n or any(len(row) != n for row in rows):
+        rows = tuple(map(tuple, table))
+        if len(rows) != n or set(map(len, rows)) != {n}:
             raise ValueError(f"table must be {n}x{n}")
-        ids = frozenset(range(n))
+        ids = lattice._memo.get("ids")
+        if ids is None:
+            ids = lattice._memo["ids"] = frozenset(range(n))
         if not ids.issuperset(chain.from_iterable(rows)):
             bad = next(v for v in chain.from_iterable(rows) if v not in ids)
             raise ValueError(f"table entry {bad} is not an element id")

@@ -443,7 +443,8 @@ def test_atoms_below(fig_extended):
     d = fig_extended.index("d")
     assert set(fig_extended.atoms_below(d).names()) == {"b", "w_d"}
     one = fig_extended.index("1")
-    assert set(fig_extended.ji_below(one).names()) >= {"b", "w_d", "w_c"}
+    ji_below_one = fig_extended.element_set(mask=fig_extended.ji_mask & fig_extended.downs[one])
+    assert set(ji_below_one.names()) >= {"b", "w_d", "w_c"}
 
 
 def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
