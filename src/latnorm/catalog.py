@@ -7,6 +7,8 @@ import random
 from .errors import LatnormError
 from .lattice import FiniteLattice, lattice_from_covers, powerset_lattice
 
+_MAX_TRIES = 20000  # draws random_lattice makes before it gives up
+
 
 def chain(n: int) -> FiniteLattice:
     """Chain with ``n`` elements named 0..n-1 bottom-up."""
@@ -81,7 +83,7 @@ def tall_stemmed_diamond() -> FiniteLattice:
     )
 
 
-def random_lattice(size: int, seed: int, max_tries: int = 20000) -> FiniteLattice:
+def random_lattice(size: int, seed: int) -> FiniteLattice:
     """Deterministic random lattice of exactly ``size`` elements.
 
     Rejection sampling: throw random order relations between the middle
@@ -96,7 +98,7 @@ def random_lattice(size: int, seed: int, max_tries: int = 20000) -> FiniteLattic
     rng = random.Random(seed)
     mids = [f"x{i}" for i in range(1, size - 1)]
     names = ["0", *mids, "1"]
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         density = rng.uniform(0.15, 0.55)
         pairs = []
         for i in range(len(mids)):
@@ -108,7 +110,7 @@ def random_lattice(size: int, seed: int, max_tries: int = 20000) -> FiniteLattic
             return lattice_from_covers(names, covers)
         except LatnormError:
             continue
-    raise LatnormError(f"no {size}-element lattice found in {max_tries} draws for seed {seed}")
+    raise LatnormError(f"no {size}-element lattice found in {_MAX_TRIES} draws for seed {seed}")
 
 
 def random_lattices(count: int, sizes=(6, 7, 8), seed: int = 2024) -> list[FiniteLattice]:

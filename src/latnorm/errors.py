@@ -20,7 +20,7 @@ class CycleDetected(LatnormError):
 class NotALattice(LatnormError):
     """Some pair of elements lacks a unique meet or join."""
 
-    def __init__(self, pair, kind="meet"):
+    def __init__(self, pair, kind):
         self.pair = pair
         self.kind = kind
         super().__init__(f"elements {pair[0]!r} and {pair[1]!r} have no unique {kind}")
@@ -71,11 +71,10 @@ class NotClosed(LatnormError):
 class ConditionCViolated(LatnormError):
     """The restriction gate fails: the lifted operation lands on an inserted atom."""
 
-    def __init__(self, p, witness=None):
+    def __init__(self, p, witness):
         self.p = p
         self.witness = witness
-        extra = f" (witness pair {witness!r})" if witness else ""
-        super().__init__(f"restriction gate fails at join-irreducible {p!r}{extra}")
+        super().__init__(f"restriction gate fails at join-irreducible {p!r} (witness pair {witness!r})")
 
 
 class OutputCollision(LatnormError):

@@ -266,20 +266,20 @@ class FiniteLattice:
             )
         return pairs
 
-    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], bool]:
-        """The incomparable pairs x < y with an ``op``-irreducible end, and
-        whether they are all the incomparable pairs.
+    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The incomparable pairs x < y with an ``op``-irreducible end.
 
         An end is join-irreducible (``ji_mask``) for ``op`` "join" and
         meet-irreducible (``mi_mask``) for "meet". Pairs whose join (``op``
-        "join") or meet (``op`` "meet") is ``skip`` are left out. Returns
-        ``(plan, complete)``: ``plan`` holds one ``(x, ys)`` for each x that
-        has some kept y, with ``ys`` ascending, and ``complete`` is True
-        when no incomparable pair x < y whose op is not ``skip`` was left
-        out for want of an irreducible end. The y incomparable to x and
-        above it in element order are the bits of
-        ``full_mask & ~(ups[x] | downs[x])`` above bit x; when x is
-        reducible only the irreducible ones are kept. Memoised.
+        "join") or meet (``op`` "meet") is ``skip`` are left out. The plan
+        holds one ``(x, ys)`` for each x that has some kept y, with ``ys``
+        ascending. The y incomparable to x and above it in element order
+        are the bits of ``full_mask & ~(ups[x] | downs[x])`` above bit x;
+        when x is reducible only the irreducible ones are kept. A monotone
+        row passes the plan exactly when it passes every pair x < y whose
+        op is not ``skip`` (the proof is in :func:`latnorm.tnorm._preserves`,
+        which names a failing row's witness by scanning it again over every
+        pair). Memoised.
         """
         key = (op, skip)
         memo = self._memo.get(key)
@@ -288,18 +288,15 @@ class FiniteLattice:
             irreducible = self.ji_mask if op == "join" else self.mi_mask
             full, ups, downs = self.full_mask, self.ups, self.downs
             plan = []
-            complete = True
             for x in range(self.n):
                 row = table[x]
                 ys = full & ~(ups[x] | downs[x]) & -(2 << x)
                 if not irreducible >> x & 1:
-                    if complete and any(row[y] != skip for y in iter_bits(ys & ~irreducible)):
-                        complete = False
                     ys &= irreducible
                 ys = tuple(y for y in iter_bits(ys) if row[y] != skip)
                 if ys:
                     plan.append((x, ys))
-            memo = self._memo[key] = (tuple(plan), complete)
+            memo = self._memo[key] = tuple(plan)
         return memo
 
     # -- serialization -----------------------------------------------------------

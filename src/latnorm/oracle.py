@@ -152,10 +152,7 @@ def enumerate_all_tnorms(
             count += 1
             if count > cap:
                 raise BoundExceeded(f"more than {cap} t-norms; raise the cap to enumerate them")
-            t = TNormTable(lat, tbl)
-            # every cell lies in its interval, so the continuity scans' gate holds
-            t._monotone = True
-            yield t
+            yield TNormTable(lat, tbl)
             return
         x, y = cells[k]
         row_x, row_y = tbl[x], tbl[y]
@@ -193,18 +190,18 @@ def _row_classes(lat: FiniteLattice):
 
     - Each scan first checks the empty family, T(a, 0) = 0 for joins and
       T(a, 1) = a for meets. Every leaf has its forced rows, so both hold.
-    - Every leaf is monotone (its ``_monotone`` is set), so each scan
-      then runs its plan over the rows one after the other. A monotone
-      row passes the plan exactly when it passes every pair (the proof is
-      in :func:`latnorm.tnorm._preserves`), so the verdict on a row
-      depends on that row alone, and the table passes exactly when each
-      row does. A failing row's witness is not needed here, so neither is
-      the rescan of an incomplete plan.
+    - Every leaf is monotone, as each of its cells lies in its interval,
+      so each scan then runs its plan over the rows one after the other.
+      A monotone row passes the plan exactly when it passes every pair
+      (the proof is in :func:`latnorm.tnorm._preserves`), so the verdict
+      on a row depends on that row alone, and the table passes exactly
+      when each row does. A failing row's witness is not needed here, so
+      neither is the rescan that names it.
     - Row bottom is constant and row top is the identity, so both
       preserve every join and meet, and only the middle rows are read.
     """
     scans = [
-        (bit, lat.irreducible_end_pairs(op, skip)[0], lat.join_table if op == "join" else lat.meet_table)
+        (bit, lat.irreducible_end_pairs(op, skip), lat.join_table if op == "join" else lat.meet_table)
         for bit, op, skip in ((1, "join", lat.top), (2, "join", -1), (4, "meet", -1))
     ]
     mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
@@ -229,19 +226,18 @@ def _row_classes(lat: FiniteLattice):
 class CensusReport:
     """Counts and witnesses from exhaustively classifying every t-norm.
 
-    ``version`` numbers the JSON layout of :meth:`to_json_obj`.
+    The ``"version"`` key of :meth:`to_json_obj` numbers its JSON layout.
     """
 
     lattice_hash: str
     total: int
     classes: dict
     witnesses: dict = field(default_factory=dict)
-    version: int = 1
 
     def to_json_obj(self) -> dict:
         return {
             "lattice_hash": self.lattice_hash,
-            "version": self.version,
+            "version": 1,
             "total": self.total,
             "classes": dict(self.classes),
             "witnesses": dict(self.witnesses),
@@ -269,31 +265,34 @@ def census(
     if atomistic:
         family_tables = {g.lifted.table for g in generated_family(lat)}
 
-    counts = {name: 0 for name in CLASS_NAMES}
+    classes = _row_classes(lat)
+    # each distinct class pattern, bit i for CLASS_NAMES[i] but "continuous",
+    # in the order of its first table: [count, first table]
+    tally: dict = {}
+    for t in enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap):
+        bits = classes(t.table)
+        if atomistic and t.table in family_tables:
+            bits |= 16
+        hit = tally.get(bits)
+        if hit is None:
+            tally[bits] = [1, t]
+        else:
+            hit[0] += 1
+    counts = dict.fromkeys(CLASS_NAMES, 0)
     if not atomistic:
         counts["generated"] = None
     witnesses: dict = {}
-    total = 0
-    classes = _row_classes(lat)
-    for t in enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap):
-        total += 1
-        bits = classes(t.table)
-        hits = {
-            "left_semicontinuous": bits & 1,
-            "left_continuous": bits & 2,
-            "right_continuous": bits & 4,
-            "continuous": (bits & 6) == 6,
-        }
-        if atomistic:
-            hits["generated"] = t.table in family_tables
-        for name, hit in hits.items():
-            if hit:
-                counts[name] += 1
+    for bits, (count, t) in tally.items():
+        if bits & 6 == 6:
+            bits |= 8
+        for i, name in enumerate(CLASS_NAMES):
+            if bits >> i & 1:
+                counts[name] += count
                 if name not in witnesses:
                     witnesses[name] = {"elements": list(lat.names), "rows": _table_rows(t)}
     return CensusReport(
         lattice_hash=lat.fingerprint(),
-        total=total,
+        total=sum(count for count, _ in tally.values()),
         classes=counts,
         witnesses=witnesses,
     )

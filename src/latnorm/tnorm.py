@@ -41,16 +41,13 @@ OK = Verdict(True)
 class TNormTable:
     """A total binary operation table over one lattice's elements.
 
-    ``_monotone`` caches whether every row is monotone, which the
-    continuity scans test first and ``verify_tnorm`` learns on the way;
-    None means untested. ``_generator_rows`` lists, in element order, the
-    class rows of a generating set of the table without top (see
-    :func:`verify_tnorm`); it is set only once the table has verified as
-    a t-norm, and None means unknown. No cache is part of ``==`` or
-    ``hash``.
+    ``_generator_rows`` lists, in element order, the class rows of a
+    generating set of the table without top (see :func:`verify_tnorm`);
+    it is set only once the table has verified as a t-norm, and None
+    means unknown. It is not part of ``==`` or ``hash``.
     """
 
-    __slots__ = ("lattice", "table", "_monotone", "_generator_rows")
+    __slots__ = ("lattice", "table", "_generator_rows")
 
     def __init__(self, lattice: FiniteLattice, table):
         n = lattice.n
@@ -65,7 +62,6 @@ class TNormTable:
             raise ValueError(f"table entry {bad} is not an element id")
         self.lattice = lattice
         self.table = rows
-        self._monotone = None
         self._generator_rows = None
 
     def value(self, x: int, y: int) -> int:
@@ -199,8 +195,6 @@ def verify_tnorm(t: TNormTable) -> Verdict:
                 x = next(x for x, pair in enumerate(zip(tbl[lo], tbl[hi])) if pair not in comparable)
                 verdict = Verdict(False, "monotonicity", (lat.name(x), lat.name(lo), lat.name(hi)))
                 break
-        # the table is commutative here, so this is the continuity scans' gate
-        t._monotone = verdict.ok
     if verdict.ok:
         made: set = set()
         for a in reps:
@@ -342,10 +336,11 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     When every row is monotone (T(a, x) <= T(a, y) whenever x <= y), no
     comparable pair fails either: x op y is then one of x and y, and so is
     T(a, x) op T(a, y), the same one. So after the empty family comes a
-    gate: the table's columns are compared across every cover, once per
-    table (the result is kept on it). A table that fails it is scanned
-    over every x < y, listed per call. A monotone one is scanned over one
-    plan per lattice, the incomparable pairs with an op-irreducible end
+    gate: a table that has verified as a t-norm (``t._generator_rows`` is
+    set) is monotone, and any other has its columns compared across every
+    cover. A table that fails the gate is scanned over every x < y,
+    listed per call. A monotone one is scanned over one plan per lattice,
+    the incomparable pairs with an op-irreducible end
     (:meth:`FiniteLattice.irreducible_end_pairs`). One kernel,
     :func:`_preservation_failure`, scans every domain and every set of
     rows.
@@ -360,13 +355,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     or a comparable pair, which holds by monotonicity. By induction
     T(a, x ∨ y) = T(a, x) ∨ T(a, j1) ∨ ... ∨ T(a, jk) and T(a, y) =
     T(a, j1) ∨ ... ∨ T(a, jk), so the pair holds. So the first failing
-    row is the same on the plan and on every pair. Within that row, a
-    monotone row never fails at a comparable pair, so its first failure
-    over every x < y is its first failure over the incomparable pairs.
-    When the plan is complete, it holds all of those, and its first
-    failure is the witness. When it is not, the failing row alone is
+    row is the same on the plan and on every pair, and that row alone is
     scanned again over every x < y, produced lazily up to its first
-    failure, to name the witness.
+    failure, to name the witness. On a table that failed the gate the
+    rescan meets the failure the full scan found.
 
     On a table that has verified as a t-norm, left-semicontinuity first
     scans its generator rows alone (``t._generator_rows``, see
@@ -388,25 +380,20 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
     for a in range(n):
         if tbl[a][unit] != meet[a][unit]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
-    monotone = t._monotone
-    if monotone is None:
+    gens = t._generator_rows
+    monotone = gens is not None
+    if not monotone:
         comparable = lat.comparable_pairs()
         cols = tuple(zip(*tbl))
-        monotone = t._monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
+        monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
     table = lat.join_table if op == "join" else meet
-    if monotone:
-        pairs, complete = lat.irreducible_end_pairs(op, skip)
-    else:
-        pairs, complete = list(_every_pair(table, skip)), True
-    gens = t._generator_rows
+    pairs = lat.irreducible_end_pairs(op, skip) if monotone else list(_every_pair(table, skip))
     if skip == lat.top and gens is not None and _preservation_failure(tbl, gens, pairs, table) is None:
         return OK
     failure = _preservation_failure(tbl, range(n), pairs, table)
     if failure is None:
         return OK
-    if not complete:
-        failure = _preservation_failure(tbl, failure[:1], _every_pair(table, skip), table)
-    a, x, y = failure
+    a, x, y = _preservation_failure(tbl, failure[:1], _every_pair(table, skip), table)
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
 
 

@@ -20,7 +20,6 @@ from latnorm.oracle import (
     oracle_vs_construction,
 )
 from latnorm.tnorm import (
-    TNormTable,
     is_continuous,
     is_left_continuous,
     is_left_semicontinuous,
@@ -104,14 +103,12 @@ def test_stream_matches_reference_on_random_lattices(size, seed, how):
 
 
 @pytest.mark.parametrize("how", LABELLINGS)
-def test_streamed_tables_are_marked_monotone(how):
-    """Every table comes out with the continuity scans' gate set, and a
-    fresh copy is monotone over every comparable pair."""
+def test_streamed_tables_are_monotone(how):
+    """Every table is monotone over every comparable pair."""
     for name, lat in FIXED_LATTICES.items():
         lat = relabeled(lat, how)
         for t in enumerate_all_tnorms(lat):
-            assert t._monotone is True
-            assert full_pairs_monotone(TNormTable(lat, t.table)), (name, t.table)
+            assert full_pairs_monotone(t), (name, t.table)
 
 
 def test_three_chain_tables_by_hand():

@@ -458,12 +458,10 @@ def scans(t):
 
 def assert_scans_match_reference(t):
     """Same verdicts, axioms and witnesses as the cell scan: on a fresh
-    table, again once its monotonicity gate is known, and after
-    ``verify_tnorm``, which may record the gate and the generator rows on
-    the way. Returns the verified table."""
+    table, and after ``verify_tnorm``, which may record the generator rows
+    on the way. Returns the verified table."""
     fresh = TNormTable(t.lattice, t.table)
     expected = reference_continuity_scans(fresh)
-    assert scans(fresh) == expected, fresh.table
     assert scans(fresh) == expected, fresh.table
     verified = TNormTable(t.lattice, t.table)
     verify_tnorm(verified)
@@ -662,13 +660,11 @@ def _stored_generator_rows(t):
 
 def _assert_verify_matches_reference(lat, grid):
     """``verify_tnorm`` gives the reference verdict and witness, and stores
-    the generator rows exactly when the table verifies and the monotone
-    flag exactly when neutrality and commutativity hold."""
+    the generator rows exactly when the table verifies."""
     t = TNormTable(lat, grid)
     expected = reference_verify_tnorm(TNormTable(lat, grid))
     assert verify_tnorm(t) == expected
     assert t._generator_rows == (_stored_generator_rows(t) if expected.ok else None)
-    assert t._monotone == (None if expected.axiom in ("neutral", "commutativity") else expected.axiom != "monotonicity")
     return expected
 
 
@@ -681,7 +677,7 @@ def test_verify_matches_reference_on_value_blocks(name):
     monotone changes made one after another: their class rows are many
     and take few values, so most middle rows compare on value blocks, and
     some changes break associativity at such a row. Each table gives the
-    reference verdict, witness, generator rows and monotone flag."""
+    reference verdict, witness and generator rows."""
     lat = BLOCK_LIFTS[name]
     skel = skeleton(lat)
     atoms = [lat.name(a) for a in iter_bits(lat.atoms_mask)]
@@ -855,14 +851,14 @@ def _irreducible_by_covers(lat, op):
 def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(corpus_atomistic, corpus_extension):
     """On the corpus, 2^4 and Pi4 (both orders): the incomparable pairs
     whose op is not skipped with an irreducible end, by the covers, in
-    the planned order; complete exactly when that drops nothing."""
+    the planned order; some plans leave incomparable pairs out."""
     lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES}
     incomplete = 0
     for lat in lats.values():
         table = {"join": lat.join_table, "meet": lat.meet_table}
         # the plans of left-continuity, right-continuity and left-semicontinuity
         for op, skip in (("join", -1), ("meet", -1), ("join", lat.top)):
-            plan, complete = lat.irreducible_end_pairs(op, skip)
+            plan = lat.irreducible_end_pairs(op, skip)
             irreducible = _irreducible_by_covers(lat, op)
             flat = [
                 (x, y)
@@ -873,9 +869,8 @@ def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(cor
             kept = [p for p in flat if irreducible & set(p)]
             assert [(x, y) for x, ys in plan for y in ys] == kept
             assert all(ys for _, ys in plan)
-            assert complete == (kept == flat)
-            assert lat.irreducible_end_pairs(op, skip) == (plan, complete)
-            incomplete += not complete
+            assert lat.irreducible_end_pairs(op, skip) == plan
+            incomplete += kept != flat
     assert incomplete >= 6
 
 
@@ -891,22 +886,20 @@ def _meet_through(lat, kept):
 
 # One table per scan whose first failure in the full scan is at a pair
 # with two reducible ends, so the irreducible-end plan meets a later pair
-# of the failing row first: (scan, op, skip is top, table, witness).
+# of the failing row first: (scan, op, table, witness).
 REDUCIBLE_END_WITNESSES = [
-    ("left-continuity", "join", False, t_drastic(relabeled(powerset_lattice(4), "reverse")), ("bcd", "bcd", "acd")),
-    ("right-continuity", "meet", False, _meet_through(powerset_lattice(4), ["ab", "ac"]), ("abc", "ab", "ac")),
-    ("left-semicontinuity", "join", True, _meet_through(relabeled(powerset_lattice(4), "reverse"), ["ab"]), ("abd", "bd", "ad")),
+    ("left-continuity", "join", t_drastic(relabeled(powerset_lattice(4), "reverse")), ("bcd", "bcd", "acd")),
+    ("right-continuity", "meet", _meet_through(powerset_lattice(4), ["ab", "ac"]), ("abc", "ab", "ac")),
+    ("left-semicontinuity", "join", _meet_through(relabeled(powerset_lattice(4), "reverse"), ["ab"]), ("abd", "bd", "ad")),
 ]
 
 
-@pytest.mark.parametrize("axiom, op, below_top, t, witness", REDUCIBLE_END_WITNESSES, ids=[w[0] for w in REDUCIBLE_END_WITNESSES])
-def test_scans_rescan_the_failing_row_for_a_witness_with_reducible_ends(axiom, op, below_top, t, witness):
-    """The failing row is read again over every planned pair, so the
-    witness is the reference's, not the first kept pair that fails."""
+@pytest.mark.parametrize("axiom, op, t, witness", REDUCIBLE_END_WITNESSES, ids=[w[0] for w in REDUCIBLE_END_WITNESSES])
+def test_scans_rescan_the_failing_row_for_a_witness_with_reducible_ends(axiom, op, t, witness):
+    """The failing row is read again over every pair, so the witness is
+    the reference's, not the first kept pair that fails."""
     lat = t.lattice
     assert full_pairs_monotone(t) and t.table == tuple(zip(*t.table))
-    skip = lat.top if below_top else -1
-    assert not lat.irreducible_end_pairs(op, skip)[1]
     irreducible = _irreducible_by_covers(lat, op)
     assert not irreducible & {lat.index(witness[1]), lat.index(witness[2])}
     scan = {"left-continuity": 0, "right-continuity": 1, "left-semicontinuity": 2}[axiom]
