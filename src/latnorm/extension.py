@@ -18,7 +18,9 @@ from .tnorm import (
     OK,
     TNormTable,
     Verdict,
-    is_left_continuous,
+    _left_continuity,
+    _left_semicontinuity,
+    _monotone,
     is_left_semicontinuous,
 )
 
@@ -183,8 +185,10 @@ def continuity_of_restriction(
     if restricted is None:
         restricted = restrict_to_original(ext, source)
     src_lsc = bool(is_left_semicontinuous(source.lifted))
-    lsc = is_left_semicontinuous(restricted)
-    lc = is_left_continuous(restricted)
+    # both scans share the restriction's monotonicity gate
+    monotone = _monotone(restricted)
+    lsc = _left_semicontinuity(restricted, monotone)
+    lc = _left_continuity(restricted, monotone)
     top_ji = bool(ext.original.ji_mask >> ext.original.top & 1)
     ok = True
     if src_lsc and not lsc.ok:

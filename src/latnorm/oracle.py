@@ -9,15 +9,18 @@ below are assigned before it and those above after it. Monotonicity
 then makes each cell's candidates an interval: at least the join of its
 cover neighbours below, at most the meet of its arguments. Partial
 associativity, one comparison per triple, prunes during the search, and
-it is complete: every leaf is a t-norm and is yielded unchecked. The
-census classifies each table by continuity row by row, and each distinct
-row once (:func:`_row_classes`).
+it is complete: every leaf is a t-norm, and no axiom is checked on it
+again. That its cells are element ids is checked once per enumeration,
+on the values every leaf is made of, not on each leaf. The census
+classifies each table by continuity row by row, and each distinct row
+once (:func:`_row_classes`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .errors import BoundExceeded, LatnormError
@@ -61,7 +64,8 @@ def enumerate_all_tnorms(
     The forced rows give the neutral top and the absorbing bottom,
     assigning each cell on both sides of the diagonal gives
     commutativity, and the intervals give monotonicity. Associativity
-    follows from the partial check ``consistent``:
+    follows from the partial check, one comparison per triple in
+    ``touching``:
 
     - The order. Let the cell {a, b} lie under {x, y}, with a <= x and
       b <= y after matching, and let the two cells differ. Then one
@@ -94,10 +98,31 @@ def enumerate_all_tnorms(
       bc.
     - So one comparison decides each triple. Let cell k be the later of
       its two first-level cells; ``touching[k]`` holds the triple. When
-      cell k is tried, all four cells hold values, so ``consistent``
-      compares both sides. Cells up to k keep their values while the
-      search goes deeper, so a comparison passed on the way to a leaf
+      cell k is tried, all four cells hold values, so the check compares
+      both sides. Cells up to k keep their values while the search goes
+      deeper (next item), so a comparison passed on the way to a leaf
       still holds at the leaf.
+    - The search is one loop over a stack of candidate iterators, one per
+      cell up to the current cell k, in one generator frame. Only cell
+      k is ever written: the next value from its iterator, or None when
+      the iterator is exhausted. The current cell moves from k to k + 1
+      only after a value of cell k passes its triples, and from k back
+      to k - 1 only when cell k's iterator is exhausted; there the
+      search resumes the iterator of cell k - 1, which it kept. A leaf is
+      yielded when the last cell passes, and the search then resumes the
+      last cell's iterator. So from the step that leaves cell k upwards
+      to the step that returns to it, the current cell stays above k and
+      no cell up to k is written: each keeps the value its check passed
+      with.
+
+    Every cell that is not forced is a free cell, on one side of the
+    diagonal or the other, so a leaf's cells are forced values and
+    entries of the interval lists. Those values are checked once, before
+    the search starts, to be element ids of an n×n table, and each leaf
+    is then built without ``TNormTable``'s check of every cell. A leaf
+    is counted before it is yielded, so ``BoundExceeded`` is raised in
+    place of the first table past ``cap``; with no free cells, the forced
+    table is the one leaf.
     """
     _check_size(lat, size_cap)
     n = lat.n
@@ -137,37 +162,69 @@ def enumerate_all_tnorms(
                 k = max(first, position[min(b, c), max(b, c)])
                 touching[k].append((tbl[a], b, tbl[b], c))
 
-    def consistent(k: int) -> bool:
-        for row_a, b, row_b, c in touching[k]:
-            if tbl[row_a[b]][c] != row_a[row_b[c]]:
-                return False
-        return True
+    # Each leaf cell is a forced value or an entry of an interval list, so
+    # checking those once stands for TNormTable's check of every leaf.
+    if len(tbl) != n or {len(row) for row in tbl} != {n}:
+        raise ValueError(f"table must be {n}x{n}")
+    values = set(chain.from_iterable(chain.from_iterable(interval)))
+    values.update(v for row in tbl for v in row if v is not None)
+    bad = values.difference(range(n))
+    if bad:
+        raise ValueError(f"table entry {min(bad)} is not an element id")
 
-    count = 0
-    total_cells = len(cells)
+    # per cell: its two rows, its ids, its cover neighbours below, its
+    # triples and the meet that bounds its values
+    steps = [(tbl[x], tbl[y], x, y, below[k], touching[k], meet[x][y]) for k, (x, y) in enumerate(cells)]
+    leaf = TNormTable._of_rows
+    too_many = f"more than {cap} t-norms; raise the cap to enumerate them"
 
-    def search(k: int) -> Iterator[TNormTable]:
-        nonlocal count
-        if k == total_cells:
-            count += 1
-            if count > cap:
-                raise BoundExceeded(f"more than {cap} t-norms; raise the cap to enumerate them")
-            yield TNormTable(lat, tbl)
+    def search() -> Iterator[TNormTable]:
+        count = 0
+        if not steps:
+            if cap < 1:
+                raise BoundExceeded(too_many)
+            yield leaf(lat, tuple(map(tuple, tbl)))
             return
-        x, y = cells[k]
-        row_x, row_y = tbl[x], tbl[y]
-        lo = bot
-        for row, b in below[k]:
-            lo = join[lo][row[b]]
-        for v in interval[lo][meet[x][y]]:
-            row_x[y] = v
-            row_y[x] = v
-            if consistent(k):
-                yield from search(k + 1)
-        row_x[y] = None
-        row_y[x] = None
+        last = len(steps) - 1
+        # candidates[j] iterates over cell j's interval, for j up to k
+        candidates: list = [None] * len(steps)
+        k = 0
+        while True:
+            # enter cell k, whose cover neighbours below hold values
+            row_x, row_y, x, y, lower_cells, triples, hi = steps[k]
+            lo = bot
+            for row, b in lower_cells:
+                lo = join[lo][row[b]]
+            it = candidates[k] = iter(interval[lo][hi])
+            while True:
+                # the next value of cell k that passes its triples
+                for v in it:
+                    row_x[y] = v
+                    row_y[x] = v
+                    for row_a, b, row_b, c in triples:
+                        if tbl[row_a[b]][c] != row_a[row_b[c]]:
+                            break
+                    else:
+                        break
+                else:
+                    # cell k is exhausted: back to cell k - 1
+                    row_x[y] = None
+                    row_y[x] = None
+                    if k == 0:
+                        return
+                    k -= 1
+                    row_x, row_y, x, y, _, triples, _ = steps[k]
+                    it = candidates[k]
+                    continue
+                if k < last:
+                    break
+                count += 1
+                if count > cap:
+                    raise BoundExceeded(too_many)
+                yield leaf(lat, tuple(map(tuple, tbl)))
+            k += 1
 
-    return search(0)
+    return search()
 
 
 def _table_rows(t: TNormTable) -> list[list[str]]:

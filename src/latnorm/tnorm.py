@@ -60,9 +60,20 @@ class TNormTable:
         if not ids.issuperset(chain.from_iterable(rows)):
             bad = next(v for v in chain.from_iterable(rows) if v not in ids)
             raise ValueError(f"table entry {bad} is not an element id")
+        self._fill(lattice, rows)
+
+    def _fill(self, lattice: FiniteLattice, rows: tuple) -> None:
         self.lattice = lattice
         self.table = rows
         self._generator_rows = None
+
+    @classmethod
+    def _of_rows(cls, lattice: FiniteLattice, rows: tuple) -> TNormTable:
+        """The table of ``rows``, unchecked: the caller guarantees a tuple
+        of ``lattice.n`` tuples of ``lattice.n`` element ids each."""
+        t = cls.__new__(cls)
+        t._fill(lattice, rows)
+        return t
 
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -318,7 +329,7 @@ def idempotents(t: TNormTable) -> ElementSet:
     return ElementSet(t.lattice, mask)
 
 
-def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) -> Verdict:
+def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monotone: bool) -> Verdict:
     """First place where a row of ``t`` fails to preserve the lattice's ``op``.
 
     Checks T(a, x op y) = T(a, x) op T(a, y) for all a and all element ids
@@ -335,10 +346,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
 
     When every row is monotone (T(a, x) <= T(a, y) whenever x <= y), no
     comparable pair fails either: x op y is then one of x and y, and so is
-    T(a, x) op T(a, y), the same one. So after the empty family comes a
-    gate: a table that has verified as a t-norm (``t._generator_rows`` is
-    set) is monotone, and any other has its columns compared across every
-    cover. A table that fails the gate is scanned over every x < y,
+    T(a, x) op T(a, y), the same one. So the scan takes the verdict of a
+    gate, ``monotone`` (:func:`_monotone`), which a caller running two
+    scans on one table computes once; it decides no verdict, only the
+    domain. A table that fails the gate is scanned over every x < y,
     listed per call. A monotone one is scanned over one plan per lattice,
     the incomparable pairs with an op-irreducible end
     (:meth:`FiniteLattice.irreducible_end_pairs`). One kernel,
@@ -381,11 +392,6 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
         if tbl[a][unit] != meet[a][unit]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
     gens = t._generator_rows
-    monotone = gens is not None
-    if not monotone:
-        comparable = lat.comparable_pairs()
-        cols = tuple(zip(*tbl))
-        monotone = all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
     table = lat.join_table if op == "join" else meet
     pairs = lat.irreducible_end_pairs(op, skip) if monotone else list(_every_pair(table, skip))
     if skip == lat.top and gens is not None and _preservation_failure(tbl, gens, pairs, table) is None:
@@ -395,6 +401,20 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int = -1) ->
         return OK
     a, x, y = _preservation_failure(tbl, failure[:1], _every_pair(table, skip), table)
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
+
+
+def _monotone(t: TNormTable) -> bool:
+    """The gate of :func:`_preserves`: whether every row of ``t`` is monotone.
+
+    A table that has verified as a t-norm (``t._generator_rows`` is set)
+    is; any other has its columns compared across every cover.
+    """
+    if t._generator_rows is not None:
+        return True
+    lat = t.lattice
+    comparable = lat.comparable_pairs()
+    cols = tuple(zip(*t.table))
+    return all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
 
 
 def _every_pair(table: tuple, skip: int):
@@ -419,23 +439,37 @@ def _preservation_failure(tbl: tuple, rows, pairs, table: tuple) -> tuple[int, i
     return None
 
 
+def _left_continuity(t: TNormTable, monotone: bool) -> Verdict:
+    return _preserves(t, "left-continuity", "join", t.lattice.bottom, -1, monotone)
+
+
+def _right_continuity(t: TNormTable, monotone: bool) -> Verdict:
+    return _preserves(t, "right-continuity", "meet", t.lattice.top, -1, monotone)
+
+
+def _left_semicontinuity(t: TNormTable, monotone: bool) -> Verdict:
+    lat = t.lattice
+    return _preserves(t, "left-semicontinuity", "join", lat.bottom, lat.top, monotone)
+
+
 def is_left_continuous(t: TNormTable) -> Verdict:
     """Join preservation in each argument over arbitrary finite families."""
-    lat = t.lattice
-    return _preserves(t, "left-continuity", "join", lat.bottom)
+    return _left_continuity(t, _monotone(t))
 
 
 def is_right_continuous(t: TNormTable) -> Verdict:
     """Meet preservation in each argument; the empty family is the neutral axiom."""
-    lat = t.lattice
-    return _preserves(t, "right-continuity", "meet", lat.top)
+    return _right_continuity(t, _monotone(t))
 
 
 def is_continuous(t: TNormTable) -> Verdict:
-    left = is_left_continuous(t)
+    """Left and right continuity, the left verdict first; the monotonicity
+    gate of the scans runs once."""
+    monotone = _monotone(t)
+    left = _left_continuity(t, monotone)
     if not left.ok:
         return left
-    return is_right_continuous(t)
+    return _right_continuity(t, monotone)
 
 
 def is_left_semicontinuous(t: TNormTable) -> Verdict:
@@ -444,8 +478,7 @@ def is_left_semicontinuous(t: TNormTable) -> Verdict:
     Binary reduction is sound here because every partial join of such a
     family also stays below top.
     """
-    lat = t.lattice
-    return _preserves(t, "left-semicontinuity", "join", lat.bottom, skip=lat.top)
+    return _left_semicontinuity(t, _monotone(t))
 
 
 def restrict(t: TNormTable, members: ElementSet) -> TNormTable:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from latnorm import checks
+from latnorm import checks, extension, tnorm
 from latnorm.catalog import chain, double_atom_tower
 from latnorm.checks import check_extension_gate, check_restriction_joins
 from latnorm.construction import (
@@ -28,6 +28,7 @@ from latnorm.lattice import lattice_from_covers
 from latnorm.tnorm import (
     Verdict,
     is_left_continuous,
+    is_left_semicontinuous,
     t_drastic,
     t_min,
     tnorm_le,
@@ -345,6 +346,19 @@ def test_restriction_continuity_worked_example(fig_ext):
     assert lat.join(t.value(c, c), t.value(c, d)) == lat.index("b")
 
 
+def test_restriction_continuity_runs_the_monotonicity_gate_once(monkeypatch, fig_ext):
+    """The two scans of the restriction share one monotonicity gate; the
+    source lift's scan has its own."""
+    calls = []
+    gate = extension._monotone
+    for module in (tnorm, extension):
+        monkeypatch.setattr(module, "_monotone", lambda t: calls.append(t) or gate(t))
+    g = make_generated(fig_ext, ["b", "w_d"])
+    restricted = restrict_to_original(fig_ext, g)
+    continuity_of_restriction(fig_ext, g, restricted)
+    assert calls == [g.lifted, restricted]
+
+
 def test_restrictions_from_semicontinuous_sources(corpus_extension):
     """Gated restrictions of left-semicontinuous lifts stay left-semicontinuous;
     with a join-irreducible top they are left-continuous."""
@@ -359,6 +373,8 @@ def test_restrictions_from_semicontinuous_sources(corpus_extension):
                 continue
             report = continuity_of_restriction(ext, entry.source, entry.restricted)
             assert report.implications_hold, (name, entry.selection.label())
+            assert report.restriction_left_semicontinuous == is_left_semicontinuous(entry.restricted)
+            assert report.restriction_left_continuous == is_left_continuous(entry.restricted)
             if report.source_left_semicontinuous:
                 assert report.restriction_left_semicontinuous.ok, name
                 if report.top_is_join_irreducible:

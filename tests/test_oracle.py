@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latnorm import oracle
 from latnorm.catalog import atomistic_corpus, chain, diamond, extension_corpus, m4, random_lattice
 from latnorm.construction import generated_family, semicontinuity_criterion
 from latnorm.errors import BoundExceeded, DegenerateLengthWarning
 from latnorm.extension import extend
-from latnorm.lattice import lattice_from_covers, load_lattice
+from latnorm.lattice import FiniteLattice, lattice_from_covers, load_lattice
 from latnorm.oracle import (
     CLASS_NAMES,
     DEFAULT_SIZE_CAP,
@@ -20,6 +21,7 @@ from latnorm.oracle import (
     oracle_vs_construction,
 )
 from latnorm.tnorm import (
+    TNormTable,
     is_continuous,
     is_left_continuous,
     is_left_semicontinuous,
@@ -111,6 +113,38 @@ def test_streamed_tables_are_monotone(how):
             assert full_pairs_monotone(t), (name, t.table)
 
 
+@pytest.mark.parametrize("how", LABELLINGS)
+def test_streamed_leaves_are_well_formed_tables(how):
+    """Leaves skip the per-cell check of ``TNormTable``'s constructor, so
+    each is held to it here: n tuples of n element ids, equal and hashing
+    equal to the same rows built through the constructor."""
+    for name, lat in FIXED_LATTICES.items():
+        lat = relabeled(lat, how)
+        n = lat.n
+        for t in enumerate_all_tnorms(lat):
+            rows = t.table
+            assert type(t) is TNormTable and t.lattice is lat and t._generator_rows is None, name
+            assert type(rows) is tuple and len(rows) == n, (name, rows)
+            for row in rows:
+                assert type(row) is tuple and len(row) == n, (name, rows)
+                assert all(type(v) is int and 0 <= v < n for v in row), (name, rows)
+            checked = TNormTable(lat, rows)
+            assert t == checked and hash(t) == hash(checked), (name, rows)
+
+
+def test_enumeration_refuses_values_that_are_not_element_ids():
+    """Before the search starts: a lattice whose masks name an element
+    past the last id gives an interval holding it."""
+    lat = chain(4)
+    fields = {slot: getattr(lat, slot) for slot in FiniteLattice.__slots__}
+    ups, downs = list(lat.ups), list(lat.downs)
+    ups[lat.bottom] |= 1 << lat.n
+    downs[lat.top] |= 1 << lat.n
+    broken = FiniteLattice(**{**fields, "ups": ups, "downs": downs, "_memo": {}})
+    with pytest.raises(ValueError, match="table entry 4 is not an element id"):
+        enumerate_all_tnorms(broken)
+
+
 def test_three_chain_tables_by_hand():
     """The only free cell is the middle diagonal: bottom or itself."""
     lat = chain(3)
@@ -178,6 +212,49 @@ def test_size_cap():
 def test_count_cap(p2):
     with pytest.raises(BoundExceeded):
         list(enumerate_all_tnorms(p2, cap=3))
+
+
+@pytest.mark.parametrize("how", LABELLINGS)
+@pytest.mark.parametrize("name", [*FIXED_LATTICES, "chain1"])
+def test_census_count_cap(name, how):
+    """``cap`` at the total gives the uncapped report, one less raises;
+    chain1 and chain2 have no free cells, so their caps are 1 and 0."""
+    lat = relabeled(chain(1) if name == "chain1" else FIXED_LATTICES[name], how)
+    with degenerate_warning(lat):
+        report = census(lat)
+        assert census(lat, cap=report.total).to_json() == report.to_json()
+        with pytest.raises(BoundExceeded):
+            census(lat, cap=report.total - 1)
+
+
+def test_census_and_comparison_read_every_table_of_the_module_stream(monkeypatch, p3):
+    """Both call ``oracle.enumerate_all_tnorms`` by its module name and
+    read each stream to its end, so a wrapper put there (as a tracer
+    counting tables does) sees every table."""
+    total = census(p3).total
+    real = oracle.enumerate_all_tnorms
+    streams = []
+
+    def counting(*args, **kwargs):
+        tables = real(*args, **kwargs)
+        seen = [0, False]  # tables read, stream exhausted
+        streams.append(seen)
+
+        def stream():
+            for t in tables:
+                seen[0] += 1
+                yield t
+            seen[1] = True
+
+        return stream()
+
+    monkeypatch.setattr(oracle, "enumerate_all_tnorms", counting)
+    assert census(p3).total == total
+    assert streams == [[total, True]]
+    streams.clear()
+    cmp = oracle_vs_construction(p3)
+    assert cmp.passed
+    assert streams == [[cmp.skeleton_count, True], [total, True]]
 
 
 def test_census_classes(p2, p3, lat_m3, fig_extended):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latnorm import tnorm
 from latnorm.catalog import chain, double_atom_tower, m3, pentagon, random_lattice, stemmed_diamond
 from latnorm.construction import AtomSelection, generated_family, lift, skeleton, skeleton_tnorm
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
@@ -436,6 +437,17 @@ PINNED_SCANS = [
 ]
 
 
+def test_is_continuous_runs_the_monotonicity_gate_once(monkeypatch):
+    """Both scans of a fresh table that is left-continuous share one gate."""
+    calls = []
+    gate = tnorm._monotone
+    monkeypatch.setattr(tnorm, "_monotone", lambda t: calls.append(t) or gate(t))
+    lat = powerset_lattice(3)
+    t = TNormTable(lat, lat.meet_table)
+    assert is_continuous(t).ok
+    assert calls == [t]
+
+
 @pytest.mark.parametrize("name, lat, rule, left, right, lsc", PINNED_SCANS, ids=[p[0] for p in PINNED_SCANS])
 def test_continuity_scans_pinned_verdicts(name, lat, rule, left, right, lsc):
     """Axiom and witness of each scan's first violation, in file order."""
@@ -462,10 +474,13 @@ def assert_scans_match_reference(t):
     on the way. Returns the verified table."""
     fresh = TNormTable(t.lattice, t.table)
     expected = reference_continuity_scans(fresh)
+    continuous = expected[1] if expected[0].ok else expected[0]
     assert scans(fresh) == expected, fresh.table
+    assert is_continuous(fresh) == continuous, fresh.table
     verified = TNormTable(t.lattice, t.table)
     verify_tnorm(verified)
     assert scans(verified) == expected, verified.table
+    assert is_continuous(verified) == continuous, verified.table
     return verified
 
 
