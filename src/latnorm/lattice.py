@@ -4,8 +4,11 @@ Elements are identified by their position in the input element list (the
 "file order"); every table and export keeps that order so golden files are
 byte-stable. Every lattice is built and validated by one constructor,
 :func:`lattice_from_covers`. Order data is held as per-element bitmasks:
-each meet and join is one lookup of a common down-set or up-set mask, which
-keeps construction fast enough for exhaustive desk-scale work.
+a meet is the element whose down-set is the common down-set, a join the
+one whose up-set is the common up-set. Only the meet table is built with
+the lattice; each join is one lookup of an up-set mask, and the join table
+is derived data, built on first read. That keeps construction fast enough
+for exhaustive desk-scale work.
 """
 
 from __future__ import annotations
@@ -110,9 +113,12 @@ class FiniteLattice:
 
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
-    The fingerprint, the set of element ids and the pair sets of the order
-    are derived data, filled on first use and kept in ``_memo`` for the
-    lattice's life; equality, hashing and serialization never read them.
+    The join table, the fingerprint, the set of element ids and the pair
+    sets and pair lists of the order are derived data, filled on first
+    use and kept in ``_memo`` for the lattice's life; equality, hashing
+    and serialization never read them. Joins are read off ``_by_ups``,
+    the map from each element's up-set mask to the element, so no join
+    needs the table.
     """
 
     __slots__ = (
@@ -122,7 +128,7 @@ class FiniteLattice:
         "downs",
         "covers",
         "meet_table",
-        "join_table",
+        "_by_ups",
         "bottom",
         "top",
         "atoms_mask",
@@ -160,15 +166,29 @@ class FiniteLattice:
         return self.meet_table[x][y]
 
     def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
+        return self._by_ups[self.ups[x] & self.ups[y]]
 
     def join_all(self, elements: Iterable[int]) -> int:
-        """Join of an arbitrary finite family; the empty join is bottom."""
-        out = self.bottom
-        row = self.join_table
+        """Join of an arbitrary finite family; the empty join is bottom.
+
+        The upper bounds of the family are the common up-set, the AND of
+        the members' up-sets (every element for the empty family), and
+        the join is its least element: the one whose up-set it is.
+        """
+        mask = self.full_mask
+        ups = self.ups
         for e in elements:
-            out = row[out][e]
-        return out
+            mask &= ups[e]
+        return self._by_ups[mask]
+
+    @property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        """``join_table[x][y]`` is x ∨ y; built on first read and kept."""
+        table = self._memo.get("join")
+        if table is None:
+            get = self._by_ups.__getitem__
+            table = self._memo["join"] = tuple(tuple(map(get, map(u.__and__, self.ups))) for u in self.ups)
+        return table
 
     def element_set(self, members: Iterable[int | str] = (), mask: int | None = None) -> ElementSet:
         if mask is None:
@@ -266,38 +286,69 @@ class FiniteLattice:
             )
         return pairs
 
-    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         """The incomparable pairs x < y with an ``op``-irreducible end.
 
         An end is join-irreducible (``ji_mask``) for ``op`` "join" and
         meet-irreducible (``mi_mask``) for "meet". Pairs whose join (``op``
         "join") or meet (``op`` "meet") is ``skip`` are left out. The plan
-        holds one ``(x, ys)`` for each x that has some kept y, with ``ys``
-        ascending. The y incomparable to x and above it in element order
-        are the bits of ``full_mask & ~(ups[x] | downs[x])`` above bit x;
-        when x is reducible only the irreducible ones are kept. A monotone
-        row passes the plan exactly when it passes every pair x < y whose
-        op is not ``skip`` (the proof is in :func:`latnorm.tnorm._preserves`,
-        which names a failing row's witness by scanning it again over every
-        pair). Memoised.
+        holds one ``(x, ys)`` for each x that has some kept y, where ``ys``
+        lists ``(y, x op y)`` by ascending y. The y incomparable to x and
+        above it in element order are the bits of
+        ``full_mask & ~(ups[x] | downs[x])`` above bit x; when x is
+        reducible only the irreducible ones are kept. A monotone row passes
+        the plan exactly when it passes every pair x < y whose op is not
+        ``skip`` (the proof is in :func:`latnorm.tnorm._preserves`, which
+        names a failing row's witness by scanning it again over every
+        incomparable pair). Memoised.
         """
         key = (op, skip)
         memo = self._memo.get(key)
         if memo is None:
-            table = self.join_table if op == "join" else self.meet_table
             irreducible = self.ji_mask if op == "join" else self.mi_mask
             full, ups, downs = self.full_mask, self.ups, self.downs
             plan = []
             for x in range(self.n):
-                row = table[x]
                 ys = full & ~(ups[x] | downs[x]) & -(2 << x)
                 if not irreducible >> x & 1:
                     ys &= irreducible
-                ys = tuple(y for y in iter_bits(ys) if row[y] != skip)
-                if ys:
-                    plan.append((x, ys))
+                pairs = self._pairs_with(op, skip, x, ys)
+                if pairs:
+                    plan.append((x, tuple(pairs)))
             memo = self._memo[key] = tuple(plan)
         return memo
+
+    def _pairs_above(
+        self, op: str, skip: int, incomparable: bool
+    ) -> Iterator[tuple[int, Sequence[tuple[int, int]]]]:
+        """Yield each x with the ``(y, x op y)`` of :meth:`_pairs_with` for
+        every y > x or, when ``incomparable``, for the y > x incomparable
+        to x. The incomparable lists, which rescan a failing row of a
+        monotone table, are made on first use and kept: one lattice often
+        has many tables rescanned."""
+        full, ups, downs = self.full_mask, self.ups, self.downs
+        if not incomparable:
+            for x in range(self.n):
+                yield x, self._pairs_with(op, skip, x, full & -(2 << x))
+            return
+        rows = self._memo.setdefault(("incomparable", op, skip), {})
+        for x in range(self.n):
+            pairs = rows.get(x)
+            if pairs is None:
+                ys = full & ~(ups[x] | downs[x]) & -(2 << x)
+                pairs = rows[x] = tuple(self._pairs_with(op, skip, x, ys))
+            yield x, pairs
+
+    def _pairs_with(self, op: str, skip: int, x: int, ys: int) -> list[tuple[int, int]]:
+        """``(y, x op y)`` for each y in the mask ``ys`` whose x op y is not
+        ``skip``, ascending, op "join" or "meet"; joins are read off the
+        up-sets, so the join table is not built."""
+        if op == "join":
+            ups, by_ups = self.ups, self._by_ups
+            ux = ups[x]
+            return [(y, xy) for y in iter_bits(ys) if (xy := by_ups[ux & ups[y]]) != skip]
+        row = self.meet_table[x]
+        return [(y, row[y]) for y in iter_bits(ys) if row[y] != skip]
 
     # -- serialization -----------------------------------------------------------
 
@@ -358,6 +409,18 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     strictly between their ends. Fails if the closure has a cycle, if there
     is no unique bottom or top, or if some pair lacks a unique meet or
     join.
+
+    Only meets are built and checked. In a finite poset with a unique
+    maximal element, that element is the top, since every element lies
+    below some maximal one. If every pair has a meet there, so does every
+    nonempty finite set, by induction. Then x and y have a join: their
+    common upper bounds form a set U that holds top, and x and y are lower
+    bounds of U, so they lie below its meet m, which is then in U and
+    least in it. So once bottom and top are unique, the meets alone decide
+    whether the order is a lattice. When a meet is missing, the pairs
+    xi <= yi are swept again in file order, meet before join at each pair
+    (a join may be missing at an earlier pair), and :class:`NotALattice`
+    names the first pair and kind missing.
     """
     names = list(names)
     if not names:
@@ -425,18 +488,15 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     by_downs = {d: x for x, d in enumerate(downs)}
     by_ups = {u: x for x, u in enumerate(ups)}
     meet_table = [[0] * n for _ in range(n)]
-    join_table = [[0] * n for _ in range(n)]
+    get = by_downs.get
     for xi in range(n):
-        dx, ux = downs[xi], ups[xi]
+        dx = downs[xi]
+        row = meet_table[xi]
         for yi in range(xi, n):
-            g = by_downs.get(dx & downs[yi])
+            g = get(dx & downs[yi])
             if g is None:
-                raise NotALattice((names[xi], names[yi]), "meet")
-            meet_table[xi][yi] = meet_table[yi][xi] = g
-            s = by_ups.get(ux & ups[yi])
-            if s is None:
-                raise NotALattice((names[xi], names[yi]), "join")
-            join_table[xi][yi] = join_table[yi][xi] = s
+                raise _first_missing(names, downs, ups, by_downs, by_ups)
+            row[yi] = meet_table[yi][xi] = g
 
     # A cover of the closure is itself an input pair: a longer path from lo
     # to hi would put an element strictly between them. So filtering the
@@ -458,7 +518,7 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         downs=tuple(downs),
         covers=tuple(reduced),
         meet_table=tuple(tuple(row) for row in meet_table),
-        join_table=tuple(tuple(row) for row in join_table),
+        _by_ups=by_ups,
         bottom=bottom,
         top=top,
         atoms_mask=sum(1 << x for x in range(n) if lower[x] == [bottom]),
@@ -468,6 +528,20 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
         full_mask=(1 << n) - 1,
         _memo={},
     )
+
+
+def _first_missing(names, downs, ups, by_downs, by_ups) -> NotALattice:
+    """The error for the first pair xi <= yi, in file order, that lacks a
+    meet or, after it, a join."""
+    n = len(names)
+    for xi in range(n):
+        dx, ux = downs[xi], ups[xi]
+        for yi in range(xi, n):
+            if dx & downs[yi] not in by_downs:
+                return NotALattice((names[xi], names[yi]), "meet")
+            if ux & ups[yi] not in by_ups:
+                return NotALattice((names[xi], names[yi]), "join")
+    raise AssertionError("every pair has a meet and a join")
 
 
 def induced_sublattice(parent: FiniteLattice, members: ElementSet) -> FiniteLattice:

@@ -127,7 +127,7 @@ def enumerate_all_tnorms(
     _check_size(lat, size_cap)
     n = lat.n
     bot, top = lat.bottom, lat.top
-    meet, join = lat.meet_table, lat.join_table
+    meet = lat.meet_table
 
     tbl: list[list[int | None]] = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -171,6 +171,8 @@ def enumerate_all_tnorms(
     bad = values.difference(range(n))
     if bad:
         raise ValueError(f"table entry {min(bad)} is not an element id")
+    # built on first read, from masks that the check above has vetted
+    join = lat.join_table
 
     # per cell: its two rows, its ids, its cover neighbours below, its
     # triples and the meet that bounds its values
@@ -258,7 +260,7 @@ def _row_classes(lat: FiniteLattice):
       preserve every join and meet, and only the middle rows are read.
     """
     scans = [
-        (bit, lat.irreducible_end_pairs(op, skip), lat.join_table if op == "join" else lat.meet_table)
+        (bit, lat.irreducible_end_pairs(op, skip), lat.ups if op == "join" else lat.downs)
         for bit, op, skip in ((1, "join", lat.top), (2, "join", -1), (4, "meet", -1))
     ]
     mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
@@ -271,7 +273,7 @@ def _row_classes(lat: FiniteLattice):
             hit = memo.get(row)
             if hit is None:
                 hit = memo[row] = sum(
-                    bit for bit, plan, op in scans if _preservation_failure((row,), (0,), plan, op) is None
+                    bit for bit, plan, masks in scans if _preservation_failure((row,), (0,), plan, masks) is None
                 )
             bits &= hit
         return bits

@@ -341,8 +341,8 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monoton
 
     A diagonal pair never fails: T(a, x op x) = T(a, x) = T(a, x) op
     T(a, x). So the full scan runs over every x < y whose op is not
-    ``skip`` (:func:`_every_pair`), and its first violation is the
-    witness. Every shortcut below keeps that witness.
+    ``skip``, and its first violation is the witness. Every shortcut
+    below keeps that witness.
 
     When every row is monotone (T(a, x) <= T(a, y) whenever x <= y), no
     comparable pair fails either: x op y is then one of x and y, and so is
@@ -352,9 +352,12 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monoton
     domain. A table that fails the gate is scanned over every x < y,
     listed per call. A monotone one is scanned over one plan per lattice,
     the incomparable pairs with an op-irreducible end
-    (:meth:`FiniteLattice.irreducible_end_pairs`). One kernel,
+    (:meth:`FiniteLattice.irreducible_end_pairs`). The lattice lists
+    every domain, each pair with its x op y
+    (:meth:`FiniteLattice._pairs_above`), and one kernel,
     :func:`_preservation_failure`, scans every domain and every set of
-    rows.
+    rows by comparing up-set or down-set masks, so no scan reads or
+    builds the join table.
 
     A monotone row passes the plan exactly when it passes every pair.
     Take joins; meets are dual. Let row a preserve the joins of the kept
@@ -367,9 +370,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monoton
     T(a, x ∨ y) = T(a, x) ∨ T(a, j1) ∨ ... ∨ T(a, jk) and T(a, y) =
     T(a, j1) ∨ ... ∨ T(a, jk), so the pair holds. So the first failing
     row is the same on the plan and on every pair, and that row alone is
-    scanned again over every x < y, produced lazily up to its first
-    failure, to name the witness. On a table that failed the gate the
-    rescan meets the failure the full scan found.
+    scanned again over every incomparable x < y, up to its first failure,
+    to name the witness: the comparable pairs it leaves out hold. On a
+    table that failed the gate the rescan runs over every x < y and meets
+    the failure the full scan found.
 
     On a table that has verified as a t-norm, left-semicontinuity first
     scans its generator rows alone (``t._generator_rows``, see
@@ -392,14 +396,19 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monoton
         if tbl[a][unit] != meet[a][unit]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
     gens = t._generator_rows
-    table = lat.join_table if op == "join" else meet
-    pairs = lat.irreducible_end_pairs(op, skip) if monotone else list(_every_pair(table, skip))
-    if skip == lat.top and gens is not None and _preservation_failure(tbl, gens, pairs, table) is None:
+    masks = lat.ups if op == "join" else lat.downs
+    # every x < y, or on a monotone table the incomparable ones: the rest hold
+    every = lat._pairs_above(op, skip, monotone)
+    if monotone:
+        pairs = lat.irreducible_end_pairs(op, skip)
+    else:
+        pairs = every = list(every)
+    if skip == lat.top and gens is not None and _preservation_failure(tbl, gens, pairs, masks) is None:
         return OK
-    failure = _preservation_failure(tbl, range(n), pairs, table)
+    failure = _preservation_failure(tbl, range(n), pairs, masks)
     if failure is None:
         return OK
-    a, x, y = _preservation_failure(tbl, failure[:1], _every_pair(table, skip), table)
+    a, x, y = _preservation_failure(tbl, failure[:1], every, masks)
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
 
 
@@ -417,24 +426,22 @@ def _monotone(t: TNormTable) -> bool:
     return all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
 
 
-def _every_pair(table: tuple, skip: int):
-    """Yield each x with the ys > x whose op is not ``skip``, ascending;
-    ``table`` is op's table."""
-    for x, row in enumerate(table):
-        yield x, [y for y in range(x + 1, len(row)) if row[y] != skip]
-
-
-def _preservation_failure(tbl: tuple, rows, pairs, table: tuple) -> tuple[int, int, int] | None:
+def _preservation_failure(tbl: tuple, rows, pairs, masks: tuple) -> tuple[int, int, int] | None:
     """The first (a, x, y) with T(a, x op y) != T(a, x) op T(a, y), a in
-    ``rows``, then (x, ys) in ``pairs``, then y in ys; None if there is
-    none. ``table`` is op's table."""
+    ``rows``, then (x, ys) in ``pairs``, then (y, x op y) in ys; None if
+    there is none.
+
+    ``masks`` are the up-sets for op "join" and the down-sets for "meet".
+    Elements are compared by their masks: w = u ∨ v exactly when
+    ↑w = ↑u ∩ ↑v, and w = u ∧ v exactly when ↓w = ↓u ∩ ↓v, so no op
+    table is read.
+    """
     for a in rows:
         row = tbl[a]
         for x, ys in pairs:
-            opx = table[x]
-            oprx = table[row[x]]
-            for y in ys:
-                if row[opx[y]] != oprx[row[y]]:
+            mx = masks[row[x]]
+            for y, xy in ys:
+                if masks[row[xy]] != mx & masks[row[y]]:
                     return a, x, y
     return None
 

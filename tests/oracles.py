@@ -33,29 +33,49 @@ def set_based_below(names, cover_pairs):
     return below
 
 
+def _set_based_bounds(names, cover_pairs):
+    """Each name's down-set and up-set, as sets of names."""
+    below = set_based_below(names, cover_pairs)
+    above = {n: {m for m in names if n in below[m]} for n in names}
+    return below, above
+
+
+def _unique_extreme(common, bounds):
+    """The z in ``common`` whose ``bounds[z]`` holds all of ``common``, if
+    exactly one; else None."""
+    extreme = [z for z in common if common <= bounds[z]]
+    return extreme[0] if len(extreme) == 1 else None
+
+
 def set_based_meets_joins(names, cover_pairs):
     """Meets and joins recomputed with frozensets only; None if not a lattice.
 
     Returns (meets, joins) keyed by name pairs, or None when some pair has
     no unique greatest lower / least upper bound.
     """
-    below = set_based_below(names, cover_pairs)
-    above = {n: {m for m in names if n in below[m]} for n in names}
-
+    below, above = _set_based_bounds(names, cover_pairs)
     meets, joins = {}, {}
     for x in names:
         for y in names:
-            lower = below[x] & below[y]
-            greatest = [z for z in lower if lower <= below[z]]
-            if len(greatest) != 1:
+            meets[x, y] = _unique_extreme(below[x] & below[y], below)
+            joins[x, y] = _unique_extreme(above[x] & above[y], above)
+            if meets[x, y] is None or joins[x, y] is None:
                 return None
-            meets[x, y] = greatest[0]
-            upper = above[x] & above[y]
-            least = [z for z in upper if upper <= above[z]]
-            if len(least) != 1:
-                return None
-            joins[x, y] = least[0]
     return meets, joins
+
+
+def set_based_first_missing(names, cover_pairs):
+    """The first pair (x, y), x at or before y in list order, that lacks a
+    meet or a join, with the kind missing ("meet" before "join" at each
+    pair); None when every pair has both."""
+    below, above = _set_based_bounds(names, cover_pairs)
+    for i, x in enumerate(names):
+        for y in names[i:]:
+            if _unique_extreme(below[x] & below[y], below) is None:
+                return (x, y), "meet"
+            if _unique_extreme(above[x] & above[y], above) is None:
+                return (x, y), "join"
+    return None
 
 
 def join_of(lat: FiniteLattice, elements) -> int:

@@ -27,7 +27,7 @@ from latnorm.errors import (
     UnknownLabel,
 )
 from latnorm.extension import extend
-from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, powerset_lattice
+from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, lattice_from_json, powerset_lattice
 from latnorm.oracle import census
 from latnorm.tnorm import (
     idempotents,
@@ -45,6 +45,7 @@ from oracles import (
     independent_subsets_spanning,
     reference_family_powerset_isomorphism,
     reference_semicontinuity_criterion,
+    set_based_meets_joins,
 )
 from test_lattice import mask_fact_lattices
 
@@ -358,6 +359,34 @@ def test_semicontinuity_criterion_gathers_join_irreducibles(corpus_atomistic, co
             assert semicontinuity_criterion(lat, sel) == expected, (lat.names, sel.label())
             failing += not expected.ok and not lat.is_atomistic()
     assert failing
+
+
+@pytest.mark.parametrize("name", ["2^5", "stemmed_diamond_ext", "chain5_ext"])
+def test_lift_op_builds_no_join_table(name, corpus_atomistic):
+    """One ``generate --alpha`` request per selection, on 2^5 and on two
+    non-Boolean atomistic lattices, the second with lifts that fail the
+    scan: parse, skeleton, lift, verify, scan and criterion read joins
+    off up-sets and never build the join table, which, read afterwards,
+    holds the joins recomputed from sets."""
+    lats = {"2^5": powerset_lattice(5), "chain5_ext": extend(chain(5)).extended, **corpus_atomistic}
+    lat = lats[name]
+    assert lat.is_boolean_atomistic() == (name == "2^5")
+    _, joins = set_based_meets_joins(lat.names, lat.covers_named())
+    atoms = list(iter_bits(lat.atoms_mask))
+    expected = tuple(tuple(lat.index(joins[x, y]) for y in lat.names) for x in lat.names)
+    lsc = set()
+    for mask in range(1 << len(atoms)):
+        fresh = lattice_from_json(lat.to_json())
+        sel = AtomSelection.from_mask(fresh, sum(1 << a for i, a in enumerate(atoms) if mask >> i & 1))
+        table = lift(fresh, skeleton_tnorm(skeleton(fresh), sel))
+        assert verify_tnorm(table).ok
+        verdict = is_left_semicontinuous(table)
+        assert semicontinuity_criterion(fresh, sel).ok == verdict.ok
+        lsc.add(verdict.ok)
+        assert "join" not in fresh._memo, sel.label()
+        assert fresh.join_table == expected
+        assert fresh._memo["join"] is fresh.join_table
+    assert lsc == ({True, False} if name == "chain5_ext" else {True})
 
 
 def test_semicontinuity_vacuous_cases(p3, fig_extended):

@@ -35,6 +35,7 @@ from oracles import (
     atomistic_by_joins,
     boolean_by_pairwise_unions,
     set_based_below,
+    set_based_first_missing,
     set_based_meets_joins,
 )
 from test_tnorm import ROW_CLASS_LATTICES
@@ -145,12 +146,15 @@ def bounded_relations(draw):
 @given(bounded_relations())
 def test_lattice_check_matches_set_based_oracle(relation):
     """Meets, joins and every order field the constructor derives, against
-    values recomputed from sets of names."""
+    values recomputed from sets of names. On a non-lattice, the error
+    names the first pair, and the kind, that lacks a meet or join in the
+    ordered sweep."""
     names, covers = relation
     expected = set_based_meets_joins(names, covers)
     if expected is None:
-        with pytest.raises(NotALattice):
+        with pytest.raises(NotALattice) as exc:
             lattice_from_covers(names, covers)
+        assert (exc.value.pair, exc.value.kind) == set_based_first_missing(names, covers)
         return
     lat = lattice_from_covers(names, covers)
     meets, joins = expected
@@ -448,7 +452,8 @@ def test_atoms_below(fig_extended):
 
 
 def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
-    """Comparable pairs and the planned pairs, straight from ``leq``."""
+    """Comparable pairs and the planned pairs, straight from ``leq``; each
+    planned pair carries its op from the op's table."""
     for name, lat in {**corpus_extension, **corpus_atomistic, "chain1": chain(1)}.items():
         n = lat.n
         assert lat.comparable_pairs() == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
@@ -463,8 +468,8 @@ def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
                     for y in range(x + 1, n)
                     if not lat.leq(x, y) and not lat.leq(y, x) and table[x][y] != skip
                 ]
-                expected = [p for p in incomparable if irreducible & set(p)]
-                assert [(x, y) for x, ys in plan for y in ys] == expected, (name, op, skip)
+                expected = [(x, y, table[x][y]) for x, y in incomparable if irreducible & {x, y}]
+                assert [(x, y, xy) for x, ys in plan for y, xy in ys] == expected, (name, op, skip)
                 assert all(ys for _, ys in plan)
                 assert lat.irreducible_end_pairs(op, skip) is plan
 

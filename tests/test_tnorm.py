@@ -866,7 +866,8 @@ def _irreducible_by_covers(lat, op):
 def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(corpus_atomistic, corpus_extension):
     """On the corpus, 2^4 and Pi4 (both orders): the incomparable pairs
     whose op is not skipped with an irreducible end, by the covers, in
-    the planned order; some plans leave incomparable pairs out."""
+    the planned order, each with its op read off the op's table; some
+    plans leave incomparable pairs out."""
     lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES}
     incomplete = 0
     for lat in lats.values():
@@ -882,7 +883,7 @@ def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(cor
                 if not lat.leq(x, y) and not lat.leq(y, x) and table[op][x][y] != skip
             ]
             kept = [p for p in flat if irreducible & set(p)]
-            assert [(x, y) for x, ys in plan for y in ys] == kept
+            assert [(x, y, xy) for x, ys in plan for y, xy in ys] == [(x, y, table[op][x][y]) for x, y in kept]
             assert all(ys for _, ys in plan)
             assert lat.irreducible_end_pairs(op, skip) == plan
             incomplete += kept != flat
