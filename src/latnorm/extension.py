@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from .errors import ConditionCViolated, DuplicateLabel, LatticeMismatch
 from .lattice import FiniteLattice, iter_bits, lattice_from_covers
 from .construction import AtomSelection, GeneratedTNorm
-from .tnorm import (
-    OK,
-    TNormTable,
-    Verdict,
-    _left_continuity,
-    _left_semicontinuity,
-    _monotone,
-    is_left_semicontinuous,
-)
+from .tnorm import OK, TNormTable, Verdict, is_left_continuous, is_left_semicontinuous
 
 
 @dataclass(frozen=True)
@@ -185,10 +177,8 @@ def continuity_of_restriction(
     if restricted is None:
         restricted = restrict_to_original(ext, source)
     src_lsc = bool(is_left_semicontinuous(source.lifted))
-    # both scans share the restriction's monotonicity gate
-    monotone = _monotone(restricted)
-    lsc = _left_semicontinuity(restricted, monotone)
-    lc = _left_continuity(restricted, monotone)
+    lsc = is_left_semicontinuous(restricted)
+    lc = is_left_continuous(restricted)
     top_ji = bool(ext.original.ji_mask >> ext.original.top & 1)
     ok = True
     if src_lsc and not lsc.ok:

@@ -298,9 +298,8 @@ class FiniteLattice:
         ``full_mask & ~(ups[x] | downs[x])`` above bit x; when x is
         reducible only the irreducible ones are kept. A monotone row passes
         the plan exactly when it passes every pair x < y whose op is not
-        ``skip`` (the proof is in :func:`latnorm.tnorm._preserves`, which
-        names a failing row's witness by scanning it again over every
-        incomparable pair). Memoised.
+        ``skip`` (the proof is in :func:`latnorm.tnorm._preserves`).
+        Memoised.
         """
         key = (op, skip)
         memo = self._memo.get(key)
@@ -318,25 +317,32 @@ class FiniteLattice:
             memo = self._memo[key] = tuple(plan)
         return memo
 
-    def _pairs_above(
-        self, op: str, skip: int, incomparable: bool
-    ) -> Iterator[tuple[int, Sequence[tuple[int, int]]]]:
+    def _cover_pairs(self, op: str, skip: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The covers (lo, hi) whose ``op`` is not ``skip``, in the form of
+        :meth:`irreducible_end_pairs`: one ``(lo, ((hi, lo op hi), ...))``
+        for each lo with a kept cover, by ascending lo and hi. A row that
+        passes them is monotone, below top when ``skip`` is top (see
+        :func:`latnorm.tnorm._preserves`). Memoised."""
+        key = ("covers", op, skip)
+        memo = self._memo.get(key)
+        if memo is None:
+            above = [0] * self.n
+            for lo, hi in self.covers:
+                above[lo] |= 1 << hi
+            pairs = [(lo, tuple(self._pairs_with(op, skip, lo, his))) for lo, his in enumerate(above)]
+            memo = self._memo[key] = tuple(p for p in pairs if p[1])
+        return memo
+
+    def _pairs_above(self, op: str, skip: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
         """Yield each x with the ``(y, x op y)`` of :meth:`_pairs_with` for
-        every y > x or, when ``incomparable``, for the y > x incomparable
-        to x. The incomparable lists, which rescan a failing row of a
-        monotone table, are made on first use and kept: one lattice often
-        has many tables rescanned."""
-        full, ups, downs = self.full_mask, self.ups, self.downs
-        if not incomparable:
-            for x in range(self.n):
-                yield x, self._pairs_with(op, skip, x, full & -(2 << x))
-            return
-        rows = self._memo.setdefault(("incomparable", op, skip), {})
+        every y > x, the listing that rescans a failing row to name its
+        witness. The lists are made on first use and kept: one lattice
+        often has many tables rescanned."""
+        rows = self._memo.setdefault(("above", op, skip), {})
         for x in range(self.n):
             pairs = rows.get(x)
             if pairs is None:
-                ys = full & ~(ups[x] | downs[x]) & -(2 << x)
-                pairs = rows[x] = tuple(self._pairs_with(op, skip, x, ys))
+                pairs = rows[x] = tuple(self._pairs_with(op, skip, x, self.full_mask & -(2 << x)))
             yield x, pairs
 
     def _pairs_with(self, op: str, skip: int, x: int, ys: int) -> list[tuple[int, int]]:

@@ -117,9 +117,9 @@ def enumerate_all_tnorms(
 
     Every cell that is not forced is a free cell, on one side of the
     diagonal or the other, so a leaf's cells are forced values and
-    entries of the interval lists. Those values are checked once, before
-    the search starts, to be element ids of an n×n table, and each leaf
-    is then built without ``TNormTable``'s check of every cell. A leaf
+    entries of the interval lists. The table is n×n as built, and those
+    values are checked once, before the search starts, to be element ids,
+    so each leaf is built without ``TNormTable``'s check of every cell. A leaf
     is counted before it is yielded, so ``BoundExceeded`` is raised in
     place of the first table past ``cap``; with no free cells, the forced
     table is the one leaf.
@@ -164,8 +164,6 @@ def enumerate_all_tnorms(
 
     # Each leaf cell is a forced value or an entry of an interval list, so
     # checking those once stands for TNormTable's check of every leaf.
-    if len(tbl) != n or {len(row) for row in tbl} != {n}:
-        raise ValueError(f"table must be {n}x{n}")
     values = set(chain.from_iterable(chain.from_iterable(interval)))
     values.update(v for row in tbl for v in row if v is not None)
     bad = values.difference(range(n))
@@ -249,13 +247,15 @@ def _row_classes(lat: FiniteLattice):
 
     - Each scan first checks the empty family, T(a, 0) = 0 for joins and
       T(a, 1) = a for meets. Every leaf has its forced rows, so both hold.
-    - Every leaf is monotone, as each of its cells lies in its interval,
-      so each scan then runs its plan over the rows one after the other.
-      A monotone row passes the plan exactly when it passes every pair
-      (the proof is in :func:`latnorm.tnorm._preserves`), so the verdict
-      on a row depends on that row alone, and the table passes exactly
-      when each row does. A failing row's witness is not needed here, so
-      neither is the rescan that names it.
+    - Each scan then runs its plan over the rows one after the other, a
+      leaf's unverified rows also over the cover pairs. Every leaf is
+      monotone, as each of its cells lies in its interval, so its rows
+      pass the cover pairs, and a monotone row passes the plan exactly
+      when it passes every pair (the proof is in
+      :func:`latnorm.tnorm._preserves`). So the verdict on a row depends
+      on that row alone, and the table passes exactly when each row does.
+      A failing row's witness is not needed here, so neither is the
+      rescan that names it.
     - Row bottom is constant and row top is the identity, so both
       preserve every join and meet, and only the middle rows are read.
     """

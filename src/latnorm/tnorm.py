@@ -44,7 +44,9 @@ class TNormTable:
     ``_generator_rows`` lists, in element order, the class rows of a
     generating set of the table without top (see :func:`verify_tnorm`);
     it is set only once the table has verified as a t-norm, and None
-    means unknown. It is not part of ``==`` or ``hash``.
+    means unknown. It is the one fact about a table, beyond its cells,
+    that a continuity scan reads (see :func:`_preserves`). It is not part
+    of ``==`` or ``hash``.
     """
 
     __slots__ = ("lattice", "table", "_generator_rows")
@@ -329,7 +331,7 @@ def idempotents(t: TNormTable) -> ElementSet:
     return ElementSet(t.lattice, mask)
 
 
-def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monotone: bool) -> Verdict:
+def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int) -> Verdict:
     """First place where a row of ``t`` fails to preserve the lattice's ``op``.
 
     Checks T(a, x op y) = T(a, x) op T(a, y) for all a and all element ids
@@ -344,36 +346,41 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monoton
     ``skip``, and its first violation is the witness. Every shortcut
     below keeps that witness.
 
-    When every row is monotone (T(a, x) <= T(a, y) whenever x <= y), no
-    comparable pair fails either: x op y is then one of x and y, and so is
-    T(a, x) op T(a, y), the same one. So the scan takes the verdict of a
-    gate, ``monotone`` (:func:`_monotone`), which a caller running two
-    scans on one table computes once; it decides no verdict, only the
-    domain. A table that fails the gate is scanned over every x < y,
-    listed per call. A monotone one is scanned over one plan per lattice,
+    The rows are scanned one after the other over one plan per lattice,
     the incomparable pairs with an op-irreducible end
-    (:meth:`FiniteLattice.irreducible_end_pairs`). The lattice lists
-    every domain, each pair with its x op y
-    (:meth:`FiniteLattice._pairs_above`), and one kernel,
+    (:meth:`FiniteLattice.irreducible_end_pairs`). On a table not known to
+    be a t-norm (``t._generator_rows`` unset) the plan also holds the
+    covers (lo, hi) whose op is not ``skip``
+    (:meth:`FiniteLattice._cover_pairs`). The op of a cover is hi for
+    joins and lo for meets, so either op reads it as T(a, lo) <= T(a, hi).
+    The lattice lists every domain, each pair with its x op y
+    (:meth:`FiniteLattice._pairs_with`), and one kernel,
     :func:`_preservation_failure`, scans every domain and every set of
     rows by comparing up-set or down-set masks, so no scan reads or
     builds the join table.
 
-    A monotone row passes the plan exactly when it passes every pair.
-    Take joins; meets are dual. Let row a preserve the joins of the kept
-    pairs, and let x ∨ y != ``skip``. Write y = j1 ∨ ... ∨ jk with every
-    ji join-irreducible (k = 0 for y = bottom, where x ∨ y = x is
+    A row passes this plan exactly when it passes every pair. Passing
+    every pair, it passes the covers and the plan, which are among them.
+    Conversely, a row that passes the covers is monotone, T(a, x) <=
+    T(a, y) whenever x <= y, by transitivity along a chain of covers from
+    x to y. When ``skip`` is top the covers into top are left out, and
+    the row is monotone below top: every cover on a chain up to y < top
+    lies below top. A verified table is monotone. A comparable pair
+    x <= y with x op y != ``skip`` then holds: x op y is one of x and y,
+    and so is T(a, x) op T(a, y), the same one; for joins below top, y
+    itself is below top. Now take joins; meets are dual. Let the row pass
+    the plan, and let x ∨ y != ``skip``. Write y = j1 ∨ ... ∨ jk with
+    every ji join-irreducible (k = 0 for y = bottom, where x ∨ y = x is
     comparable to y). Each step s ∨ ji from a partial join s = x ∨ j1 ∨
     ... ∨ j(i-1), or s = j1 ∨ ... ∨ j(i-1), is at most x ∨ y, so it is
-    below top whenever x ∨ y is, and it is a kept pair, a diagonal pair
-    or a comparable pair, which holds by monotonicity. By induction
+    below top whenever x ∨ y is, and it is a planned pair, a diagonal
+    pair or a comparable pair below x ∨ y, which holds. By induction
     T(a, x ∨ y) = T(a, x) ∨ T(a, j1) ∨ ... ∨ T(a, jk) and T(a, y) =
     T(a, j1) ∨ ... ∨ T(a, jk), so the pair holds. So the first failing
     row is the same on the plan and on every pair, and that row alone is
-    scanned again over every incomparable x < y, up to its first failure,
-    to name the witness: the comparable pairs it leaves out hold. On a
-    table that failed the gate the rescan runs over every x < y and meets
-    the failure the full scan found.
+    scanned again over every x < y whose op is not ``skip``
+    (:meth:`FiniteLattice._pairs_above`), up to its first failure, to
+    name the witness.
 
     On a table that has verified as a t-norm, left-semicontinuity first
     scans its generator rows alone (``t._generator_rows``, see
@@ -397,33 +404,16 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int, monoton
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
     gens = t._generator_rows
     masks = lat.ups if op == "join" else lat.downs
-    # every x < y, or on a monotone table the incomparable ones: the rest hold
-    every = lat._pairs_above(op, skip, monotone)
-    if monotone:
-        pairs = lat.irreducible_end_pairs(op, skip)
-    else:
-        pairs = every = list(every)
-    if skip == lat.top and gens is not None and _preservation_failure(tbl, gens, pairs, masks) is None:
+    pairs = lat.irreducible_end_pairs(op, skip)
+    if gens is None:
+        pairs = lat._cover_pairs(op, skip) + pairs
+    elif skip == lat.top and _preservation_failure(tbl, gens, pairs, masks) is None:
         return OK
     failure = _preservation_failure(tbl, range(n), pairs, masks)
     if failure is None:
         return OK
-    a, x, y = _preservation_failure(tbl, failure[:1], every, masks)
+    a, x, y = _preservation_failure(tbl, failure[:1], lat._pairs_above(op, skip), masks)
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
-
-
-def _monotone(t: TNormTable) -> bool:
-    """The gate of :func:`_preserves`: whether every row of ``t`` is monotone.
-
-    A table that has verified as a t-norm (``t._generator_rows`` is set)
-    is; any other has its columns compared across every cover.
-    """
-    if t._generator_rows is not None:
-        return True
-    lat = t.lattice
-    comparable = lat.comparable_pairs()
-    cols = tuple(zip(*t.table))
-    return all(comparable.issuperset(zip(cols[lo], cols[hi])) for lo, hi in lat.covers)
 
 
 def _preservation_failure(tbl: tuple, rows, pairs, masks: tuple) -> tuple[int, int, int] | None:
@@ -446,37 +436,20 @@ def _preservation_failure(tbl: tuple, rows, pairs, masks: tuple) -> tuple[int, i
     return None
 
 
-def _left_continuity(t: TNormTable, monotone: bool) -> Verdict:
-    return _preserves(t, "left-continuity", "join", t.lattice.bottom, -1, monotone)
-
-
-def _right_continuity(t: TNormTable, monotone: bool) -> Verdict:
-    return _preserves(t, "right-continuity", "meet", t.lattice.top, -1, monotone)
-
-
-def _left_semicontinuity(t: TNormTable, monotone: bool) -> Verdict:
-    lat = t.lattice
-    return _preserves(t, "left-semicontinuity", "join", lat.bottom, lat.top, monotone)
-
-
 def is_left_continuous(t: TNormTable) -> Verdict:
     """Join preservation in each argument over arbitrary finite families."""
-    return _left_continuity(t, _monotone(t))
+    return _preserves(t, "left-continuity", "join", t.lattice.bottom, -1)
 
 
 def is_right_continuous(t: TNormTable) -> Verdict:
     """Meet preservation in each argument; the empty family is the neutral axiom."""
-    return _right_continuity(t, _monotone(t))
+    return _preserves(t, "right-continuity", "meet", t.lattice.top, -1)
 
 
 def is_continuous(t: TNormTable) -> Verdict:
-    """Left and right continuity, the left verdict first; the monotonicity
-    gate of the scans runs once."""
-    monotone = _monotone(t)
-    left = _left_continuity(t, monotone)
-    if not left.ok:
-        return left
-    return _right_continuity(t, monotone)
+    """Left and right continuity, the left verdict first."""
+    left = is_left_continuous(t)
+    return is_right_continuous(t) if left.ok else left
 
 
 def is_left_semicontinuous(t: TNormTable) -> Verdict:
@@ -485,7 +458,8 @@ def is_left_semicontinuous(t: TNormTable) -> Verdict:
     Binary reduction is sound here because every partial join of such a
     family also stays below top.
     """
-    return _left_semicontinuity(t, _monotone(t))
+    lat = t.lattice
+    return _preserves(t, "left-semicontinuity", "join", lat.bottom, lat.top)
 
 
 def restrict(t: TNormTable, members: ElementSet) -> TNormTable:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from latnorm import checks, extension, tnorm
+from latnorm import checks
 from latnorm.catalog import chain, double_atom_tower
 from latnorm.checks import check_extension_gate, check_restriction_joins
 from latnorm.construction import (
@@ -344,19 +344,6 @@ def test_restriction_continuity_worked_example(fig_ext):
     c, d = lat.index("c"), lat.index("d")
     assert lat.join(c, d) == lat.top
     assert lat.join(t.value(c, c), t.value(c, d)) == lat.index("b")
-
-
-def test_restriction_continuity_runs_the_monotonicity_gate_once(monkeypatch, fig_ext):
-    """The two scans of the restriction share one monotonicity gate; the
-    source lift's scan has its own."""
-    calls = []
-    gate = extension._monotone
-    for module in (tnorm, extension):
-        monkeypatch.setattr(module, "_monotone", lambda t: calls.append(t) or gate(t))
-    g = make_generated(fig_ext, ["b", "w_d"])
-    restricted = restrict_to_original(fig_ext, g)
-    continuity_of_restriction(fig_ext, g, restricted)
-    assert calls == [g.lifted, restricted]
 
 
 def test_restrictions_from_semicontinuous_sources(corpus_extension):

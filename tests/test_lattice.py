@@ -452,8 +452,9 @@ def test_atoms_below(fig_extended):
 
 
 def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
-    """Comparable pairs and the planned pairs, straight from ``leq``; each
-    planned pair carries its op from the op's table."""
+    """Comparable pairs, the planned pairs and the cover pairs, straight
+    from ``leq`` and the covers; each listed pair carries its op from the
+    op's table."""
     for name, lat in {**corpus_extension, **corpus_atomistic, "chain1": chain(1)}.items():
         n = lat.n
         assert lat.comparable_pairs() == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
@@ -472,12 +473,18 @@ def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
                 assert [(x, y, xy) for x, ys in plan for y, xy in ys] == expected, (name, op, skip)
                 assert all(ys for _, ys in plan)
                 assert lat.irreducible_end_pairs(op, skip) is plan
+                listing = lat._cover_pairs(op, skip)
+                expected = sorted((lo, hi, table[lo][hi]) for lo, hi in lat.covers if table[lo][hi] != skip)
+                assert [(x, y, xy) for x, ys in listing for y, xy in ys] == expected, (name, op, skip)
+                assert all(ys for _, ys in listing)
+                assert lat._cover_pairs(op, skip) is listing
 
 
 def test_pair_caches_stay_out_of_equality_and_serialization(fig_lattice):
     fresh = stemmed_diamond()
     fig_lattice.comparable_pairs()
     fig_lattice.irreducible_end_pairs("join", fig_lattice.top)
+    fig_lattice._cover_pairs("join", fig_lattice.top)
     assert fig_lattice == fresh and hash(fig_lattice) == hash(fresh)
     assert fig_lattice.fingerprint() == fresh.fingerprint()
     assert fig_lattice.to_json_obj() == fresh.to_json_obj()
