@@ -30,7 +30,7 @@ def main():
         witness = None
         for i, a in enumerate(passing):
             for j, b in enumerate(passing[i + 1:], start=i + 1):
-                inter = AtomSelection.from_mask(ext.extended, a.mask & b.mask)
+                inter = AtomSelection(ext.extended, a.mask & b.mask)
                 if not condition_c(ext, inter).ok:
                     witness = (i, j, inter)
                     break

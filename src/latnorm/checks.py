@@ -123,7 +123,9 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
 
     - the entries hold every subset of the union of their selections;
     - every one-atom step is a join: raw(S) = raw(S - {a}) v raw({a}) cell
-      by cell in the extension, for each non-empty S and its lowest atom a;
+      by cell in the extension, for each non-empty S and its lowest atom a
+      (w = u v v exactly when the up-set of w is the common up-set of u
+      and v, so each cell compares up-set masks);
     - S passes the gate exactly when raw(S) is closed, that is, when every
       cell holds an element of the original;
     - the original's elements are closed under the extension's join.
@@ -147,7 +149,7 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
     name = _JOINS
     ext, lat = fam.ext, fam.ext.original
     n0 = lat.n
-    join = ext.extended.join_table
+    masks, join = ext.extended.ups, ext.extended.join
     raw = {e.selection.mask: [row[:n0] for row in e.source.lifted.table[:n0]] for e in fam.entries}
     members = fam.members()
     table_of = {sel.mask: t for sel, t in members}
@@ -158,7 +160,9 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
         return (
             rest is not None
             and atom is not None
-            and all(join[u][v] == w for r1, r2, r in zip(rest, atom, raw[s]) for u, v, w in zip(r1, r2, r))
+            and all(
+                masks[u] & masks[v] == masks[w] for r1, r2, r in zip(rest, atom, raw[s]) for u, v, w in zip(r1, r2, r)
+            )
         )
 
     def closed(grid):
@@ -171,7 +175,7 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
         len(raw) == 1 << selected.bit_count()
         and all(is_step_join(s) for s in raw if s)
         and all((s in table_of) == closed(grid) for s, grid in raw.items())
-        and closed(row[:n0] for row in join[:n0])
+        and all(join(x, y) < n0 for x in range(n0) for y in range(n0))
     ):
         tables = [t for _, t in members]
         ups = [sum(1 << j for j, t in enumerate(tables) if tnorm_le(s, t)) for s in tables]

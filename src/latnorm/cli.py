@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .checks import CHECK_ATOM_CAP, run_all_checks
 from .construction import (
-    DEFAULT_ATOM_CAP,
     AtomSelection,
     GeneratedTNorm,
     enumerate_skeleton_tnorms,
@@ -33,7 +32,7 @@ from .errors import (
     UnsafeFileName,
 )
 from .extension import extend, restrict_to_original, s_family
-from .lattice import FiniteLattice, load_lattice
+from .lattice import DEFAULT_ATOM_CAP, FiniteLattice, load_lattice
 from .oracle import DEFAULT_SIZE_CAP as DEFAULT_ORACLE_CAP, census
 from .tnorm import table_to_csv
 

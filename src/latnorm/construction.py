@@ -43,10 +43,6 @@ class AtomSelection(ElementSet):
     def from_names(cls, lat: FiniteLattice, names) -> "AtomSelection":
         return cls(lat, lat.element_set(names).mask)
 
-    @classmethod
-    def from_mask(cls, lat: FiniteLattice, mask: int) -> "AtomSelection":
-        return cls(lat, mask)
-
     def label(self) -> str:
         """Filename-friendly label: member names joined in element order."""
         return "_".join(self.names()) if self else "empty"
@@ -57,13 +53,13 @@ class AtomSkeleton:
     """The sub-lattice of atoms together with bottom and top.
 
     ``lattice`` is the materialized skeleton (length at most 2, always a
-    lattice); ``to_parent[i]`` maps its element ids back into the parent.
+    lattice), whose element ids follow ``members``; ``from_parent`` maps
+    each member's parent id to its skeleton id.
     """
 
     parent: FiniteLattice
     members: ElementSet
     lattice: FiniteLattice
-    to_parent: tuple[int, ...]
     from_parent: dict
 
 
@@ -84,14 +80,11 @@ def skeleton(lat: FiniteLattice) -> AtomSkeleton:
             stacklevel=2,
         )
     members = ElementSet(lat, lat.atoms_mask | 1 << lat.bottom | 1 << lat.top)
-    sub = induced_sublattice(lat, members)
-    to_parent = tuple(members)
     return AtomSkeleton(
         parent=lat,
         members=members,
-        lattice=sub,
-        to_parent=to_parent,
-        from_parent={p: i for i, p in enumerate(to_parent)},
+        lattice=induced_sublattice(lat, members),
+        from_parent={p: i for i, p in enumerate(members)},
     )
 
 
@@ -132,7 +125,7 @@ def enumerate_skeleton_tnorms(skel: AtomSkeleton, cap: int = DEFAULT_ATOM_CAP):
         mask = 0
         for i in iter_bits(sub):
             mask |= 1 << atoms[i]
-        selection = AtomSelection.from_mask(lat, mask)
+        selection = AtomSelection(lat, mask)
         yield selection, skeleton_tnorm(skel, selection)
 
 

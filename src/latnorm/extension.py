@@ -50,7 +50,7 @@ def extend(lat: FiniteLattice) -> ExtendedLattice:
     new_names = []
     for p in iter_bits(h_mask):
         wname = f"w_{lat.name(p)}"
-        if wname in lat._index or wname in new_names:
+        if wname in lat.names or wname in new_names:
             raise DuplicateLabel(f"inserted atom name {wname!r} collides with an existing element")
         new_names.append(wname)
         covers.append((lat.name(lat.bottom), wname))
@@ -172,10 +172,11 @@ class RestrictionContinuityReport:
 def continuity_of_restriction(
     ext: ExtendedLattice,
     source: GeneratedTNorm,
-    restricted: TNormTable | None = None,
+    restricted: TNormTable,
 ) -> RestrictionContinuityReport:
-    if restricted is None:
-        restricted = restrict_to_original(ext, source)
+    """Continuity of ``restricted``, the restriction of ``source`` to the
+    original lattice (as :func:`restrict_to_original` or an
+    :class:`SFamilyEntry` gives it), against what its source promises."""
     src_lsc = bool(is_left_semicontinuous(source.lifted))
     lsc = is_left_semicontinuous(restricted)
     lc = is_left_continuous(restricted)

@@ -6,9 +6,8 @@ byte-stable. Every lattice is built and validated by one constructor,
 :func:`lattice_from_covers`. Order data is held as per-element bitmasks:
 a meet is the element whose down-set is the common down-set, a join the
 one whose up-set is the common up-set. Only the meet table is built with
-the lattice; each join is one lookup of an up-set mask, and the join table
-is derived data, built on first read. That keeps construction fast enough
-for exhaustive desk-scale work.
+the lattice, and each join is one lookup of an up-set mask. That keeps
+construction fast enough for exhaustive desk-scale work.
 """
 
 from __future__ import annotations
@@ -113,12 +112,11 @@ class FiniteLattice:
 
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
-    The join table, the fingerprint, the set of element ids and the pair
-    sets and pair lists of the order are derived data, filled on first
-    use and kept in ``_memo`` for the lattice's life; equality, hashing
-    and serialization never read them. Joins are read off ``_by_ups``,
-    the map from each element's up-set mask to the element, so no join
-    needs the table.
+    The fingerprint, the set of element ids and the pair sets and pair
+    lists of the order are derived data, filled on first use and kept in
+    ``_memo`` for the lattice's life; equality, hashing and serialization
+    never read them. Joins are read off ``_by_ups``, the map from each
+    element's up-set mask to the element.
     """
 
     __slots__ = (
@@ -181,20 +179,10 @@ class FiniteLattice:
             mask &= ups[e]
         return self._by_ups[mask]
 
-    @property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        """``join_table[x][y]`` is x ∨ y; built on first read and kept."""
-        table = self._memo.get("join")
-        if table is None:
-            get = self._by_ups.__getitem__
-            table = self._memo["join"] = tuple(tuple(map(get, map(u.__and__, self.ups))) for u in self.ups)
-        return table
-
-    def element_set(self, members: Iterable[int | str] = (), mask: int | None = None) -> ElementSet:
-        if mask is None:
-            mask = 0
-            for m in members:
-                mask |= 1 << (self.index(m) if isinstance(m, str) else m)
+    def element_set(self, members: Iterable[int | str]) -> ElementSet:
+        mask = 0
+        for m in members:
+            mask |= 1 << (self.index(m) if isinstance(m, str) else m)
         return ElementSet(self, mask)
 
     # -- order-theoretic queries -------------------------------------------------
@@ -286,7 +274,7 @@ class FiniteLattice:
             )
         return pairs
 
-    def irreducible_end_pairs(self, op: str, skip: int = -1) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    def irreducible_end_pairs(self, op: str, skip: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
         """The incomparable pairs x < y with an ``op``-irreducible end.
 
         An end is join-irreducible (``ji_mask``) for ``op`` "join" and
@@ -348,7 +336,7 @@ class FiniteLattice:
     def _pairs_with(self, op: str, skip: int, x: int, ys: int) -> list[tuple[int, int]]:
         """``(y, x op y)`` for each y in the mask ``ys`` whose x op y is not
         ``skip``, ascending, op "join" or "meet"; joins are read off the
-        up-sets, so the join table is not built."""
+        up-sets."""
         if op == "join":
             ups, by_ups = self.ups, self._by_ups
             ux = ups[x]

@@ -142,8 +142,11 @@ def enumerate_all_tnorms(
     cells.sort(key=lambda c: (lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count(), c))
     position = {cell: k for k, cell in enumerate(cells)}
 
-    # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending
+    # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending;
+    # join[x][y] is x ∨ y, the element whose up-set is the common up-set
     interval = [[list(iter_bits(lat.ups[lo] & lat.downs[hi])) for hi in range(n)] for lo in range(n)]
+    element_of = dict(zip(lat.ups, range(n)))
+    join = [tuple(map(element_of.__getitem__, map(u.__and__, lat.ups))) for u in lat.ups]
 
     # Per cell (x, y), its cover neighbours below, each as a row and a
     # column: (x', y) for each lower cover x' of x and (x, y') for each
@@ -169,8 +172,6 @@ def enumerate_all_tnorms(
     bad = values.difference(range(n))
     if bad:
         raise ValueError(f"table entry {min(bad)} is not an element id")
-    # built on first read, from masks that the check above has vetted
-    join = lat.join_table
 
     # per cell: its two rows, its ids, its cover neighbours below, its
     # triples and the meet that bounds its values

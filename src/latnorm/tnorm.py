@@ -356,8 +356,7 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int) -> Verd
     The lattice lists every domain, each pair with its x op y
     (:meth:`FiniteLattice._pairs_with`), and one kernel,
     :func:`_preservation_failure`, scans every domain and every set of
-    rows by comparing up-set or down-set masks, so no scan reads or
-    builds the join table.
+    rows by comparing up-set or down-set masks.
 
     A row passes this plan exactly when it passes every pair. Passing
     every pair, it passes the covers and the plan, which are among them.

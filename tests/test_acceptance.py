@@ -210,7 +210,7 @@ def test_criterion_09_restriction_family_lattice():
             by_mask = {sel.mask: t for sel, t in members}
             for sel_a, t_a in members:
                 for sel_b, t_b in members:
-                    union = AtomSelection.from_mask(ext.extended, sel_a.mask | sel_b.mask)
+                    union = AtomSelection(ext.extended, sel_a.mask | sel_b.mask)
                     assert condition_c(ext, union).ok, name
                     union_table = by_mask[union.mask]
                     ubs = [t for _, t in members if tnorm_le(t_a, t) and tnorm_le(t_b, t)]

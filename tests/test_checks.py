@@ -6,12 +6,19 @@ from dataclasses import replace
 import latnorm.checks
 import latnorm.construction
 import latnorm.extension
-from latnorm.catalog import m3, stemmed_diamond
-from latnorm.checks import check_extension_gate, check_lift_restriction_roundtrip, run_all_checks
+from latnorm.catalog import chain, m3, stemmed_diamond
+from latnorm.checks import (
+    check_extension_gate,
+    check_family_isomorphism,
+    check_lift_restriction_roundtrip,
+    check_semicontinuity_criterion,
+    run_all_checks,
+)
 from latnorm.cli import main
-from latnorm.construction import generated_family, skeleton
+from latnorm.construction import generated_family, semicontinuity_criterion, skeleton
 from latnorm.extension import SFamily, extend, s_family
-from latnorm.tnorm import OK, TNormTable, Verdict, t_min
+from latnorm.lattice import powerset_lattice
+from latnorm.tnorm import OK, TNormTable, Verdict, t_drastic, t_min
 
 from conftest import degenerate_warning
 
@@ -116,6 +123,46 @@ def test_roundtrip_check_catches_a_wrong_or_escaping_skeleton_cell():
             assert not result.passed
             assert result.detail == f"selection {victim.selection.label()} does not round-trip"
     assert check_lift_restriction_roundtrip(lat, []).passed
+
+
+def test_criterion_check_catches_a_lift_that_disagrees_with_the_criterion():
+    """On the extension of chain(5), the first selection the criterion
+    rejects gets the drastic t-norm, which the scan passes."""
+    lat = extend(chain(5)).extended
+    family = generated_family(lat)
+    victim = next(g for g in family if not semicontinuity_criterion(lat, g.selection).ok)
+    forged = [replace(g, lifted=t_drastic(lat)) if g is victim else g for g in family]
+    assert check_semicontinuity_criterion(lat, forged).line() == (
+        "FAIL  left-semicontinuity criterion vs table scan  (selection 1: criterion says False, scan says True)"
+    )
+
+
+def test_isomorphism_check_catches_two_swapped_lifts():
+    """On 2^3 the lifts of {a} and {b} trade places, so {a} no longer lies
+    below {a, c} pointwise."""
+    lat = powerset_lattice(3)
+    family = generated_family(lat)
+    forged = [family[0], replace(family[1], lifted=family[2].lifted), replace(family[2], lifted=family[1].lifted)]
+    forged += family[3:]
+    assert check_family_isomorphism(lat, forged).line() == (
+        "FAIL  family vs atom-powerset isomorphism  "
+        "(selection inclusion and pointwise order disagree on (a, a_c))"
+    )
+
+
+def test_extension_gate_check_catches_a_restriction_that_is_no_tnorm():
+    """The first gated member's restriction becomes the meet with T(1, 0) = 1."""
+    ext = extend(stemmed_diamond())
+    fam = s_family(ext, generated_family(ext.extended))
+    first = next(e for e in fam.entries if e.restricted is not None)
+    lat = ext.original
+    rows = [list(row) for row in t_min(lat).table]
+    rows[lat.top][lat.bottom] = lat.top
+    forged = SFamily(ext, tuple(replace(e, restricted=TNormTable(lat, rows)) if e is first else e for e in fam.entries))
+    assert check_extension_gate(forged).line() == (
+        "FAIL  extension restriction gate (both directions)  "
+        "(selection empty: restriction violates neutral at ('1', '0'))"
+    )
 
 
 def _check_lines(tmp_path, capsys, lat):

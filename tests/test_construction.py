@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from latnorm.catalog import chain, diamond, m4, tall_stemmed_diamond
+from latnorm.catalog import chain, diamond, m3, m4, tall_stemmed_diamond
 from latnorm.construction import (
     AtomSelection,
     enumerate_skeleton_tnorms,
@@ -27,7 +27,7 @@ from latnorm.errors import (
     UnknownLabel,
 )
 from latnorm.extension import extend
-from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, lattice_from_json, powerset_lattice
+from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, powerset_lattice
 from latnorm.oracle import census
 from latnorm.tnorm import (
     idempotents,
@@ -45,7 +45,6 @@ from oracles import (
     independent_subsets_spanning,
     reference_family_powerset_isomorphism,
     reference_semicontinuity_criterion,
-    set_based_meets_joins,
 )
 from test_lattice import mask_fact_lattices
 
@@ -112,9 +111,9 @@ def test_skeleton_tnorm_matches_worked_example(fig_extended):
 
 def test_skeleton_tnorm_extremes(fig_extended):
     skel = skeleton(fig_extended)
-    empty = skeleton_tnorm(skel, AtomSelection.from_mask(fig_extended, 0))
+    empty = skeleton_tnorm(skel, AtomSelection(fig_extended, 0))
     assert empty.table == t_drastic(skel.lattice).table
-    full = skeleton_tnorm(skel, AtomSelection.from_mask(fig_extended, fig_extended.atoms_mask))
+    full = skeleton_tnorm(skel, AtomSelection(fig_extended, fig_extended.atoms_mask))
     assert full.table == t_min(skel.lattice).table
 
 
@@ -128,22 +127,32 @@ def test_selection_rejects_non_atoms(fig_extended):
 def test_selection_set_behaviour(fig_extended, lat_m3):
     """Equality, hashing, membership, size, order and labels of a selection."""
     sel = AtomSelection.from_names(fig_extended, ["w_d", "b"])
-    same = AtomSelection.from_mask(fig_extended, sel.mask)
+    same = AtomSelection(fig_extended, sel.mask)
     assert sel == same and hash(sel) == hash(same) and len({sel, same}) == 1
     assert sel != AtomSelection.from_names(fig_extended, ["b"])
-    assert AtomSelection.from_mask(lat_m3, 0b10) != AtomSelection.from_mask(powerset_lattice(2), 0b10)
+    assert AtomSelection(lat_m3, 0b10) != AtomSelection(powerset_lattice(2), 0b10)
     b, w_d, w_c = (fig_extended.index(x) for x in ("b", "w_d", "w_c"))
     assert b in sel and w_d in sel and w_c not in sel
     assert len(sel) == 2 and list(sel) == [b, w_d]
     assert sel.names() == ("b", "w_d") and sel.label() == "b_w_d"
     assert sel.lattice is fig_extended and sel.mask == 1 << b | 1 << w_d
-    empty = AtomSelection.from_mask(fig_extended, 0)
+    empty = AtomSelection(fig_extended, 0)
     assert len(empty) == 0 and list(empty) == [] and empty.names() == () and empty.label() == "empty"
     assert not empty and sel
     for field, value in (("mask", 1 << fig_extended.top), ("lattice", lat_m3)):
         with pytest.raises(AttributeError):
             setattr(sel, field, value)
     assert sel.names() == ("b", "w_d")
+
+
+def test_selection_guards_reject_a_selection_of_another_lattice(lat_m3):
+    """The skeleton table and the criterion compare lattice objects: a
+    selection on an equal copy is on another lattice."""
+    other = AtomSelection.from_names(m3(), ["a"])
+    with pytest.raises(LatticeMismatch, match=r"^selection belongs to a different lattice$"):
+        skeleton_tnorm(skeleton(lat_m3), other)
+    with pytest.raises(LatticeMismatch, match=r"^selection belongs to a different lattice$"):
+        semicontinuity_criterion(lat_m3, other)
 
 
 def test_selection_is_an_element_set(fig_extended):
@@ -177,7 +186,7 @@ def test_skeleton_tnorm_always_verifies(bits):
     skel = skeleton(lat)
     atoms = list(lat.atoms())
     mask = sum(1 << atoms[i] for i in range(4) if bits >> i & 1)
-    table = skeleton_tnorm(skel, AtomSelection.from_mask(lat, mask))
+    table = skeleton_tnorm(skel, AtomSelection(lat, mask))
     assert verify_tnorm(table).ok
 
 
@@ -193,7 +202,7 @@ def test_lift_matches_worked_example(fig_extended):
 
 def test_lift_rejects_non_atomistic(fig_lattice, fig_extended):
     skel = skeleton(fig_extended)
-    table = skeleton_tnorm(skel, AtomSelection.from_mask(fig_extended, 0))
+    table = skeleton_tnorm(skel, AtomSelection(fig_extended, 0))
     with pytest.raises(NotAtomistic):
         lift(fig_lattice, table)
 
@@ -236,9 +245,9 @@ def test_lift_extremes(corpus_atomistic):
     """Full selection lifts to meet; empty selection lifts to drastic."""
     for lat in corpus_atomistic.values():
         skel = skeleton(lat)
-        full = lift(lat, skeleton_tnorm(skel, AtomSelection.from_mask(lat, lat.atoms_mask)))
+        full = lift(lat, skeleton_tnorm(skel, AtomSelection(lat, lat.atoms_mask)))
         assert full.table == t_min(lat).table
-        empty = lift(lat, skeleton_tnorm(skel, AtomSelection.from_mask(lat, 0)))
+        empty = lift(lat, skeleton_tnorm(skel, AtomSelection(lat, 0)))
         assert empty.table == t_drastic(lat).table
 
 
@@ -354,43 +363,15 @@ def test_semicontinuity_criterion_gathers_join_irreducibles(corpus_atomistic, co
     for lat in mask_fact_lattices(corpus_atomistic, corpus_extension):
         atoms = list(iter_bits(lat.atoms_mask))
         for mask in range(1 << len(atoms)):
-            sel = AtomSelection.from_mask(lat, sum(1 << a for i, a in enumerate(atoms) if mask >> i & 1))
+            sel = AtomSelection(lat, sum(1 << a for i, a in enumerate(atoms) if mask >> i & 1))
             expected = reference_semicontinuity_criterion(lat, sel)
             assert semicontinuity_criterion(lat, sel) == expected, (lat.names, sel.label())
             failing += not expected.ok and not lat.is_atomistic()
     assert failing
 
 
-@pytest.mark.parametrize("name", ["2^5", "stemmed_diamond_ext", "chain5_ext"])
-def test_lift_op_builds_no_join_table(name, corpus_atomistic):
-    """One ``generate --alpha`` request per selection, on 2^5 and on two
-    non-Boolean atomistic lattices, the second with lifts that fail the
-    scan: parse, skeleton, lift, verify, scan and criterion read joins
-    off up-sets and never build the join table, which, read afterwards,
-    holds the joins recomputed from sets."""
-    lats = {"2^5": powerset_lattice(5), "chain5_ext": extend(chain(5)).extended, **corpus_atomistic}
-    lat = lats[name]
-    assert lat.is_boolean_atomistic() == (name == "2^5")
-    _, joins = set_based_meets_joins(lat.names, lat.covers_named())
-    atoms = list(iter_bits(lat.atoms_mask))
-    expected = tuple(tuple(lat.index(joins[x, y]) for y in lat.names) for x in lat.names)
-    lsc = set()
-    for mask in range(1 << len(atoms)):
-        fresh = lattice_from_json(lat.to_json())
-        sel = AtomSelection.from_mask(fresh, sum(1 << a for i, a in enumerate(atoms) if mask >> i & 1))
-        table = lift(fresh, skeleton_tnorm(skeleton(fresh), sel))
-        assert verify_tnorm(table).ok
-        verdict = is_left_semicontinuous(table)
-        assert semicontinuity_criterion(fresh, sel).ok == verdict.ok
-        lsc.add(verdict.ok)
-        assert "join" not in fresh._memo, sel.label()
-        assert fresh.join_table == expected
-        assert fresh._memo["join"] is fresh.join_table
-    assert lsc == ({True, False} if name == "chain5_ext" else {True})
-
-
 def test_semicontinuity_vacuous_cases(p3, fig_extended):
-    assert semicontinuity_criterion(p3, AtomSelection.from_mask(p3, 0)).ok
+    assert semicontinuity_criterion(p3, AtomSelection(p3, 0)).ok
     # every selection passes on a powerset-isomorphic lattice
     for g in generated_family(p3):
         assert semicontinuity_criterion(p3, g.selection).ok

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from latnorm import checks
-from latnorm.catalog import chain, double_atom_tower
+from latnorm.catalog import chain, double_atom_tower, pentagon
 from latnorm.checks import check_extension_gate, check_restriction_joins
 from latnorm.construction import (
     AtomSelection,
@@ -26,6 +26,7 @@ from latnorm.extension import (
 )
 from latnorm.lattice import lattice_from_covers
 from latnorm.tnorm import (
+    TNormTable,
     Verdict,
     is_left_continuous,
     is_left_semicontinuous,
@@ -230,7 +231,7 @@ def test_union_of_gated_selections_restricts_to_figure_table(fig_ext, fig_lattic
     a = AtomSelection.from_names(fig_ext.extended, ["b"])
     b = AtomSelection.from_names(fig_ext.extended, ["b", "w_d"])
     assert condition_c(fig_ext, a).ok and condition_c(fig_ext, b).ok
-    u = AtomSelection.from_mask(fig_ext.extended, a.mask | b.mask)
+    u = AtomSelection(fig_ext.extended, a.mask | b.mask)
     g = make_generated(fig_ext, list(u.names()))
     assert restrict_to_original(fig_ext, g) == table_from_names(fig_lattice, RESTRICTED_TABLE)
 
@@ -288,7 +289,7 @@ def test_restriction_joins_matches_reference(corpus_extension, monkeypatch):
     assert len(tower.distinct()) < len(tower.members())
     a, b = (AtomSelection.from_names(ext.extended, ["w_p", x]) for x in ("a", "b"))
     assert condition_c(ext, a).ok and condition_c(ext, b).ok
-    assert not condition_c(ext, AtomSelection.from_mask(ext.extended, a.mask & b.mask)).ok
+    assert not condition_c(ext, AtomSelection(ext.extended, a.mask & b.mask)).ok
 
 
 def test_restriction_joins_fails_on_an_ungated_union(fig_ext):
@@ -331,7 +332,7 @@ def test_top_insert_redundancy(corpus_extension):
 
 def test_restriction_continuity_worked_example(fig_ext):
     g = make_generated(fig_ext, ["b", "w_d"])
-    report = continuity_of_restriction(fig_ext, g)
+    report = continuity_of_restriction(fig_ext, g, restrict_to_original(fig_ext, g))
     assert report.source_left_semicontinuous
     assert report.restriction_left_semicontinuous.ok
     assert not report.top_is_join_irreducible
@@ -344,6 +345,48 @@ def test_restriction_continuity_worked_example(fig_ext):
     c, d = lat.index("c"), lat.index("d")
     assert lat.join(c, d) == lat.top
     assert lat.join(t.value(c, c), t.value(c, d)) == lat.index("b")
+
+
+def _min_changed(lat, cells):
+    """The meet's table on ``lat`` with the named cells set as given."""
+    rows = [list(row) for row in t_min(lat).table]
+    for (x, y), v in cells.items():
+        rows[lat.index(x)][lat.index(y)] = lat.index(v)
+    return TNormTable(lat, rows)
+
+
+@pytest.mark.parametrize(
+    "original, cells, top_ji, lsc, lc",
+    [
+        # N5's top joins b with a and with c: not join-irreducible; the
+        # changed row c breaks a join below top
+        (pentagon(), {("c", "c"): "0"}, False, Verdict(False, "left-semicontinuity", ("c", "a", "c")),
+         Verdict(False, "left-continuity", ("c", "a", "b"))),
+        # a join-irreducible top; the changed cell T(q, 1) breaks only the
+        # join that is top
+        (double_atom_tower(), {("q", "1"): "0"}, True, Verdict(True),
+         Verdict(False, "left-continuity", ("q", "a", "1"))),
+    ],
+    ids=["N5", "double_atom_tower"],
+)
+def test_restriction_continuity_flags_a_broken_implication(original, cells, top_ji, lsc, lc):
+    """A table that breaks what a left-semicontinuous source promises, one
+    implication each: left-semicontinuity on N5, and left-continuity
+    under a join-irreducible top."""
+    ext = extend(original)
+    source = generated_family(ext.extended)[0]
+    report = continuity_of_restriction(ext, source, _min_changed(original, cells))
+    assert report.source_left_semicontinuous
+    assert report.restriction_left_semicontinuous == lsc
+    assert report.restriction_left_continuous == lc
+    assert report.top_is_join_irreducible == top_ji
+    assert not report.implications_hold
+
+
+def test_restriction_rejects_a_member_of_another_lattice(fig_ext):
+    g = make_generated(extend(fig_ext.original), ["b"])
+    with pytest.raises(LatticeMismatch, match=r"^generated t-norm must live on the extended lattice$"):
+        restrict_to_original(fig_ext, g)
 
 
 def test_restrictions_from_semicontinuous_sources(corpus_extension):
@@ -383,7 +426,7 @@ def test_intersection_can_fail_the_gate():
     a = AtomSelection.from_names(big, ["w_p", "a"])
     b = AtomSelection.from_names(big, ["w_p", "b"])
     assert condition_c(ext, a).ok and condition_c(ext, b).ok
-    inter = AtomSelection.from_mask(big, a.mask & b.mask)
+    inter = AtomSelection(big, a.mask & b.mask)
     assert not condition_c(ext, inter).ok
     # the family meet computed by scan: greatest member below both restrictions
     fam = s_family(ext, generated_family(ext.extended))
@@ -405,7 +448,7 @@ def test_meet_anomaly_search_outcome(corpus_extension):
         passing = [e.selection for e in fam.entries if e.restricted is not None]
         for i, sa in enumerate(passing):
             for sb in passing[i + 1:]:
-                inter = AtomSelection.from_mask(ext.extended, sa.mask & sb.mask)
+                inter = AtomSelection(ext.extended, sa.mask & sb.mask)
                 if not condition_c(ext, inter).ok:
                     witnesses.append((name, sa.label(), sb.label()))
                     break

@@ -22,7 +22,9 @@ from latnorm.errors import (
 )
 from latnorm.extension import extend
 from latnorm.lattice import (
+    DEFAULT_ATOM_CAP,
     ElementSet,
+    FiniteLattice,
     induced_sublattice,
     iter_bits,
     lattice_from_covers,
@@ -36,6 +38,7 @@ from oracles import (
     boolean_by_pairwise_unions,
     set_based_below,
     set_based_first_missing,
+    set_based_join_table,
     set_based_meets_joins,
 )
 from test_tnorm import ROW_CLASS_LATTICES
@@ -75,8 +78,10 @@ def test_duplicate_label():
 
 
 def test_unknown_label():
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(UnknownLabel, match=r"^cover pair references unknown element 'x'$"):
         lattice_from_covers(["0", "1"], [("0", "x")])
+    with pytest.raises(UnknownLabel, match=r"^cover pair references unknown element 'x'$"):
+        lattice_from_covers(["0", "1"], [("x", "1")])
 
 
 def test_self_loop_and_cycle():
@@ -284,12 +289,16 @@ def test_powerset_atomistic_boolean(k):
     assert lat.is_boolean_atomistic()
     rebuilt = lattice_from_covers(lat.names, lat.covers_named())
     assert rebuilt == lat
-    assert (rebuilt.meet_table, rebuilt.join_table) == (lat.meet_table, lat.join_table)
+    assert rebuilt.meet_table == lat.meet_table
+    joins = set_based_join_table(lat)
+    assert all(rebuilt.join(x, y) == lat.join(x, y) == joins[x][y] for x in range(lat.n) for y in range(lat.n))
 
 
 def test_powerset_bound():
     with pytest.raises(BoundExceeded):
         powerset_lattice(11)
+    with pytest.raises(ValueError, match=r"^k must be nonnegative$"):
+        powerset_lattice(-1)
 
 
 def test_m3_not_boolean(lat_m3):
@@ -392,6 +401,35 @@ def test_maximal_independent_subsets_singleton(fig_lattice):
     assert [s.names() for s in fig_lattice.maximal_independent_subsets(base)] == [("b",)]
 
 
+def test_maximal_independent_subsets_cap(monkeypatch):
+    """A base over ``DEFAULT_ATOM_CAP`` raises before any subset is tried."""
+    lat = diamond(DEFAULT_ATOM_CAP + 1)
+
+    def tried(self, subset):
+        raise AssertionError("a subset was tried")
+
+    monkeypatch.setattr(FiniteLattice, "is_independent", tried)
+    with pytest.raises(BoundExceeded, match=r"^base has 21 elements, cap is 20$"):
+        lat.maximal_independent_subsets(lat.atoms())
+
+
+def test_independence_rejects_a_set_of_another_lattice(lat_m3):
+    """The guards compare lattice objects: an equal copy is another lattice."""
+    other = m3()
+    with pytest.raises(LatticeMismatch, match=r"^subset belongs to a different lattice$"):
+        lat_m3.is_independent(other.element_set(["a"]))
+    with pytest.raises(LatticeMismatch, match=r"^base belongs to a different lattice$"):
+        lat_m3.maximal_independent_subsets(other.atoms())
+
+
+def test_element_set_rejects_bits_outside_the_lattice():
+    lat = chain(3)
+    for mask, shown in ((1 << 3, "0x8"), (-1, "-0x1")):
+        with pytest.raises(ValueError, match=rf"^mask {shown} has bits outside the 3-element universe$"):
+            ElementSet(lat, mask)
+    assert ElementSet(lat, 0b111).mask == lat.full_mask
+
+
 def test_element_set_cross_lattice_rejected(lat_m3, p2):
     with pytest.raises(LatticeMismatch):
         lat_m3.atoms() | p2.atoms()
@@ -447,7 +485,7 @@ def test_atoms_below(fig_extended):
     d = fig_extended.index("d")
     assert set(fig_extended.atoms_below(d).names()) == {"b", "w_d"}
     one = fig_extended.index("1")
-    ji_below_one = fig_extended.element_set(mask=fig_extended.ji_mask & fig_extended.downs[one])
+    ji_below_one = ElementSet(fig_extended, fig_extended.ji_mask & fig_extended.downs[one])
     assert set(ji_below_one.names()) >= {"b", "w_d", "w_c"}
 
 
@@ -458,7 +496,7 @@ def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
     for name, lat in {**corpus_extension, **corpus_atomistic, "chain1": chain(1)}.items():
         n = lat.n
         assert lat.comparable_pairs() == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
-        for op, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+        for op, table in (("join", set_based_join_table(lat)), ("meet", lat.meet_table)):
             covers = [hi if op == "join" else lo for lo, hi in lat.covers]
             irreducible = {x for x in range(n) if covers.count(x) == 1}
             for skip in (-1, lat.top, lat.bottom):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -574,6 +575,37 @@ def test_oracle_vs_construction(corpus_atomistic, corpus_extension):
         for g in family:
             criterion = semicontinuity_criterion(lat, g.selection).ok
             assert bool(is_left_semicontinuous(g.lifted)) == criterion, (name, g.selection.label())
+
+
+def _forged_family(family, how):
+    """The family of 2^3 with one wrong member: a skeleton table copied from
+    another member, an extra member whose lift breaks monotonicity, or a
+    lift copied from another member."""
+    if how == "skeleton":
+        return [family[0], replace(family[1], on_skeleton=family[0].on_skeleton), *family[2:]]
+    if how == "lift":
+        lat = family[0].lifted.lattice
+        rows = [list(row) for row in t_min(lat).table]
+        ab = lat.index("ab")
+        rows[ab][ab] = lat.bottom
+        return [*family, replace(family[-1], lifted=TNormTable(lat, rows))]
+    return [family[0], replace(family[1], lifted=family[0].lifted), *family[2:]]
+
+
+@pytest.mark.parametrize(
+    "how, failure",
+    [
+        ("skeleton", "skeleton enumeration (8 tables) differs from the selection family (7 tables)"),
+        ("lift", "lift of a_b_c is not a t-norm: violates monotonicity at ('ab', 'a', 'ab')"),
+        ("lsc", "left-semicontinuous tables (8) are not exactly the left-semicontinuous lifts (7)"),
+    ],
+)
+def test_oracle_vs_construction_names_a_wrong_family_member(monkeypatch, p3, how, failure):
+    family = generated_family(p3)
+    monkeypatch.setattr(oracle, "generated_family", lambda lat: _forged_family(family, how))
+    cmp = oracle_vs_construction(p3)
+    assert not cmp.passed
+    assert cmp.failures == [failure]
 
 
 def test_oracle_vs_construction_two_chain(two_chain):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from latnorm.catalog import chain, double_atom_tower, m3, pentagon, random_lattice, stemmed_diamond
 from latnorm.construction import AtomSelection, generated_family, lift, skeleton, skeleton_tnorm
-from latnorm.errors import LatticeMismatch, NotClosed, TopMissing
-from latnorm.lattice import iter_bits, lattice_from_covers, powerset_lattice
+from latnorm.errors import LatticeMismatch, NotClosed, TopMissing, UnknownLabel
+from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, powerset_lattice
 from latnorm.oracle import enumerate_all_tnorms
 from latnorm.tnorm import (
     OK,
@@ -36,6 +36,7 @@ from oracles import (
     reference_continuity_scans,
     reference_verify_tnorm,
     relabeled,
+    set_based_join_table,
 )
 
 # The worked-example restriction table, keyed by element names.
@@ -229,7 +230,7 @@ def test_binary_reductions_match_all_subsets_enumerated(fig_lattice, lat_m3):
 
 
 def test_restrict_identity(restricted, fig_lattice):
-    full = fig_lattice.element_set(mask=fig_lattice.full_mask)
+    full = ElementSet(fig_lattice, fig_lattice.full_mask)
     again = restrict(restricted, full)
     assert again.table == restricted.table
     assert again.lattice == fig_lattice
@@ -271,8 +272,24 @@ def test_csv_round_trip_permuted_header(fig_lattice, restricted):
 
 
 def test_csv_rejects_wrong_header(fig_lattice):
-    with pytest.raises(Exception):
+    with pytest.raises(UnknownLabel, match=r"^header \['x', 'y'\] does not match the lattice elements$"):
         table_from_csv(fig_lattice, ",x,y\nx,x,x\ny,x,y\n")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda lines: [], r"^empty table$"),
+        (lambda lines: lines[:-1], r"^expected 5 data rows, found 4$"),
+        (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]], r"^malformed row \['b', '0', 'b', 'b', 'b'\]$"),
+        (lambda lines: [*lines[:-1], "0," + lines[-1].split(",", 1)[1]], r"^row '0' appears twice$"),
+    ],
+    ids=["empty", "row missing", "cell missing", "label twice"],
+)
+def test_csv_rejects_malformed_tables(fig_lattice, restricted, change, message):
+    text = "\n".join(change(table_to_csv(restricted).splitlines())) + "\n"
+    with pytest.raises(ValueError, match=message):
+        table_from_csv(fig_lattice, text)
 
 
 @given(st.integers(0, 3))
@@ -879,7 +896,7 @@ def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(cor
     lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES}
     incomplete = 0
     for lat in lats.values():
-        table = {"join": lat.join_table, "meet": lat.meet_table}
+        table = {"join": set_based_join_table(lat), "meet": lat.meet_table}
         # the plans of left-continuity, right-continuity and left-semicontinuity
         for op, skip in (("join", -1), ("meet", -1), ("join", lat.top)):
             plan = lat.irreducible_end_pairs(op, skip)
