@@ -90,6 +90,12 @@ def check_family_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -
     return CheckResult(name, True)
 
 
+def _closed(grid, n0: int) -> bool:
+    """True when the first ``n0`` rows and columns of ``grid`` hold only
+    ids below ``n0``, the original lattice's elements."""
+    return all(v < n0 for row in grid[:n0] for v in row[:n0])
+
+
 def check_extension_gate(fam: SFamily) -> CheckResult:
     """The restriction gate holds exactly when the restriction is a t-norm.
 
@@ -100,7 +106,7 @@ def check_extension_gate(fam: SFamily) -> CheckResult:
     n0 = fam.ext.original.n
     for entry in fam.entries:
         gate = entry.condition_c
-        closed = all(v < n0 for row in entry.source.lifted.table[:n0] for v in row[:n0])
+        closed = _closed(entry.source.lifted.table, n0)
         if gate.ok != closed:
             return CheckResult(
                 name, False, f"selection {entry.selection.label()}: gate {gate.ok}, closure {closed}"
@@ -165,16 +171,13 @@ def check_restriction_joins(fam: SFamily) -> CheckResult:
             )
         )
 
-    def closed(grid):
-        return all(v < n0 for row in grid for v in row)
-
     selected = 0
     for s in raw:
         selected |= s
     if not (
         len(raw) == 1 << selected.bit_count()
         and all(is_step_join(s) for s in raw if s)
-        and all((s in table_of) == closed(grid) for s, grid in raw.items())
+        and all((s in table_of) == _closed(grid, n0) for s, grid in raw.items())
         and all(join(x, y) < n0 for x in range(n0) for y in range(n0))
     ):
         tables = [t for _, t in members]

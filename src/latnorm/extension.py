@@ -176,7 +176,13 @@ def continuity_of_restriction(
 ) -> RestrictionContinuityReport:
     """Continuity of ``restricted``, the restriction of ``source`` to the
     original lattice (as :func:`restrict_to_original` or an
-    :class:`SFamilyEntry` gives it), against what its source promises."""
+    :class:`SFamilyEntry` gives it), against what its source promises.
+    A restriction off ``ext.original`` or a source off ``ext.extended``
+    raises :class:`LatticeMismatch`."""
+    if restricted.lattice is not ext.original:
+        raise LatticeMismatch("restriction must live on the original lattice")
+    if source.lifted.lattice is not ext.extended:
+        raise LatticeMismatch("generated t-norm must live on the extended lattice")
     src_lsc = bool(is_left_semicontinuous(source.lifted))
     lsc = is_left_semicontinuous(restricted)
     lc = is_left_continuous(restricted)

@@ -112,11 +112,12 @@ class FiniteLattice:
 
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
-    The fingerprint, the set of element ids and the pair sets and pair
-    lists of the order are derived data, filled on first use and kept in
-    ``_memo`` for the lattice's life; equality, hashing and serialization
-    never read them. Joins are read off ``_by_ups``, the map from each
-    element's up-set mask to the element.
+    The fingerprint, the comparable pairs and what other modules derive
+    from the lattice alone (the set of element ids, the continuity scans'
+    pair listings) are filled on first use and kept in ``_memo`` for the
+    lattice's life; equality, hashing and serialization never read them.
+    Joins are read off ``_by_ups``, the map from each element's up-set
+    mask to the element.
     """
 
     __slots__ = (
@@ -273,76 +274,6 @@ class FiniteLattice:
                 (x, y) for x in range(self.n) for y in iter_bits(self.ups[x])
             )
         return pairs
-
-    def irreducible_end_pairs(self, op: str, skip: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """The incomparable pairs x < y with an ``op``-irreducible end.
-
-        An end is join-irreducible (``ji_mask``) for ``op`` "join" and
-        meet-irreducible (``mi_mask``) for "meet". Pairs whose join (``op``
-        "join") or meet (``op`` "meet") is ``skip`` are left out. The plan
-        holds one ``(x, ys)`` for each x that has some kept y, where ``ys``
-        lists ``(y, x op y)`` by ascending y. The y incomparable to x and
-        above it in element order are the bits of
-        ``full_mask & ~(ups[x] | downs[x])`` above bit x; when x is
-        reducible only the irreducible ones are kept. A monotone row passes
-        the plan exactly when it passes every pair x < y whose op is not
-        ``skip`` (the proof is in :func:`latnorm.tnorm._preserves`).
-        Memoised.
-        """
-        key = (op, skip)
-        memo = self._memo.get(key)
-        if memo is None:
-            irreducible = self.ji_mask if op == "join" else self.mi_mask
-            full, ups, downs = self.full_mask, self.ups, self.downs
-            plan = []
-            for x in range(self.n):
-                ys = full & ~(ups[x] | downs[x]) & -(2 << x)
-                if not irreducible >> x & 1:
-                    ys &= irreducible
-                pairs = self._pairs_with(op, skip, x, ys)
-                if pairs:
-                    plan.append((x, tuple(pairs)))
-            memo = self._memo[key] = tuple(plan)
-        return memo
-
-    def _cover_pairs(self, op: str, skip: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """The covers (lo, hi) whose ``op`` is not ``skip``, in the form of
-        :meth:`irreducible_end_pairs`: one ``(lo, ((hi, lo op hi), ...))``
-        for each lo with a kept cover, by ascending lo and hi. A row that
-        passes them is monotone, below top when ``skip`` is top (see
-        :func:`latnorm.tnorm._preserves`). Memoised."""
-        key = ("covers", op, skip)
-        memo = self._memo.get(key)
-        if memo is None:
-            above = [0] * self.n
-            for lo, hi in self.covers:
-                above[lo] |= 1 << hi
-            pairs = [(lo, tuple(self._pairs_with(op, skip, lo, his))) for lo, his in enumerate(above)]
-            memo = self._memo[key] = tuple(p for p in pairs if p[1])
-        return memo
-
-    def _pairs_above(self, op: str, skip: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-        """Yield each x with the ``(y, x op y)`` of :meth:`_pairs_with` for
-        every y > x, the listing that rescans a failing row to name its
-        witness. The lists are made on first use and kept: one lattice
-        often has many tables rescanned."""
-        rows = self._memo.setdefault(("above", op, skip), {})
-        for x in range(self.n):
-            pairs = rows.get(x)
-            if pairs is None:
-                pairs = rows[x] = tuple(self._pairs_with(op, skip, x, self.full_mask & -(2 << x)))
-            yield x, pairs
-
-    def _pairs_with(self, op: str, skip: int, x: int, ys: int) -> list[tuple[int, int]]:
-        """``(y, x op y)`` for each y in the mask ``ys`` whose x op y is not
-        ``skip``, ascending, op "join" or "meet"; joins are read off the
-        up-sets."""
-        if op == "join":
-            ups, by_ups = self.ups, self._by_ups
-            ux = ups[x]
-            return [(y, xy) for y in iter_bits(ys) if (xy := by_ups[ux & ups[y]]) != skip]
-        row = self.meet_table[x]
-        return [(y, row[y]) for y in iter_bits(ys) if row[y] != skip]
 
     # -- serialization -----------------------------------------------------------
 

@@ -11,9 +11,11 @@ cover neighbours below, at most the meet of its arguments. Partial
 associativity, one comparison per triple, prunes during the search, and
 it is complete: every leaf is a t-norm, and no axiom is checked on it
 again. That its cells are element ids is checked once per enumeration,
-on the values every leaf is made of, not on each leaf. The census
-classifies each table by continuity row by row, and each distinct row
-once (:func:`_row_classes`).
+on the values every leaf is made of, not on each leaf. Every leaf is
+commutative and monotone, its bottom row is constant and its top row is
+the identity, so the census classifies it by continuity with
+:func:`latnorm.tnorm.continuity_classifier`, whose contract asks just
+that.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 from .errors import BoundExceeded, LatnormError
 from .lattice import FiniteLattice, iter_bits
 from .construction import generated_family, skeleton
-from .tnorm import TNormTable, _preservation_failure, is_left_semicontinuous, verify_tnorm
+from .tnorm import TNormTable, continuity_classifier, is_left_semicontinuous, verify_tnorm
 
 DEFAULT_SIZE_CAP = 8
 DEFAULT_COUNT_CAP = 1_000_000
@@ -233,55 +235,6 @@ def _table_rows(t: TNormTable) -> list[list[str]]:
     return [[names[v] for v in row] for row in t.table]
 
 
-def _row_classes(lat: FiniteLattice):
-    """A function from an oracle leaf's table to its continuity classes.
-
-    It returns bits in ``CLASS_NAMES`` order: 1 left-semicontinuous,
-    2 left-continuous, 4 right-continuous. A table's bits are the AND of
-    its middle rows' bits. Each distinct row is classified once, by the
-    kernel of the three scans, :func:`latnorm.tnorm._preservation_failure`,
-    on each scan's plan from ``irreducible_end_pairs``; the memo of rows
-    lives as long as the returned function. The bits are the verdicts of
-    ``is_left_semicontinuous``, ``is_left_continuous`` and
-    ``is_right_continuous`` on every oracle leaf, so census counts and
-    witnesses, the first table of each class in the stream, are theirs:
-
-    - Each scan first checks the empty family, T(a, 0) = 0 for joins and
-      T(a, 1) = a for meets. Every leaf has its forced rows, so both hold.
-    - Each scan then runs its plan over the rows one after the other, a
-      leaf's unverified rows also over the cover pairs. Every leaf is
-      monotone, as each of its cells lies in its interval, so its rows
-      pass the cover pairs, and a monotone row passes the plan exactly
-      when it passes every pair (the proof is in
-      :func:`latnorm.tnorm._preserves`). So the verdict on a row depends
-      on that row alone, and the table passes exactly when each row does.
-      A failing row's witness is not needed here, so neither is the
-      rescan that names it.
-    - Row bottom is constant and row top is the identity, so both
-      preserve every join and meet, and only the middle rows are read.
-    """
-    scans = [
-        (bit, lat.irreducible_end_pairs(op, skip), lat.ups if op == "join" else lat.downs)
-        for bit, op, skip in ((1, "join", lat.top), (2, "join", -1), (4, "meet", -1))
-    ]
-    mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
-    memo: dict = {}
-
-    def classes(table: tuple) -> int:
-        bits = 7
-        for a in mids:
-            row = table[a]
-            hit = memo.get(row)
-            if hit is None:
-                hit = memo[row] = sum(
-                    bit for bit, plan, masks in scans if _preservation_failure((row,), (0,), plan, masks) is None
-                )
-            bits &= hit
-        return bits
-
-    return classes
-
-
 @dataclass
 class CensusReport:
     """Counts and witnesses from exhaustively classifying every t-norm.
@@ -325,7 +278,7 @@ def census(
     if atomistic:
         family_tables = {g.lifted.table for g in generated_family(lat)}
 
-    classes = _row_classes(lat)
+    classes = continuity_classifier(lat)
     # each distinct class pattern, bit i for CLASS_NAMES[i] but "continuous",
     # in the order of its first table: [count, first table]
     tally: dict = {}
@@ -411,7 +364,7 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
             failures.append(f"lift of {g.selection.label()} is not a t-norm: {verdict.describe()}")
     if lat.n <= DEFAULT_SIZE_CAP:
         lsc_lifts = {g.lifted.table for g in family if is_left_semicontinuous(g.lifted)}
-        classes = _row_classes(lat)
+        classes = continuity_classifier(lat)
         lsc_tables = {t.table for t in enumerate_all_tnorms(lat) if classes(t.table) & 1}
         if lsc_tables != lsc_lifts:
             failures.append(

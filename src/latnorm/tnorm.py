@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from operator import itemgetter, ne
+from typing import Callable, Iterator
 
 from .errors import LatticeMismatch, NotClosed, TopMissing, UnknownLabel
-from .lattice import ElementSet, FiniteLattice, induced_sublattice
+from .lattice import ElementSet, FiniteLattice, induced_sublattice, iter_bits
 
 
 @dataclass(frozen=True)
@@ -331,32 +333,101 @@ def idempotents(t: TNormTable) -> ElementSet:
     return ElementSet(t.lattice, mask)
 
 
-def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int) -> Verdict:
+class _Scan:
+    """The pair listings of one continuity scan on one lattice, op "join"
+    or "meet", leaving out pairs whose op is ``skip``; each listing holds
+    one ``(x, ((y, x op y), ...))`` per x with a kept y, by ascending x
+    and y.
+
+    A scan is described by its masks and its irreducibles: up-sets and
+    ``ji_mask`` for joins, down-sets and ``mi_mask`` for meets. Then
+    x op y is the element whose mask is the AND of the masks of x and y:
+    w = x ∨ y exactly when ↑w = ↑x ∩ ↑y, and w = x ∧ y exactly when
+    ↓w = ↓x ∩ ↓y. Likewise the op of the empty family, bottom for joins
+    and top for meets, is the element whose mask is full. So no op table
+    is read, and nothing below depends on the op.
+
+    ``plan`` is built with the scan: the incomparable pairs x < y with an
+    op-irreducible end. The y incomparable to x and above it in element
+    order are the bits of ``full_mask & ~(ups[x] | downs[x])`` above bit
+    x; when x is reducible only the irreducible ones are kept. The covers
+    (lo, hi) are listed on first use (:meth:`covers`), and so is each row
+    of the rescan listing, every x < y (:meth:`rescan`): only unverified
+    tables read the first, only failing rows the second, and one lattice
+    often has many tables scanned. Why these listings decide each scan
+    is in :func:`_preserves`.
+    """
+
+    def __init__(self, lat: FiniteLattice, op: str, skip: int):
+        self.masks, irreducible = (lat.ups, lat.ji_mask) if op == "join" else (lat.downs, lat.mi_mask)
+        self.element = dict(zip(self.masks, range(lat.n)))
+        self.skip = skip
+        self.lattice_covers = lat.covers
+        self.rows: dict = {}
+        plan = []
+        for x in range(lat.n):
+            ys = lat.full_mask & ~(lat.ups[x] | lat.downs[x]) & -(2 << x)
+            pairs = self.pairs(x, ys if irreducible >> x & 1 else ys & irreducible)
+            if pairs:
+                plan.append((x, pairs))
+        self.plan = tuple(plan)
+
+    def pairs(self, x: int, ys: int) -> tuple[tuple[int, int], ...]:
+        """``(y, x op y)`` for each y in the mask ``ys`` whose x op y is
+        not ``skip``, ascending."""
+        masks, element, skip = self.masks, self.element, self.skip
+        mx = masks[x]
+        return tuple((y, xy) for y in iter_bits(ys) if (xy := element[mx & masks[y]]) != skip)
+
+    @cached_property
+    def covers(self) -> tuple:
+        """The covers (lo, hi) whose op is not ``skip``."""
+        above = [0] * len(self.masks)
+        for lo, hi in self.lattice_covers:
+            above[lo] |= 1 << hi
+        return tuple((lo, pairs) for lo, his in enumerate(above) if (pairs := self.pairs(lo, his)))
+
+    def rescan(self) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Yield each x with every y > x whose op is not ``skip``."""
+        n = len(self.masks)
+        for x in range(n):
+            if x not in self.rows:
+                self.rows[x] = self.pairs(x, ((1 << n) - 1) & -(2 << x))
+            yield x, self.rows[x]
+
+
+def _scan(lat: FiniteLattice, op: str, skip: int) -> _Scan:
+    """The memoised :class:`_Scan` of ``lat`` for ``op`` and ``skip``."""
+    key = ("scan", op, skip)
+    if key not in lat._memo:
+        lat._memo[key] = _Scan(lat, op, skip)
+    return lat._memo[key]
+
+
+def _preserves(t: TNormTable, axiom: str, op: str, skip: int) -> Verdict:
     """First place where a row of ``t`` fails to preserve the lattice's ``op``.
 
     Checks T(a, x op y) = T(a, x) op T(a, y) for all a and all element ids
     x <= y, in that order, leaving out pairs with x op y = ``skip``; ``op``
     names the operation, "join" or "meet". The binary form suffices:
     general finite families follow by induction. The empty family, whose
-    op is ``unit``, is checked first as T(a, unit) = a ∧ unit, which reads
-    T(a, 0) = 0 for joins and the neutral axiom for meets.
+    op u is the element whose mask is full (the empty AND, see
+    :class:`_Scan`), bottom for joins and top for meets, is checked first
+    as T(a, u) = a ∧ u, which reads T(a, 0) = 0 for joins and the
+    neutral axiom for meets.
 
     A diagonal pair never fails: T(a, x op x) = T(a, x) = T(a, x) op
     T(a, x). So the full scan runs over every x < y whose op is not
     ``skip``, and its first violation is the witness. Every shortcut
     below keeps that witness.
 
-    The rows are scanned one after the other over one plan per lattice,
-    the incomparable pairs with an op-irreducible end
-    (:meth:`FiniteLattice.irreducible_end_pairs`). On a table not known to
-    be a t-norm (``t._generator_rows`` unset) the plan also holds the
-    covers (lo, hi) whose op is not ``skip``
-    (:meth:`FiniteLattice._cover_pairs`). The op of a cover is hi for
-    joins and lo for meets, so either op reads it as T(a, lo) <= T(a, hi).
-    The lattice lists every domain, each pair with its x op y
-    (:meth:`FiniteLattice._pairs_with`), and one kernel,
-    :func:`_preservation_failure`, scans every domain and every set of
-    rows by comparing up-set or down-set masks.
+    The rows are scanned one after the other over the scan's plan, the
+    incomparable pairs with an op-irreducible end (:class:`_Scan`). On a
+    table not known to be a t-norm (``t._generator_rows`` unset) the plan
+    also holds the covers (lo, hi) whose op is not ``skip``. The op of a
+    cover is hi for joins and lo for meets, so either op reads it as
+    T(a, lo) <= T(a, hi). One kernel, :func:`_preservation_failure`,
+    scans every listing and every set of rows by comparing masks.
 
     A row passes this plan exactly when it passes every pair. Passing
     every pair, it passes the covers and the plan, which are among them.
@@ -378,8 +449,7 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int) -> Verd
     T(a, j1) ∨ ... ∨ T(a, jk), so the pair holds. So the first failing
     row is the same on the plan and on every pair, and that row alone is
     scanned again over every x < y whose op is not ``skip``
-    (:meth:`FiniteLattice._pairs_above`), up to its first failure, to
-    name the witness.
+    (:meth:`_Scan.rescan`), up to its first failure, to name the witness.
 
     On a table that has verified as a t-norm, left-semicontinuity first
     scans its generator rows alone (``t._generator_rows``, see
@@ -398,20 +468,21 @@ def _preserves(t: TNormTable, axiom: str, op: str, unit: int, skip: int) -> Verd
     tbl = t.table
     n = lat.n
     meet = lat.meet_table
+    scan = _scan(lat, op, skip)
+    unit = scan.element[lat.full_mask]
     for a in range(n):
         if tbl[a][unit] != meet[a][unit]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
     gens = t._generator_rows
-    masks = lat.ups if op == "join" else lat.downs
-    pairs = lat.irreducible_end_pairs(op, skip)
+    pairs = scan.plan
     if gens is None:
-        pairs = lat._cover_pairs(op, skip) + pairs
-    elif skip == lat.top and _preservation_failure(tbl, gens, pairs, masks) is None:
+        pairs = scan.covers + pairs
+    elif skip == lat.top and _preservation_failure(tbl, gens, pairs, scan.masks) is None:
         return OK
-    failure = _preservation_failure(tbl, range(n), pairs, masks)
+    failure = _preservation_failure(tbl, range(n), pairs, scan.masks)
     if failure is None:
         return OK
-    a, x, y = _preservation_failure(tbl, failure[:1], lat._pairs_above(op, skip), masks)
+    a, x, y = _preservation_failure(tbl, failure[:1], scan.rescan(), scan.masks)
     return Verdict(False, axiom, (lat.name(a), lat.name(x), lat.name(y)))
 
 
@@ -420,10 +491,8 @@ def _preservation_failure(tbl: tuple, rows, pairs, masks: tuple) -> tuple[int, i
     ``rows``, then (x, ys) in ``pairs``, then (y, x op y) in ys; None if
     there is none.
 
-    ``masks`` are the up-sets for op "join" and the down-sets for "meet".
-    Elements are compared by their masks: w = u ∨ v exactly when
-    ↑w = ↑u ∩ ↑v, and w = u ∧ v exactly when ↓w = ↓u ∩ ↓v, so no op
-    table is read.
+    ``masks`` are the scan's masks, up-sets for joins and down-sets for
+    meets, which decide each op (:class:`_Scan`), so no op table is read.
     """
     for a in rows:
         row = tbl[a]
@@ -437,12 +506,12 @@ def _preservation_failure(tbl: tuple, rows, pairs, masks: tuple) -> tuple[int, i
 
 def is_left_continuous(t: TNormTable) -> Verdict:
     """Join preservation in each argument over arbitrary finite families."""
-    return _preserves(t, "left-continuity", "join", t.lattice.bottom, -1)
+    return _preserves(t, "left-continuity", "join", -1)
 
 
 def is_right_continuous(t: TNormTable) -> Verdict:
     """Meet preservation in each argument; the empty family is the neutral axiom."""
-    return _preserves(t, "right-continuity", "meet", t.lattice.top, -1)
+    return _preserves(t, "right-continuity", "meet", -1)
 
 
 def is_continuous(t: TNormTable) -> Verdict:
@@ -457,8 +526,53 @@ def is_left_semicontinuous(t: TNormTable) -> Verdict:
     Binary reduction is sound here because every partial join of such a
     family also stays below top.
     """
-    lat = t.lattice
-    return _preserves(t, "left-semicontinuity", "join", lat.bottom, lat.top)
+    return _preserves(t, "left-semicontinuity", "join", t.lattice.top)
+
+
+def continuity_classifier(lat: FiniteLattice) -> Callable[[tuple], int]:
+    """A function from a table's rows on ``lat`` to its continuity bits:
+    1 left-semicontinuous, 2 left-continuous, 4 right-continuous.
+
+    Contract: on a commutative, monotone table whose bottom row is
+    constant and whose top row is the identity, the bits are the verdicts
+    of :func:`is_left_semicontinuous`, :func:`is_left_continuous` and
+    :func:`is_right_continuous`; on any other table they are unspecified.
+    A table's bits are the AND of its middle rows' bits. Each distinct
+    row is classified once, by :func:`_preservation_failure` on each
+    scan's plan; the memo of rows lives as long as the returned function.
+
+    - Each scan first checks the empty family, T(a, 0) = 0 for joins and
+      T(a, 1) = a for meets. By commutativity T(0, 1) = T(1, 0) = 0, so
+      row bottom and column bottom are all bottom, and column top is row
+      top, the identity. So both hold.
+    - Each scan then runs its plan over the rows one after the other, an
+      unverified table's rows also over the cover pairs. The table's rows
+      are monotone, so they pass the cover pairs, and a monotone row
+      passes the plan exactly when it passes every pair (the proof is in
+      :func:`_preserves`). So the verdict on a row depends on that row
+      alone, and the table passes exactly when each row does. A failing
+      row's witness is not needed here, so neither is the rescan that
+      names it.
+    - Row bottom is constant and row top is the identity, so both
+      preserve every join and meet, and only the middle rows are read.
+    """
+    scans = [(bit, _scan(lat, op, skip)) for bit, op, skip in ((1, "join", lat.top), (2, "join", -1), (4, "meet", -1))]
+    mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
+    memo: dict = {}
+
+    def classes(table: tuple) -> int:
+        bits = 7
+        for a in mids:
+            row = table[a]
+            hit = memo.get(row)
+            if hit is None:
+                hit = memo[row] = sum(
+                    bit for bit, scan in scans if _preservation_failure((row,), (0,), scan.plan, scan.masks) is None
+                )
+            bits &= hit
+        return bits
+
+    return classes
 
 
 def restrict(t: TNormTable, members: ElementSet) -> TNormTable:

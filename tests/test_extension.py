@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from latnorm import checks
-from latnorm.catalog import chain, double_atom_tower, pentagon
+from latnorm.catalog import chain, double_atom_tower, pentagon, stemmed_diamond
 from latnorm.checks import check_extension_gate, check_restriction_joins
 from latnorm.construction import (
     AtomSelection,
@@ -387,6 +387,24 @@ def test_restriction_rejects_a_member_of_another_lattice(fig_ext):
     g = make_generated(extend(fig_ext.original), ["b"])
     with pytest.raises(LatticeMismatch, match=r"^generated t-norm must live on the extended lattice$"):
         restrict_to_original(fig_ext, g)
+
+
+def test_restriction_continuity_rejects_a_restriction_of_another_lattice(fig_ext):
+    """An equal copy of the original lattice is another lattice."""
+    g = make_generated(fig_ext, ["b", "w_d"])
+    copy = t_min(stemmed_diamond())
+    assert copy.lattice == fig_ext.original
+    with pytest.raises(LatticeMismatch, match=r"^restriction must live on the original lattice$"):
+        continuity_of_restriction(fig_ext, g, copy)
+
+
+def test_restriction_continuity_rejects_a_source_of_another_lattice(fig_ext):
+    """An equal copy of the extended lattice is another lattice."""
+    other = extend(fig_ext.original)
+    assert other.extended == fig_ext.extended
+    g = make_generated(other, ["b", "w_d"])
+    with pytest.raises(LatticeMismatch, match=r"^generated t-norm must live on the extended lattice$"):
+        continuity_of_restriction(fig_ext, g, restrict_to_original(other, g))
 
 
 def test_restrictions_from_semicontinuous_sources(corpus_extension):

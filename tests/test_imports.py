@@ -22,20 +22,14 @@ def test_absolute_imports_are_latnorm_or_stdlib(path):
     assert not outside, outside
 
 
-# (importing module, imported module, name) of the private names that a
-# module may import from another: the continuity kernel the census reuses
-PRIVATE_IMPORTS = {("oracle", "tnorm", "_preservation_failure")}
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_no_private_name_of_another(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     private = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "latnorm"):
-            source = (node.module or "").rsplit(".", 1)[-1]
-            private += [(path.stem, source, a.name) for a in node.names if a.name.startswith("_")]
-    assert not set(private) - PRIVATE_IMPORTS, private
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    assert not private, private
 
 
 def _private_definitions(tree: ast.Module) -> set[str]:
@@ -68,14 +62,10 @@ def _defined_outside(stem: str) -> set[str]:
     return set().union(*(names for other, names in DEFINED_BY.items() if other != stem))
 
 # (reading module, attribute) of the private attributes that a module may
-# read although another module defines them: the lattice memo and pair
-# listings the continuity scans read, and the leaf constructor of the oracle
-PRIVATE_ATTRIBUTE_READS = {
-    ("tnorm", "_memo"),
-    ("tnorm", "_cover_pairs"),
-    ("tnorm", "_pairs_above"),
-    ("oracle", "_of_rows"),
-}
+# read although another module defines them: the lattice memo, where the
+# continuity scans keep their pair listings, and the leaf constructor of
+# the oracle
+PRIVATE_ATTRIBUTE_READS = {("tnorm", "_memo"), ("oracle", "_of_rows")}
 
 
 @pytest.mark.parametrize("stem", sorted(TREES))

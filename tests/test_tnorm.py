@@ -14,6 +14,7 @@ from latnorm.tnorm import (
     OK,
     TNormTable,
     Verdict,
+    continuity_classifier,
     idempotents,
     is_continuous,
     is_left_continuous,
@@ -26,6 +27,7 @@ from latnorm.tnorm import (
     table_to_csv,
     tnorm_le,
     verify_tnorm,
+    _scan,
 )
 
 from oracles import (
@@ -36,7 +38,7 @@ from oracles import (
     reference_continuity_scans,
     reference_verify_tnorm,
     relabeled,
-    set_based_join_table,
+    set_based_meets_joins,
 )
 
 # The worked-example restriction table, keyed by element names.
@@ -520,6 +522,25 @@ def test_continuity_scans_match_reference_on_every_tnorm(name):
         assert_scans_match_reference(t)
 
 
+@pytest.mark.parametrize("lat", [powerset_lattice(3), pentagon(), chain(5)], ids=["2^3", "N5", "chain5"])
+def test_continuity_classifier_gives_the_three_scans_on_its_domain(lat):
+    """On every t-norm and every change of one of its symmetric cell pairs
+    off the bottom and top rows that keeps it monotone, t-norm or not,
+    the classifier's bits are the verdicts of the three public scans."""
+    classes = continuity_classifier(lat)
+    seen = set()
+    for tnorm in enumerate_all_tnorms(lat):
+        changes = [(x, y, v) for x, y, v in _monotone_changes(lat, tnorm.table) if lat.bottom not in (x, y)]
+        for grid in [tnorm.table, *(_changed(tnorm.table, *change) for change in changes)]:
+            t = TNormTable(lat, grid)
+            verdicts = (is_left_semicontinuous(t), is_left_continuous(t), is_right_continuous(t))
+            bits = sum(bit for bit, verdict in zip((1, 2, 4), verdicts) if verdict.ok)
+            assert classes(t.table) == bits, grid
+            seen.add((bits, verify_tnorm(t).ok))
+    # some tables that are no t-norm pass a scan
+    assert any(bits and not ok for bits, ok in seen)
+
+
 def _monotone_rows(lat, rows_of_values, op):
     """Rows made monotone: cell (a, y) is the join of the values drawn at
     the elements below y (or the meet of those above y)."""
@@ -888,30 +909,40 @@ def _irreducible_by_covers(lat, op):
     return {x for x in range(lat.n) if counts[x] == 1}
 
 
-def test_irreducible_end_pairs_are_the_planned_pairs_with_an_irreducible_end(corpus_atomistic, corpus_extension):
-    """On the corpus, 2^4 and Pi4 (both orders): the incomparable pairs
-    whose op is not skipped with an irreducible end, by the covers, in
-    the planned order, each with its op read off the op's table; some
-    plans leave incomparable pairs out."""
-    lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES}
+def test_scan_listings_match_the_order(corpus_atomistic, corpus_extension):
+    """On the corpus, 2^4, Pi4 (both orders) and the one-element chain,
+    for each of the three scans, straight from ``leq``, the covers and
+    set-based op tables, in the listed order and each pair with its op:
+    the plan holds the incomparable pairs whose op is not skipped with an
+    irreducible end, by the covers; the cover listing the covers whose op
+    is not skipped; the rescan listing, one entry for each x, every x < y
+    whose op is not skipped. The scan is memoised, and some plans leave
+    incomparable pairs out."""
+    lats = {**corpus_atomistic, **corpus_extension, **ROW_CLASS_LATTICES, "chain1": chain(1)}
     incomplete = 0
-    for lat in lats.values():
-        table = {"join": set_based_join_table(lat), "meet": lat.meet_table}
-        # the plans of left-continuity, right-continuity and left-semicontinuity
+    for name, lat in lats.items():
+        n = lat.n
+        meets, joins = set_based_meets_joins(lat.names, lat.covers_named())
+        table = {
+            op: [[lat.index(ops[x, y]) for y in lat.names] for x in lat.names]
+            for op, ops in (("join", joins), ("meet", meets))
+        }
+        # the scans of left-continuity, right-continuity and left-semicontinuity
         for op, skip in (("join", -1), ("meet", -1), ("join", lat.top)):
-            plan = lat.irreducible_end_pairs(op, skip)
+            scan = _scan(lat, op, skip)
+            where = (name, op, skip)
+            kept = [(x, y) for x in range(n) for y in range(x + 1, n) if table[op][x][y] != skip]
+            incomparable = [(x, y) for x, y in kept if not lat.leq(x, y) and not lat.leq(y, x)]
             irreducible = _irreducible_by_covers(lat, op)
-            flat = [
-                (x, y)
-                for x in range(lat.n)
-                for y in range(x + 1, lat.n)
-                if not lat.leq(x, y) and not lat.leq(y, x) and table[op][x][y] != skip
-            ]
-            kept = [p for p in flat if irreducible & set(p)]
-            assert [(x, y, xy) for x, ys in plan for y, xy in ys] == [(x, y, table[op][x][y]) for x, y in kept]
-            assert all(ys for _, ys in plan)
-            assert lat.irreducible_end_pairs(op, skip) == plan
-            incomplete += kept != flat
+            planned = [p for p in incomparable if irreducible & set(p)]
+            covers = sorted(p for p in lat.covers if table[op][p[0]][p[1]] != skip)
+            for listing, pairs in ((scan.plan, planned), (scan.covers, covers), (tuple(scan.rescan()), kept)):
+                listed = [(x, y, xy) for x, ys in listing for y, xy in ys]
+                assert listed == [(x, y, table[op][x][y]) for x, y in pairs], where
+            assert all(ys for _, ys in scan.plan + scan.covers), where
+            assert [x for x, _ in scan.rescan()] == list(range(n)), where
+            assert _scan(lat, op, skip) is scan
+            incomplete += planned != incomparable
     assert incomplete >= 6
 
 
