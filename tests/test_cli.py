@@ -11,7 +11,6 @@ from latnorm.errors import AmbiguousAlpha
 from latnorm.lattice import lattice_from_covers, load_lattice
 
 from conftest import golden
-from test_oracle import IMPOSSIBLE_REPORTS
 
 
 @pytest.fixture()
@@ -376,33 +375,6 @@ def test_census_ignores_a_report_in_the_former_cache_dir(tmp_path, monkeypatch, 
     assert capsys.readouterr().out == expected
     assert [p.name for p in cache.iterdir()] == [stale.name]
     assert stale.read_bytes() == before
-
-
-@pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
-def test_census_cache_holding_no_object_is_a_miss(tmp_path, monkeypatch, capsys, text):
-    """Valid JSON that is not a report object in LATNORM_CACHE_DIR is ignored."""
-    path = DATA / "chain4.json"
-    assert main(["census", str(path)]) == 0
-    expected = capsys.readouterr().out
-    monkeypatch.setenv("LATNORM_CACHE_DIR", str(tmp_path))
-    (tmp_path / f"census_{load_lattice(path).fingerprint()}.json").write_text(text, encoding="utf-8")
-    assert main(["census", str(path)]) == 0
-    assert capsys.readouterr().out == expected
-    assert json.loads(expected)["total"] == 6
-
-
-@pytest.mark.parametrize("key", IMPOSSIBLE_REPORTS)
-def test_census_cache_holding_impossible_report_is_a_miss(tmp_path, monkeypatch, capsys, key):
-    """A well-typed report that no census can produce in LATNORM_CACHE_DIR is ignored."""
-    lat_name, changes = IMPOSSIBLE_REPORTS[key]
-    path = DATA / f"{lat_name}.json"
-    assert main(["census", str(path)]) == 0
-    expected = capsys.readouterr().out
-    obj = {**json.loads(expected), **changes}
-    monkeypatch.setenv("LATNORM_CACHE_DIR", str(tmp_path))
-    (tmp_path / f"census_{load_lattice(path).fingerprint()}.json").write_text(json.dumps(obj), encoding="utf-8")
-    assert main(["census", str(path)]) == 0
-    assert capsys.readouterr().out == expected
 
 
 def test_check_passes(fig_file, capsys):
