@@ -138,9 +138,28 @@ class FiniteLattice:
         "_memo",
     )
 
-    def __init__(self, **kw):
-        for slot in self.__slots__:
-            object.__setattr__(self, slot, kw[slot])
+    def __init__(
+        self, names, _index, ups, downs, covers, meet_table, _by_ups, bottom, top,
+        atoms_mask, ji_mask, mi_mask, length, full_mask, _memo,
+    ):
+        # one parameter per slot, in slot order, each set through its slot
+        # descriptor (``__setattr__`` refuses every write)
+        s = _SLOT_SETTERS
+        s[0](self, names)
+        s[1](self, _index)
+        s[2](self, ups)
+        s[3](self, downs)
+        s[4](self, covers)
+        s[5](self, meet_table)
+        s[6](self, _by_ups)
+        s[7](self, bottom)
+        s[8](self, top)
+        s[9](self, atoms_mask)
+        s[10](self, ji_mask)
+        s[11](self, mi_mask)
+        s[12](self, length)
+        s[13](self, full_mask)
+        s[14](self, _memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteLattice is immutable")
@@ -323,17 +342,30 @@ class FiniteLattice:
         return f"FiniteLattice({self.n} elements, length {self.length})"
 
 
+_SLOT_SETTERS = tuple(FiniteLattice.__dict__[slot].__set__ for slot in FiniteLattice.__slots__)
+
+
 def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -> FiniteLattice:
     """Build and validate a lattice from element labels and cover pairs.
 
     The order relation is the reflexive-transitive closure of the pairs;
     the stored cover list is its transitive reduction, so redundant input
     pairs are normalized away. One topological order of the pairs gives
-    everything else: the cycle test, the up-sets (walked backwards), the
-    down-sets and the length; the covers are the input pairs with nothing
-    strictly between their ends. Fails if the closure has a cycle, if there
-    is no unique bottom or top, or if some pair lacks a unique meet or
-    join.
+    everything else: the cycle test, the length, the up-sets (walked
+    backwards) and the down-sets; the covers are the input pairs with
+    nothing strictly between their ends. Fails if the closure has a cycle,
+    if there is no unique bottom or top, or if some pair lacks a unique
+    meet or join.
+
+    The length is the longest path over the input pairs, relaxed along the
+    topological order. That is the longest chain of covers: each input
+    pair is a strict step, so a path of k pairs is a chain of k + 1
+    elements, and a chain refines to a chain of covers at least as long;
+    conversely every cover is an input pair (see ``reduced`` below), so a
+    chain of covers is a path of pairs. Join-irreducibles and
+    meet-irreducibles are the elements with exactly one lower or upper
+    cover, counted off the reduced pairs; the atoms are the
+    join-irreducibles whose down-set is themselves and bottom.
 
     Only meets are built and checked. In a finite poset with a unique
     maximal element, that element is the top, since every element lies
@@ -348,33 +380,42 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     names the first pair and kind missing.
     """
     names = list(names)
-    if not names:
-        raise NoBottom("a lattice needs at least one element")
-    index: dict[str, int] = {}
-    for name in names:
-        if name in index:
-            raise DuplicateLabel(f"element {name!r} declared twice")
-        index[name] = len(index)
     n = len(names)
+    if not n:
+        raise NoBottom("a lattice needs at least one element")
+    index = dict(zip(names, range(n)))
+    if len(index) < n:
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DuplicateLabel(f"element {name!r} declared twice")
+            seen.add(name)
 
     adj: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for pair in covers:
-        lo, hi = pair
-        if lo not in index:
+    get = index.get
+    for lo, hi in covers:
+        x, y = get(lo), get(hi)
+        if x is None:
             raise UnknownLabel(f"cover pair references unknown element {lo!r}")
-        if hi not in index:
+        if y is None:
             raise UnknownLabel(f"cover pair references unknown element {hi!r}")
-        if lo == hi:
+        if x == y:
             raise CycleDetected(f"cover pair ({lo!r}, {hi!r}) is a self-loop")
-        adj[index[lo]].append(index[hi])
-        pred[index[hi]].append(index[lo])
+        adj[x].append(y)
+        pred[y].append(x)
 
-    # one topological order of the input pairs (Kahn's) feeds everything below
+    # one topological order of the input pairs (Kahn's) feeds everything
+    # below; when x is taken from the order, all its predecessors have
+    # been, so height[x] is the longest path of pairs ending at x
     indegree = [len(p) for p in pred]
     order = [x for x in range(n) if not indegree[x]]
+    height = [0] * n
     for x in order:
+        step = height[x] + 1
         for hi in adj[x]:
+            if height[hi] < step:
+                height[hi] = step
             indegree[hi] -= 1
             if not indegree[hi]:
                 order.append(hi)
@@ -410,8 +451,8 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     # x and y have a meet exactly when their common down-set is itself the
     # down-set of some element, which is then the meet; joins likewise
     # with up-sets. Masks are distinct because the order is antisymmetric.
-    by_downs = {d: x for x, d in enumerate(downs)}
-    by_ups = {u: x for x, u in enumerate(ups)}
+    by_downs = dict(zip(downs, range(n)))
+    by_ups = dict(zip(ups, range(n)))
     meet_table = [[0] * n for _ in range(n)]
     get = by_downs.get
     for xi in range(n):
@@ -427,31 +468,38 @@ def lattice_from_covers(names: Sequence[str], covers: Iterable[Sequence[str]]) -
     # to hi would put an element strictly between them. So filtering the
     # input pairs gives the transitive reduction.
     reduced = sorted({(lo, hi) for lo in range(n) for hi in adj[lo] if ups[lo] & downs[hi] == 1 << lo | 1 << hi})
-    lower: list[list[int]] = [[] for _ in range(n)]
+    lower = [0] * n
     upper = [0] * n
     for lo, hi in reduced:
-        lower[hi].append(lo)
+        lower[hi] += 1
         upper[lo] += 1
-    # longest chain: lower covers come earlier in the order
-    height = [0] * n
-    for x in order:
-        height[x] = max((height[lo] + 1 for lo in lower[x]), default=0)
+    atoms_mask = ji_mask = mi_mask = 0
+    bottom_bit = 1 << bottom
+    for x in range(n):
+        bit = 1 << x
+        if lower[x] == 1:
+            ji_mask |= bit
+            if downs[x] == bit | bottom_bit:
+                atoms_mask |= bit
+        if upper[x] == 1:
+            mi_mask |= bit
+    # in slot order: a class call packs keyword arguments into a dict
     return FiniteLattice(
-        names=tuple(names),
-        _index=index,
-        ups=tuple(ups),
-        downs=tuple(downs),
-        covers=tuple(reduced),
-        meet_table=tuple(tuple(row) for row in meet_table),
-        _by_ups=by_ups,
-        bottom=bottom,
-        top=top,
-        atoms_mask=sum(1 << x for x in range(n) if lower[x] == [bottom]),
-        ji_mask=sum(1 << x for x in range(n) if len(lower[x]) == 1),
-        mi_mask=sum(1 << x for x in range(n) if upper[x] == 1),
-        length=max(height),
-        full_mask=(1 << n) - 1,
-        _memo={},
+        tuple(names),
+        index,
+        tuple(ups),
+        tuple(downs),
+        tuple(reduced),
+        tuple(map(tuple, meet_table)),
+        by_ups,
+        bottom,
+        top,
+        atoms_mask,
+        ji_mask,
+        mi_mask,
+        max(height),
+        (1 << n) - 1,
+        {},
     )
 
 

@@ -76,6 +76,9 @@ def test_completed_diamond_is_boolean():
 def test_duplicate_label():
     with pytest.raises(DuplicateLabel):
         lattice_from_covers(["0", "0"], [("0", "0")])
+    # the first repeated label is named
+    with pytest.raises(DuplicateLabel, match=r"^element 'a' declared twice$"):
+        lattice_from_covers(["0", "a", "a", "b", "b"], [])
 
 
 def test_unknown_label():
@@ -83,6 +86,9 @@ def test_unknown_label():
         lattice_from_covers(["0", "1"], [("0", "x")])
     with pytest.raises(UnknownLabel, match=r"^cover pair references unknown element 'x'$"):
         lattice_from_covers(["0", "1"], [("x", "1")])
+    # with both ends unknown, the lower one is named
+    with pytest.raises(UnknownLabel, match=r"^cover pair references unknown element 'lo'$"):
+        lattice_from_covers(["0", "1"], [("lo", "hi")])
 
 
 def test_self_loop_and_cycle():
@@ -90,6 +96,10 @@ def test_self_loop_and_cycle():
         lattice_from_covers(["0", "1"], [("0", "0")])
     with pytest.raises(CycleDetected):
         lattice_from_covers(["0", "a", "b", "1"], [("0", "a"), ("a", "b"), ("b", "a"), ("a", "1")])
+    # pairs are checked one at a time: the self-loop comes before the
+    # unknown label of a later pair
+    with pytest.raises(CycleDetected, match=r"^cover pair \('b', 'b'\) is a self-loop$"):
+        lattice_from_covers(["0", "a", "b", "1"], [("0", "a"), ("b", "b"), ("x", "1")])
 
 
 def test_bowtie_is_not_a_lattice():
