@@ -49,7 +49,6 @@ from .tnorm import (
 from .construction import (
     AtomSelection,
     AtomSkeleton,
-    FamilyIsomorphismReport,
     GeneratedTNorm,
     enumerate_skeleton_tnorms,
     family_powerset_isomorphism,

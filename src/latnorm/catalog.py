@@ -23,14 +23,6 @@ def diamond(k: int) -> FiniteLattice:
     return lattice_from_covers(["0", *atoms, "1"], covers)
 
 
-def m3() -> FiniteLattice:
-    return diamond(3)
-
-
-def m4() -> FiniteLattice:
-    return diamond(4)
-
-
 def pentagon() -> FiniteLattice:
     """N5: 0 < a < c < 1 on one side, 0 < b < 1 on the other."""
     return lattice_from_covers(
@@ -113,8 +105,9 @@ def random_lattice(size: int, seed: int) -> FiniteLattice:
     raise LatnormError(f"no {size}-element lattice found in {_MAX_TRIES} draws for seed {seed}")
 
 
-def random_lattices(count: int, sizes=(6, 7, 8), seed: int = 2024) -> list[FiniteLattice]:
-    return [random_lattice(sizes[i % len(sizes)], seed * 1000 + i) for i in range(count)]
+def random_lattices(count: int, seed: int = 2024) -> list[FiniteLattice]:
+    """``count`` seeded random lattices whose sizes cycle through 6, 7 and 8."""
+    return [random_lattice(6 + i % 3, seed * 1000 + i) for i in range(count)]
 
 
 def atomistic_corpus() -> dict[str, FiniteLattice]:
@@ -124,8 +117,8 @@ def atomistic_corpus() -> dict[str, FiniteLattice]:
     return {
         "2^2": powerset_lattice(2),
         "2^3": powerset_lattice(3),
-        "M3": m3(),
-        "M4": m4(),
+        "M3": diamond(3),
+        "M4": diamond(4),
         "stemmed_diamond_ext": extend(stemmed_diamond()).extended,
     }
 

@@ -82,11 +82,12 @@ def check_family_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -
     """The lifted family is the atom powerset as an ordered structure."""
     name = _ISOMORPHISM
     try:
-        report = family_powerset_isomorphism(lat, family)
+        verdict = family_powerset_isomorphism(lat, family)
     except DegenerateLength:
         return CheckResult(name, True, "degenerate length; unique t-norm")
-    if not report.passed:
-        return CheckResult(name, False, report.failures[0])
+    if not verdict.ok:
+        a, b = verdict.witness
+        return CheckResult(name, False, f"selection inclusion and pointwise order disagree on ({a}, {b})")
     return CheckResult(name, True)
 
 

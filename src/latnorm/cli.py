@@ -260,7 +260,7 @@ def cmd_census(args) -> int:
     else:
         print(f"total t-norms: {report.total}")
         for name, count in report.classes.items():
-            print(f"  {name}: {count}")
+            print(f"  {name}: {json.dumps(count)}")
     return 0
 
 
@@ -335,6 +335,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
+        # record every warning whatever the interpreter's filters say
+        warnings.simplefilter("always")
         try:
             return args.fn(args)
         except (LatnormError, OSError) as exc:

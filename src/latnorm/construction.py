@@ -245,16 +245,7 @@ def semicontinuity_criterion(lat: FiniteLattice, selection: AtomSelection) -> Ve
     return OK
 
 
-@dataclass
-class FamilyIsomorphismReport:
-    """Outcome of checking a lifted family against the atom powerset."""
-
-    passed: bool
-    failures: list[str]
-    boolean_self_isomorphic: bool | None
-
-
-def family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -> FamilyIsomorphismReport:
+def family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]) -> Verdict:
     """Verify that selection inclusion is exactly the pointwise order of the lifts.
 
     ``family`` is the lifted family of ``lat``, one member per subset of
@@ -270,7 +261,8 @@ def family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]
     not inside T, take a in S - T: lift(S) <= lift(T) would give
     lift({a}) <= lift(S) <= lift(T) <= lift(atoms - {a}), which the second
     sweep rules out. Two equal lifts fail the same way. Only when a sweep
-    fails are all pairs walked, naming each failing pair.
+    fails are the pairs walked in family order; the witness is the labels
+    of the first pair whose inclusion and order disagree.
 
     Once inclusion matches the order in both directions, the family is
     order-isomorphic to the atom powerset: joins are unions, meets are
@@ -285,14 +277,11 @@ def family_powerset_isomorphism(lat: FiniteLattice, family: list[GeneratedTNorm]
     lifts = {g.selection.mask: g.lifted for g in family}
     steps = all(tnorm_le(t, lifts[m | 1 << a]) for m, t in lifts.items() for a in iter_bits(full & ~m))
     if steps and not any(tnorm_le(lifts[1 << a], lifts[full & ~(1 << a)]) for a in iter_bits(full)):
-        failures = []
-    else:
-        failures = [
-            f"selection inclusion and pointwise order disagree on "
-            f"({gi.selection.label()}, {gj.selection.label()})"
-            for gi in family
-            for gj in family
-            if (gi.selection.mask & ~gj.selection.mask == 0) != tnorm_le(gi.lifted, gj.lifted)
-        ]
-    boolean_self = not failures if lat.is_boolean_atomistic() else None
-    return FamilyIsomorphismReport(not failures, failures, boolean_self)
+        return OK
+    gi, gj = next(
+        (gi, gj)
+        for gi in family
+        for gj in family
+        if (gi.selection.mask & ~gj.selection.mask == 0) != tnorm_le(gi.lifted, gj.lifted)
+    )
+    return Verdict(False, "family-isomorphism", (gi.selection.label(), gj.selection.label()))

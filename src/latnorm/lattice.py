@@ -42,9 +42,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 class ElementSet:
     """A subset of one lattice's elements, stored as a bitmask.
 
-    Set operations require both operands to belong to the same lattice
-    object; mixing indices from two lattices is an error, never a coercion.
-    Immutable, since it hashes by its mask.
+    Two sets are equal only when they belong to the same lattice object;
+    combine sets through their masks. Immutable, since it hashes by its
+    mask.
     """
 
     __slots__ = ("lattice", "mask")
@@ -57,26 +57,6 @@ class ElementSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("ElementSet is immutable")
-
-    def _check_same(self, other: "ElementSet") -> None:
-        if self.lattice is not other.lattice:
-            raise LatticeMismatch("element sets belong to different lattices")
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        self._check_same(other)
-        return ElementSet(self.lattice, self.mask | other.mask)
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        self._check_same(other)
-        return ElementSet(self.lattice, self.mask & other.mask)
-
-    def __sub__(self, other: "ElementSet") -> "ElementSet":
-        self._check_same(other)
-        return ElementSet(self.lattice, self.mask & ~other.mask)
-
-    def __le__(self, other: "ElementSet") -> bool:
-        self._check_same(other)
-        return self.mask & ~other.mask == 0
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -358,8 +358,6 @@ class OracleComparison:
 
     passed: bool
     failures: list[str]
-    skeleton_count: int
-    family_count: int
 
 
 def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
@@ -412,4 +410,4 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
                 f"left-semicontinuous tables ({len(lsc_tables)}) are not exactly "
                 f"the left-semicontinuous lifts ({len(lsc_lifts)})"
             )
-    return OracleComparison(not failures, failures, len(brute), len(family))
+    return OracleComparison(not failures, failures)

@@ -79,13 +79,6 @@ class TNormTable:
         t._fill(lattice, rows)
         return t
 
-    def value(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def by_names(self, xname: str, yname: str) -> str:
-        lat = self.lattice
-        return lat.name(self.table[lat.index(xname)][lat.index(yname)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TNormTable):
             return NotImplemented

@@ -10,9 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from latnorm.catalog import (
     atomistic_corpus,
     chain,
+    diamond,
     extension_corpus,
-    m3,
-    m4,
     pentagon,
     stemmed_diamond,
 )
@@ -69,12 +68,12 @@ def p3():
 
 @pytest.fixture(scope="session")
 def lat_m3():
-    return m3()
+    return diamond(3)
 
 
 @pytest.fixture(scope="session")
 def lat_m4():
-    return m4()
+    return diamond(4)
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +83,12 @@ def lat_n5():
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def cell_name(t, x: str, y: str) -> str:
+    """The name of the table's value at the elements named ``x`` and ``y``."""
+    lat = t.lattice
+    return lat.name(t.table[lat.index(x)][lat.index(y)])
 
 
 def degenerate_warning(lat):

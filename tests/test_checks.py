@@ -6,7 +6,7 @@ from dataclasses import replace
 import latnorm.checks
 import latnorm.construction
 import latnorm.extension
-from latnorm.catalog import chain, m3, stemmed_diamond
+from latnorm.catalog import chain, diamond, stemmed_diamond
 from latnorm.checks import (
     check_extension_gate,
     check_family_isomorphism,
@@ -189,7 +189,7 @@ def test_check_fails_every_check_when_the_family_cannot_be_built(tmp_path, capsy
     """Lifts that all collapse to the meet make the family raise on its
     first duplicate: every check needs the family, so all five fail."""
     monkeypatch.setattr(latnorm.construction, "lift", lambda lat, on_c: t_min(lat))
-    lines = _check_lines(tmp_path, capsys, m3())
+    lines = _check_lines(tmp_path, capsys, diamond(3))
     detail = "duplicate lift; the generated family must be pairwise distinct"
     assert lines == [
         f"FAIL  {name}  ({detail})"

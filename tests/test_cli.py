@@ -1,6 +1,7 @@
 """End-to-end CLI flows: every subcommand, deterministic outputs, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,22 @@ def test_census_oracle_cap(tmp_path, capsys):
     assert main(["census", str(path), "--oracle-cap", "9"]) == 0
 
 
+def test_census_text_prints_null_where_json_does(capsys):
+    """N5 is not atomistic, so its ``generated`` count is null in both formats."""
+    path = DATA / "n5.json"
+    assert main(["census", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"]["generated"] is None
+    assert main(["census", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "total t-norms: 12\n"
+        "  left_semicontinuous: 12\n"
+        "  left_continuous: 0\n"
+        "  right_continuous: 12\n"
+        "  continuous: 0\n"
+        "  generated: null\n"
+    )
+
+
 def test_census_ignores_a_report_in_the_former_cache_dir(tmp_path, monkeypatch, capsys):
     """``census`` once printed the report filed under the lattice's
     fingerprint in LATNORM_CACHE_DIR; a well-formed one with a wrong total
@@ -514,6 +531,23 @@ def test_degenerate_length_warning_is_one_plain_stderr_line(tmp_path, capsys, co
     )
     if exported is not None:
         assert sorted(p.name for p in out.glob("*alpha_*.csv")) == exported
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_warning_lines_do_not_depend_on_the_warning_filters(tmp_path, capsys, action):
+    """Under ``python -W error`` or ``-W ignore`` the warning still prints as
+    one stderr line, and the checks still pass."""
+    path = tmp_path / "chain.json"
+    path.write_text(chain(2).to_json(), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert main(["check", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == CHECKS_ALL_PASS_DEGENERATE
+    assert captured.err == (
+        "warning: lattice has length 1; the skeleton equals the lattice and "
+        "the generated family collapses to the unique t-norm\n"
+    )
 
 
 def test_export_dot(fig_file, capsys, tmp_path, fig_lattice):

@@ -36,7 +36,7 @@ from latnorm.tnorm import (
     verify_tnorm,
 )
 
-from conftest import degenerate_warning
+from conftest import cell_name, degenerate_warning
 from oracles import reference_restriction_joins
 from test_tnorm import RESTRICTED_TABLE, table_from_names
 
@@ -207,7 +207,7 @@ def test_s_family_has_top_and_bottom(corpus_extension):
         for x in range(lat.n):
             for y in range(lat.n):
                 if x != lat.top and y != lat.top:
-                    assert bot.value(x, y) == lat.bottom
+                    assert bot.table[x][y] == lat.bottom
         for t in tables:
             assert tnorm_le(bot, t) and tnorm_le(t, next(tt for tt in tables if tt.table == top_table))
 
@@ -340,11 +340,11 @@ def test_restriction_continuity_worked_example(fig_ext):
     assert report.implications_hold
     # the concrete failure: joining the two covers of top jumps the value
     t = restrict_to_original(fig_ext, g)
-    assert t.by_names("c", "1") == "c"
+    assert cell_name(t, "c", "1") == "c"
     lat = fig_ext.original
     c, d = lat.index("c"), lat.index("d")
     assert lat.join(c, d) == lat.top
-    assert lat.join(t.value(c, c), t.value(c, d)) == lat.index("b")
+    assert lat.join(t.table[c][c], t.table[c][d]) == lat.index("b")
 
 
 def _min_changed(lat, cells):

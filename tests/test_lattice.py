@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latnorm.catalog import chain, diamond, m3, pentagon, random_lattice, stemmed_diamond
+from latnorm.catalog import chain, diamond, pentagon, random_lattice, stemmed_diamond
 from latnorm.errors import (
     BoundExceeded,
     CycleDetected,
@@ -426,7 +426,7 @@ def test_maximal_independent_subsets_cap(monkeypatch):
 
 def test_independence_rejects_a_set_of_another_lattice(lat_m3):
     """The guards compare lattice objects: an equal copy is another lattice."""
-    other = m3()
+    other = diamond(3)
     with pytest.raises(LatticeMismatch, match=r"^subset belongs to a different lattice$"):
         lat_m3.is_independent(other.element_set(["a"]))
     with pytest.raises(LatticeMismatch, match=r"^base belongs to a different lattice$"):
@@ -439,22 +439,6 @@ def test_element_set_rejects_bits_outside_the_lattice():
         with pytest.raises(ValueError, match=rf"^mask {shown} has bits outside the 3-element universe$"):
             ElementSet(lat, mask)
     assert ElementSet(lat, 0b111).mask == lat.full_mask
-
-
-def test_element_set_cross_lattice_rejected(lat_m3, p2):
-    with pytest.raises(LatticeMismatch):
-        lat_m3.atoms() | p2.atoms()
-
-
-@given(a=st.integers(0, 255), b=st.integers(0, 255))
-def test_element_set_algebra(a, b):
-    lat = powerset_lattice(3)
-    sa, sb = ElementSet(lat, a), ElementSet(lat, b)
-    assert (sa | sb).mask == a | b
-    assert (sa & sb).mask == a & b
-    assert (sa - sb).mask == a & ~b
-    assert (sa & sb) <= sa <= (sa | sb)
-    assert len(sa) == bin(a).count("1")
 
 
 def test_length_examples():
@@ -489,7 +473,7 @@ def test_dot_export_deterministic(fig_lattice):
 def test_fingerprint_stability(fig_lattice):
     fp = fig_lattice.fingerprint()
     assert fp == stemmed_diamond().fingerprint()
-    assert fp != m3().fingerprint()
+    assert fp != diamond(3).fingerprint()
 
 
 def test_atoms_below(fig_extended):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latnorm.catalog import chain, double_atom_tower, m3, pentagon, random_lattice, stemmed_diamond
+from latnorm.catalog import chain, diamond, double_atom_tower, pentagon, random_lattice, stemmed_diamond
 from latnorm.construction import AtomSelection, generated_family, lift, skeleton, skeleton_tnorm
 from latnorm.errors import LatticeMismatch, NotClosed, TopMissing, UnknownLabel
 from latnorm.lattice import ElementSet, iter_bits, lattice_from_covers, powerset_lattice
@@ -30,6 +30,7 @@ from latnorm.tnorm import (
     _scan,
 )
 
+from conftest import cell_name
 from oracles import (
     all_subsets_left_continuous,
     all_subsets_left_semicontinuous,
@@ -73,16 +74,16 @@ def test_t_min_verifies_everywhere(corpus_atomistic, corpus_extension):
 
 def test_t_min_values(fig_lattice):
     t = t_min(fig_lattice)
-    assert t.by_names("d", "c") == "b"
+    assert cell_name(t, "d", "c") == "b"
 
 
 def test_t_drastic_values():
     cube = powerset_lattice(3)
     t = t_drastic(cube)
     for x in range(cube.n):
-        assert t.value(x, cube.top) == x
+        assert t.table[x][cube.top] == x
     a, b = cube.index("a"), cube.index("b")
-    assert t.value(a, b) == cube.bottom
+    assert t.table[a][b] == cube.bottom
 
 
 def test_table_refuses_cells_that_are_not_element_ids():
@@ -122,9 +123,9 @@ def test_order_bounds_on_all_enumerated(fig_lattice, lat_m3):
             assert tnorm_le(lo, t) and tnorm_le(t, hi)
             assert tnorm_le(t, t)
             for x in range(lat.n):
-                assert t.value(x, lat.bottom) == lat.bottom
+                assert t.table[x][lat.bottom] == lat.bottom
                 for y in range(lat.n):
-                    assert lat.leq(t.value(x, y), lat.meet(x, y))
+                    assert lat.leq(t.table[x][y], lat.meet(x, y))
 
 
 def test_restricted_between_bounds(fig_lattice, restricted):
@@ -143,7 +144,7 @@ def test_tnorm_le_matches_cell_by_cell(fig_lattice, lat_m3):
         tables = list(enumerate_all_tnorms(lat))
         for t1 in tables:
             for t2 in tables:
-                expected = all(lat.leq(t1.value(x, y), t2.value(x, y)) for x in range(lat.n) for y in range(lat.n))
+                expected = all(lat.leq(t1.table[x][y], t2.table[x][y]) for x in range(lat.n) for y in range(lat.n))
                 assert tnorm_le(t1, t2) == expected
 
 
@@ -194,11 +195,11 @@ def test_left_continuity_witness_is_genuine(fig_extended):
     assert not verdict.ok
     a, x, y = (fig_extended.index(n) for n in verdict.witness)
     j = fig_extended.join(x, y)
-    assert lifted.value(a, j) != fig_extended.join(lifted.value(a, x), lifted.value(a, y))
+    assert lifted.table[a][j] != fig_extended.join(lifted.table[a][x], lifted.table[a][y])
     # the drastic witness from the construction: the inserted atom under c
     w_c, cc, d = (fig_extended.index(n) for n in ("w_c", "c", "d"))
-    assert lifted.value(w_c, fig_extended.join(cc, d)) == w_c
-    assert fig_extended.join(lifted.value(w_c, cc), lifted.value(w_c, d)) == fig_extended.bottom
+    assert lifted.table[w_c][fig_extended.join(cc, d)] == w_c
+    assert fig_extended.join(lifted.table[w_c][cc], lifted.table[w_c][d]) == fig_extended.bottom
 
 
 def test_drastic_left_semicontinuous(corpus_atomistic, corpus_extension):
@@ -308,7 +309,7 @@ SMALL_LATTICES = [
     chain(2),
     chain(4),
     powerset_lattice(2),
-    m3(),
+    diamond(3),
     pentagon(),
     stemmed_diamond(),
     double_atom_tower(),
@@ -430,7 +431,7 @@ PINNED_SCANS = [
     ),
     (
         "drastic on M3",
-        m3(),
+        diamond(3),
         lambda x, y: y if x == "1" else x if y == "1" else "0",
         ("left-continuity", ("a", "a", "b")),
         None,
@@ -438,7 +439,7 @@ PINNED_SCANS = [
     ),
     (
         "x unless y is bottom, on M3",
-        m3(),
+        diamond(3),
         lambda x, y: "0" if y == "0" else x,
         None,
         ("right-continuity", ("a", "a", "b")),
@@ -560,7 +561,7 @@ def _monotone_rows(lat, rows_of_values, op):
     return grid
 
 
-GRID_LATTICES = [chain(3), m3(), pentagon(), stemmed_diamond(), powerset_lattice(3), random_lattice(7, 11)]
+GRID_LATTICES = [chain(3), diamond(3), pentagon(), stemmed_diamond(), powerset_lattice(3), random_lattice(7, 11)]
 
 
 @settings(max_examples=300)
@@ -688,7 +689,7 @@ def test_verify_reads_covers_into_top_in_full():
     so the class rows stand for both on every cover below top, but not on
     a cover into top, whose upper row is the identity: T(b, a) = a is not
     below b."""
-    lat = m3()
+    lat = diamond(3)
     grid = [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 1, 0, 2], [0, 0, 0, 0, 3], [0, 1, 2, 3, 4]]
     assert lat.names == ("0", "a", "b", "c", "1")
     t = TNormTable(lat, grid)
