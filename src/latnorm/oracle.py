@@ -16,7 +16,11 @@ every leaf is made of, not on each leaf. Every leaf is commutative and
 monotone, its bottom row is constant and its top row is the identity, so
 the census classifies it by continuity with
 :func:`latnorm.tnorm.continuity_classifier`, whose contract asks just
-that.
+that. It does so inside the search, one row at a time: a row's values
+are final once its last free cell is assigned, and they keep them at
+every leaf below, so each row is classified when the search completes
+it, and a leaf's bits are the AND of its rows' bits. No leaf is copied
+but those the census keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BoundExceeded, LatnormError
 from .lattice import FiniteLattice, iter_bits
@@ -33,6 +37,10 @@ from .tnorm import TNormTable, continuity_classifier, is_left_semicontinuous, ve
 
 DEFAULT_SIZE_CAP = 8
 DEFAULT_COUNT_CAP = 1_000_000
+# census streams, keeping one table per class pattern, so its count cap
+# bounds only time: it covers every lattice of up to 9 elements (at most
+# 14,707,366 t-norms)
+CENSUS_COUNT_CAP = 15_000_000
 
 CLASS_NAMES = (
     "left_semicontinuous",
@@ -52,7 +60,9 @@ def enumerate_all_tnorms(
     lat: FiniteLattice,
     cap: int = DEFAULT_COUNT_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
-) -> Iterator[TNormTable]:
+    *,
+    classify: Callable[[tuple], int] | None = None,
+) -> Iterator:
     """Stream every t-norm on the lattice, duplicate-free.
 
     The free cells (x, y) are searched smallest first: by ascending
@@ -62,6 +72,12 @@ def enumerate_all_tnorms(
     ``meet(x, y)``, as every neighbour above comes later; they are tried
     in ascending element order. Raises when the element count exceeds
     ``size_cap`` or more than ``cap`` tables exist.
+
+    With ``classify``, a function from a row (a tuple) to an int, the
+    stream yields ``(bits, grid)`` per leaf instead, in the same order:
+    ``bits`` is the AND of ``classify`` over the leaf's rows, and ``grid``
+    is the search's working table, a list of lists that holds the leaf
+    only until the next item is asked for. Copy it to keep it.
 
     Every leaf is a t-norm, so it is yielded without a second check.
     The forced rows give the neutral top and the absorbing bottom,
@@ -141,15 +157,28 @@ def enumerate_all_tnorms(
       to the step that returns to it, the current cell stays above k and
       no cell up to k is written: each keeps the value its check passed
       with.
+    - Rows are complete at their last free cell. Cell (x, y) writes rows
+      x and y. Let cell k be the last free cell in row x, in search
+      order, or none. Once cell k has a value that passes, every cell of
+      row x holds its value, and by the last item it keeps it at every
+      leaf below. So ``classify`` reads row x once per value of cell k,
+      and the AND of the rows complete at cells up to k, kept per depth,
+      is at the last cell the AND over the leaf's rows. The rows with no
+      free cell, bottom and top among them, are read once, up front.
+    - Unchanged rows are shared. Let cell j be the lowest cell written
+      since the previous leaf. Rows whose free cells all come before j
+      are as they were there, so a plain leaf rebuilds only the rows
+      with a free cell at j or later and reuses the previous leaf's
+      tuples for the rest.
 
     Every cell that is not forced is a free cell, on one side of the
     diagonal or the other, so a leaf's cells are forced values and
     entries of the interval lists. The table is n×n as built, and those
     values are checked once, before the search starts, to be element ids,
     so each leaf is built without ``TNormTable``'s check of every cell. A leaf
-    is counted before it is yielded, so ``BoundExceeded`` is raised in
-    place of the first table past ``cap``; with no free cells, the forced
-    table is the one leaf.
+    is counted before it is yielded, with or without ``classify``, so
+    ``BoundExceeded`` is raised in place of the first table past ``cap``;
+    with no free cells, the forced table is the one leaf.
     """
     _check_size(lat, size_cap)
     n = lat.n
@@ -222,16 +251,36 @@ def enumerate_all_tnorms(
     leaf = TNormTable._of_rows
     too_many = f"more than {cap} t-norms; raise the cap to enumerate them"
 
-    def search() -> Iterator[TNormTable]:
+    # final[x] is the last free cell in row x, -1 when the row has none:
+    # done[k] lists the rows that cell k completes, touched[k] the rows
+    # that cell k and the cells after it write
+    final = [-1] * n
+    for k, (x, y) in enumerate(cells):
+        final[x] = final[y] = k
+    done = [[tbl[x] for x in range(n) if final[x] == k] for k in range(len(cells))]
+    touched = [[x for x in range(n) if final[x] >= k] for k in range(len(cells))]
+    # the AND of the bits of the rows without a free cell, top's among them
+    fixed = -1
+    if classify is not None:
+        for x in range(n):
+            if final[x] < 0:
+                fixed &= classify(tuple(tbl[x]))
+
+    def search() -> Iterator:
         count = 0
         if not steps:
             if cap < 1:
                 raise BoundExceeded(too_many)
-            yield leaf(lat, tuple(map(tuple, tbl)))
+            yield leaf(lat, tuple(map(tuple, tbl))) if classify is None else (fixed, tbl)
             return
         last = len(steps) - 1
-        # candidates[j] iterates over cell j's interval, for j up to k
+        # candidates[j] iterates over cell j's interval, for j up to k;
+        # acc[j + 1] is the AND of the bits of the rows complete by cell j
         candidates: list = [None] * len(steps)
+        acc = [fixed] * (len(steps) + 1)
+        # the previous leaf's rows, and the lowest cell written since it
+        rows = [tuple(row) for row in tbl]
+        low = 0
         k = 0
         while True:
             # enter cell k, whose cover neighbours below hold values
@@ -257,23 +306,35 @@ def enumerate_all_tnorms(
                     if k == 0:
                         return
                     k -= 1
+                    if k < low:
+                        low = k
                     row_x, row_y, x, y, _, triples, _ = steps[k]
                     it = candidates[k]
                     continue
+                if classify is not None:
+                    bits = acc[k]
+                    for row in done[k]:
+                        bits &= classify(tuple(row))
+                    acc[k + 1] = bits
                 if k < last:
                     break
                 count += 1
                 if count > cap:
                     raise BoundExceeded(too_many)
-                yield leaf(lat, tuple(map(tuple, tbl)))
+                if classify is not None:
+                    yield bits, tbl
+                else:
+                    for a in touched[low]:
+                        rows[a] = tuple(tbl[a])
+                    low = last
+                    yield leaf(lat, tuple(rows))
             k += 1
 
     return search()
 
 
-def _table_rows(t: TNormTable) -> list[list[str]]:
-    names = t.lattice.names
-    return [[names[v] for v in row] for row in t.table]
+def _table_rows(lat: FiniteLattice, table: tuple) -> list[list[str]]:
+    return [[lat.names[v] for v in row] for row in table]
 
 
 @dataclass
@@ -303,7 +364,7 @@ class CensusReport:
 
 def census(
     lat: FiniteLattice,
-    cap: int = DEFAULT_COUNT_CAP,
+    cap: int = CENSUS_COUNT_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> CensusReport:
     """Classify every t-norm on the lattice by continuity and family membership.
@@ -311,7 +372,9 @@ def census(
     ``generated`` counts tables that coincide with a lifted family member;
     it is null for non-atomistic lattices, where the family is not
     defined. Every call enumerates afresh; nothing is read from or
-    written to disk.
+    written to disk. The count cap, ``CENSUS_COUNT_CAP`` by default,
+    covers every lattice of up to 9 elements: the stream keeps one table
+    per class pattern, so the cap bounds time, not memory.
     """
     _check_size(lat, size_cap)
     atomistic = lat.is_atomistic()
@@ -319,31 +382,34 @@ def census(
     if atomistic:
         family_tables = {g.lifted.table for g in generated_family(lat)}
 
-    classes = continuity_classifier(lat)
     # each distinct class pattern, bit i for CLASS_NAMES[i] but "continuous",
-    # in the order of its first table: [count, first table]
+    # in the order of its first table: [count, first table]; a leaf's grid
+    # is copied only for a new pattern or the family test
     tally: dict = {}
-    for t in enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap):
-        bits = classes(t.table)
-        if atomistic and t.table in family_tables:
-            bits |= 16
+    classified = enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap, classify=continuity_classifier(lat))
+    for bits, grid in classified:
+        table = None
+        if atomistic:
+            table = tuple(map(tuple, grid))
+            if table in family_tables:
+                bits |= 16
         hit = tally.get(bits)
         if hit is None:
-            tally[bits] = [1, t]
+            tally[bits] = [1, table if atomistic else tuple(map(tuple, grid))]
         else:
             hit[0] += 1
     counts = dict.fromkeys(CLASS_NAMES, 0)
     if not atomistic:
         counts["generated"] = None
     witnesses: dict = {}
-    for bits, (count, t) in tally.items():
+    for bits, (count, table) in tally.items():
         if bits & 6 == 6:
             bits |= 8
         for i, name in enumerate(CLASS_NAMES):
             if bits >> i & 1:
                 counts[name] += count
                 if name not in witnesses:
-                    witnesses[name] = {"elements": list(lat.names), "rows": _table_rows(t)}
+                    witnesses[name] = {"elements": list(lat.names), "rows": _table_rows(lat, table)}
     return CensusReport(
         lattice_hash=lat.fingerprint(),
         total=sum(count for count, _ in tally.values()),
@@ -403,8 +469,8 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
             failures.append(f"lift of {g.selection.label()} is not a t-norm: {verdict.describe()}")
     if lat.n <= DEFAULT_SIZE_CAP:
         lsc_lifts = {g.lifted.table for g in family if is_left_semicontinuous(g.lifted)}
-        classes = continuity_classifier(lat)
-        lsc_tables = {t.table for t in enumerate_all_tnorms(lat) if classes(t.table) & 1}
+        classified = enumerate_all_tnorms(lat, classify=continuity_classifier(lat))
+        lsc_tables = {tuple(map(tuple, grid)) for bits, grid in classified if bits & 1}
         if lsc_tables != lsc_lifts:
             failures.append(
                 f"left-semicontinuous tables ({len(lsc_tables)}) are not exactly "

@@ -523,16 +523,19 @@ def is_left_semicontinuous(t: TNormTable) -> Verdict:
 
 
 def continuity_classifier(lat: FiniteLattice) -> Callable[[tuple], int]:
-    """A function from a table's rows on ``lat`` to its continuity bits:
+    """A function from a row of a table on ``lat`` to its continuity bits:
     1 left-semicontinuous, 2 left-continuous, 4 right-continuous.
 
     Contract: on a commutative, monotone table whose bottom row is
-    constant and whose top row is the identity, the bits are the verdicts
-    of :func:`is_left_semicontinuous`, :func:`is_left_continuous` and
-    :func:`is_right_continuous`; on any other table they are unspecified.
-    A table's bits are the AND of its middle rows' bits. Each distinct
-    row is classified once, by :func:`_preservation_failure` on each
-    scan's plan; the memo of rows lives as long as the returned function.
+    constant and whose top row is the identity, the AND of the bits of
+    its rows, or of its middle rows alone, gives the verdicts of
+    :func:`is_left_semicontinuous`, :func:`is_left_continuous` and
+    :func:`is_right_continuous`; on any other table it is unspecified.
+    A row's bits depend on that row alone, so a search may classify each
+    row once it is complete (``enumerate_all_tnorms(..., classify=)``).
+    Each distinct row is classified once, by :func:`_preservation_failure`
+    on each scan's plan; the memo of rows lives as long as the returned
+    function.
 
     - Each scan first checks the empty family, T(a, 0) = 0 for joins and
       T(a, 1) = a for meets. By commutativity T(0, 1) = T(1, 0) = 0, so
@@ -547,25 +550,21 @@ def continuity_classifier(lat: FiniteLattice) -> Callable[[tuple], int]:
       row's witness is not needed here, so neither is the rescan that
       names it.
     - Row bottom is constant and row top is the identity, so both
-      preserve every join and meet, and only the middle rows are read.
+      preserve every join and meet: their bits are 7, and the AND over
+      the middle rows is the AND over all rows.
     """
     scans = [(bit, _scan(lat, op, skip)) for bit, op, skip in ((1, "join", lat.top), (2, "join", -1), (4, "meet", -1))]
-    mids = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
     memo: dict = {}
 
-    def classes(table: tuple) -> int:
-        bits = 7
-        for a in mids:
-            row = table[a]
-            hit = memo.get(row)
-            if hit is None:
-                hit = memo[row] = sum(
-                    bit for bit, scan in scans if _preservation_failure((row,), (0,), scan.plan, scan.masks) is None
-                )
-            bits &= hit
-        return bits
+    def classify(row: tuple) -> int:
+        hit = memo.get(row)
+        if hit is None:
+            hit = memo[row] = sum(
+                bit for bit, scan in scans if _preservation_failure((row,), (0,), scan.plan, scan.masks) is None
+            )
+        return hit
 
-    return classes
+    return classify
 
 
 def restrict(t: TNormTable, members: ElementSet) -> TNormTable:

@@ -1,5 +1,6 @@
 """Brute-force enumeration, census classification, and construction cross-checks."""
 
+import inspect
 import json
 import time
 from dataclasses import replace
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latnorm import oracle
-from latnorm.catalog import atomistic_corpus, chain, diamond, extension_corpus, random_lattice
+from latnorm.catalog import atomistic_corpus, chain, diamond, extension_corpus, pentagon, random_lattice
+from latnorm.cli import main
 from latnorm.construction import generated_family, semicontinuity_criterion
 from latnorm.errors import BoundExceeded, DegenerateLengthWarning
 from latnorm.extension import extend
-from latnorm.lattice import FiniteLattice, lattice_from_covers, load_lattice
+from latnorm.lattice import FiniteLattice, lattice_from_covers, load_lattice, powerset_lattice
 from latnorm.oracle import (
     CLASS_NAMES,
     DEFAULT_SIZE_CAP,
@@ -23,6 +25,7 @@ from latnorm.oracle import (
 )
 from latnorm.tnorm import (
     TNormTable,
+    continuity_classifier,
     is_continuous,
     is_left_continuous,
     is_left_semicontinuous,
@@ -223,6 +226,45 @@ def test_cell_order_independence(lat_m3, fig_extended):
         assert all(tables == sets[0] for tables in sets)
 
 
+# chain2 has no free cell: its one table is the forced one
+CLASSIFIED_LATTICES = {
+    "chain5": chain(5),
+    "N5": pentagon(),
+    "2^3": powerset_lattice(3),
+    **{f"random{seed}": random_lattice(6 + seed % 3, 8100 + seed) for seed in range(3)},
+    "chain2": chain(2),
+}
+
+
+def _classified_until_bound(stream) -> list:
+    seen = []
+    with pytest.raises(BoundExceeded):
+        for _, grid in stream:
+            seen.append(tuple(map(tuple, grid)))
+    return seen
+
+
+@pytest.mark.parametrize("how", LABELLINGS)
+@pytest.mark.parametrize("name", list(CLASSIFIED_LATTICES))
+def test_classified_stream_matches_the_plain_stream(name, how):
+    """With ``classify``, the same leaves in the same order, each with the
+    verdicts of the three public scans as its bits, and ``BoundExceeded``
+    after the same ``cap`` tables."""
+    lat = relabeled(CLASSIFIED_LATTICES[name], how)
+    tables = list(enumerate_all_tnorms(lat))
+    classified = [
+        (bits, tuple(map(tuple, grid)))
+        for bits, grid in enumerate_all_tnorms(lat, classify=continuity_classifier(lat))
+    ]
+    assert [table for _, table in classified] == [t.table for t in tables]
+    for (bits, _), t in zip(classified, tables):
+        verdicts = (is_left_semicontinuous(t), is_left_continuous(t), is_right_continuous(t))
+        assert bits == sum(bit for bit, verdict in zip((1, 2, 4), verdicts) if verdict.ok), t.table
+    cap = len(tables) // 2
+    stream = enumerate_all_tnorms(lat, cap=cap, classify=continuity_classifier(lat))
+    assert _classified_until_bound(stream) == [t.table for t in tables[:cap]]
+
+
 def test_size_cap():
     from latnorm.catalog import diamond
 
@@ -248,6 +290,19 @@ def test_census_count_cap(name, how):
         assert census(lat, cap=report.total).to_json() == report.to_json()
         with pytest.raises(BoundExceeded):
             census(lat, cap=report.total - 1)
+
+
+def test_census_count_cap_covers_nine_elements_and_still_binds(p3):
+    """``census`` counts up to ``CENSUS_COUNT_CAP`` by default, above the
+    14,707,366 t-norms of the largest 9-element lattice, while
+    ``enumerate_all_tnorms`` keeps ``DEFAULT_COUNT_CAP``; a cap below a
+    lattice's total still raises."""
+    assert inspect.signature(census).parameters["cap"].default == oracle.CENSUS_COUNT_CAP == 15_000_000
+    assert inspect.signature(enumerate_all_tnorms).parameters["cap"].default == oracle.DEFAULT_COUNT_CAP
+    assert oracle.DEFAULT_COUNT_CAP == 1_000_000
+    assert census(p3).total == 560
+    with pytest.raises(BoundExceeded, match="more than 559 t-norms"):
+        census(p3, cap=559)
 
 
 def test_census_and_comparison_read_every_table_of_the_module_stream(monkeypatch, p3):
@@ -408,11 +463,13 @@ def test_census_matches_reference_on_repeated_rows():
 def test_census_on_nine_elements():
     """Counts frozen from the census that ran all three scans on every table.
 
-    The budget is 10 s, about 2.6 times the 3.9 s this census takes with
-    the search in one generator frame, each distinct row classified once
-    and the cells and triples that meet at bottom left out of the search
-    (py3.11.7, shared 2-vCPU VM); it took 4.1 s before that last change,
-    9.8 s before the search change and 21.4 s with three scans per table.
+    The budget is 10 s. On a shared 2-vCPU VM (py3.11.7) this census took
+    5.5 s with each row classified once, inside the search, when its last
+    free cell is assigned, against 9.8-10.2 s for the previous code on the
+    same day. That code took 3.9 s on a quieter day; before it, 4.1 s with
+    the cells and triples that meet at bottom still searched, 9.8 s before
+    the search ran in one generator frame and 21.4 s with three scans per
+    table.
     """
     start = time.perf_counter()
     report = census(stalked_antichain(6), cap=3_000_000, size_cap=9)
@@ -426,6 +483,23 @@ def test_census_on_nine_elements():
         "generated": None,
     }
     assert elapsed < 10, f"census took {elapsed:.1f} s, budget 10 s"
+
+
+@pytest.mark.slow
+def test_cli_census_on_a_nine_element_lattice_past_a_million_tables(tmp_path, capsys):
+    """The census count cap covers 9 elements, so the CLI censuses 2,310,603
+    tables once the size cap allows 9 elements."""
+    path = tmp_path / "stalked6.json"
+    path.write_text(stalked_antichain(6).to_json(), encoding="utf-8")
+    assert main(["census", str(path), "--oracle-cap", "9", "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "total t-norms: 2310603\n"
+        "  left_semicontinuous: 2310603\n"
+        "  left_continuous: 0\n"
+        "  right_continuous: 2434\n"
+        "  continuous: 0\n"
+        "  generated: null\n"
+    )
 
 
 def test_census_on_non_atomistic(fig_lattice):

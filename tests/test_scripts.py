@@ -54,7 +54,7 @@ def test_readme_caps_table_matches_the_code():
     parser = build_parser()
     required = {"generate": ["--all"], "restrict": ["--all"]}
     rows = _caps_table()
-    assert len(rows) == 5
+    assert len(rows) == 6
     options = 0
     for module, name, value, bounds in rows:
         assert getattr(importlib.import_module(f"latnorm.{module}"), name) == value, name
