@@ -18,9 +18,9 @@ the census classifies it by continuity with
 :func:`latnorm.tnorm.continuity_classifier`, whose contract asks just
 that. It does so inside the search, one row at a time: a row's values
 are final once its last free cell is assigned, and they keep them at
-every leaf below, so each row is classified when the search completes
-it, and a leaf's bits are the AND of its rows' bits. No leaf is copied
-but those the census keeps.
+every leaf below, so each row is frozen into a tuple and classified
+when the search completes it. A leaf's table is the tuple of its frozen
+rows, and its bits are the AND of their bits.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def enumerate_all_tnorms(
     ``size_cap`` or more than ``cap`` tables exist.
 
     With ``classify``, a function from a row (a tuple) to an int, the
-    stream yields ``(bits, grid)`` per leaf instead, in the same order:
-    ``bits`` is the AND of ``classify`` over the leaf's rows, and ``grid``
-    is the search's working table, a list of lists that holds the leaf
-    only until the next item is asked for. Copy it to keep it.
+    stream yields ``(bits, table)`` per leaf instead, in the same order:
+    ``bits`` is the AND of ``classify`` over the leaf's rows, and
+    ``table`` is the tuple of row tuples that the plain stream's
+    ``TNormTable`` holds.
 
     Every leaf is a t-norm, so it is yielded without a second check.
     The forced rows give the neutral top and the absorbing bottom,
@@ -161,15 +161,12 @@ def enumerate_all_tnorms(
       x and y. Let cell k be the last free cell in row x, in search
       order, or none. Once cell k has a value that passes, every cell of
       row x holds its value, and by the last item it keeps it at every
-      leaf below. So ``classify`` reads row x once per value of cell k,
-      and the AND of the rows complete at cells up to k, kept per depth,
-      is at the last cell the AND over the leaf's rows. The rows with no
-      free cell, bottom and top among them, are read once, up front.
-    - Unchanged rows are shared. Let cell j be the lowest cell written
-      since the previous leaf. Rows whose free cells all come before j
-      are as they were there, so a plain leaf rebuilds only the rows
-      with a free cell at j or later and reuses the previous leaf's
-      tuples for the rest.
+      leaf below. So row x is frozen into a tuple once per value of cell
+      k, ``classify`` reads that tuple, and every leaf below shares it.
+      The AND of the bits of the rows complete at cells up to k, kept per
+      depth, is at the last cell the AND over the leaf's rows. The rows
+      with no free cell, bottom and top among them, are frozen and read
+      once, up front.
 
     Every cell that is not forced is a free cell, on one side of the
     diagonal or the other, so a leaf's cells are forced values and
@@ -251,36 +248,34 @@ def enumerate_all_tnorms(
     leaf = TNormTable._of_rows
     too_many = f"more than {cap} t-norms; raise the cap to enumerate them"
 
-    # final[x] is the last free cell in row x, -1 when the row has none:
-    # done[k] lists the rows that cell k completes, touched[k] the rows
-    # that cell k and the cells after it write
+    # final[x] is the last free cell in row x, -1 when the row has none;
+    # done[k] lists the rows that cell k completes
     final = [-1] * n
     for k, (x, y) in enumerate(cells):
         final[x] = final[y] = k
-    done = [[tbl[x] for x in range(n) if final[x] == k] for k in range(len(cells))]
-    touched = [[x for x in range(n) if final[x] >= k] for k in range(len(cells))]
+    done = [[x for x in range(n) if final[x] == k] for k in range(len(cells))]
+    # rows[x] is row x frozen: the rows without a free cell here, the
+    # others each time the search completes them
+    rows = [tuple(row) for row in tbl]
     # the AND of the bits of the rows without a free cell, top's among them
     fixed = -1
     if classify is not None:
         for x in range(n):
             if final[x] < 0:
-                fixed &= classify(tuple(tbl[x]))
+                fixed &= classify(rows[x])
 
     def search() -> Iterator:
         count = 0
         if not steps:
             if cap < 1:
                 raise BoundExceeded(too_many)
-            yield leaf(lat, tuple(map(tuple, tbl))) if classify is None else (fixed, tbl)
+            yield leaf(lat, tuple(rows)) if classify is None else (fixed, tuple(rows))
             return
         last = len(steps) - 1
         # candidates[j] iterates over cell j's interval, for j up to k;
         # acc[j + 1] is the AND of the bits of the rows complete by cell j
         candidates: list = [None] * len(steps)
         acc = [fixed] * (len(steps) + 1)
-        # the previous leaf's rows, and the lowest cell written since it
-        rows = [tuple(row) for row in tbl]
-        low = 0
         k = 0
         while True:
             # enter cell k, whose cover neighbours below hold values
@@ -306,28 +301,22 @@ def enumerate_all_tnorms(
                     if k == 0:
                         return
                     k -= 1
-                    if k < low:
-                        low = k
                     row_x, row_y, x, y, _, triples, _ = steps[k]
                     it = candidates[k]
                     continue
-                if classify is not None:
-                    bits = acc[k]
-                    for row in done[k]:
-                        bits &= classify(tuple(row))
-                    acc[k + 1] = bits
+                bits = acc[k]
+                for a in done[k]:
+                    row = rows[a] = tuple(tbl[a])
+                    if classify is not None:
+                        bits &= classify(row)
+                acc[k + 1] = bits
                 if k < last:
                     break
                 count += 1
                 if count > cap:
                     raise BoundExceeded(too_many)
-                if classify is not None:
-                    yield bits, tbl
-                else:
-                    for a in touched[low]:
-                        rows[a] = tuple(tbl[a])
-                    low = last
-                    yield leaf(lat, tuple(rows))
+                table = tuple(rows)
+                yield leaf(lat, table) if classify is None else (bits, table)
             k += 1
 
     return search()
@@ -383,19 +372,15 @@ def census(
         family_tables = {g.lifted.table for g in generated_family(lat)}
 
     # each distinct class pattern, bit i for CLASS_NAMES[i] but "continuous",
-    # in the order of its first table: [count, first table]; a leaf's grid
-    # is copied only for a new pattern or the family test
+    # in the order of its first table: [count, first table]
     tally: dict = {}
     classified = enumerate_all_tnorms(lat, cap=cap, size_cap=size_cap, classify=continuity_classifier(lat))
-    for bits, grid in classified:
-        table = None
-        if atomistic:
-            table = tuple(map(tuple, grid))
-            if table in family_tables:
-                bits |= 16
+    for bits, table in classified:
+        if atomistic and table in family_tables:
+            bits |= 16
         hit = tally.get(bits)
         if hit is None:
-            tally[bits] = [1, table if atomistic else tuple(map(tuple, grid))]
+            tally[bits] = [1, table]
         else:
             hit[0] += 1
     counts = dict.fromkeys(CLASS_NAMES, 0)
@@ -470,7 +455,7 @@ def oracle_vs_construction(lat: FiniteLattice) -> OracleComparison:
     if lat.n <= DEFAULT_SIZE_CAP:
         lsc_lifts = {g.lifted.table for g in family if is_left_semicontinuous(g.lifted)}
         classified = enumerate_all_tnorms(lat, classify=continuity_classifier(lat))
-        lsc_tables = {tuple(map(tuple, grid)) for bits, grid in classified if bits & 1}
+        lsc_tables = {table for bits, table in classified if bits & 1}
         if lsc_tables != lsc_lifts:
             failures.append(
                 f"left-semicontinuous tables ({len(lsc_tables)}) are not exactly "
