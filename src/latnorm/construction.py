@@ -137,6 +137,13 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     double join over all atoms below each argument (kept as a test
     oracle) and always yields a t-norm.
 
+    The atoms below x ∧ y are those below both x and y, so with the atom
+    keys of :meth:`FiniteLattice.atom_keys` and the key ``sel`` of the
+    idempotent atoms, T(x, y) = join(keys[x] & keys[y] & sel) off top.
+    Row x depends only on keys[x] & sel, so one row is computed per
+    distinct such key and copied to each of its elements with column top
+    set to x. No meet table is read.
+
     The table's elements must be named, in order, as the bottom, the
     atoms and the top of ``lat``: a missing name raises
     :class:`UnknownLabel`, any other list :class:`LatticeMismatch`.
@@ -147,23 +154,29 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     if ids != list(iter_bits(lat.atoms_mask | 1 << lat.bottom | 1 << lat.top)):
         raise LatticeMismatch("table is not on the skeleton of this lattice")
     on_skeleton = t_on_skeleton.table
-    idem_mask = 0
+    # sel may hold top's bit: top is an atom only on the 2-element chain,
+    # where only row and column top, both set apart below, lie above it
+    am = lat.atoms_mask
+    sel = 0
+    bit = 1
     for i, p in enumerate(ids):
-        if on_skeleton[i][i] == i:
-            idem_mask |= 1 << p
-    # idem_mask also holds bottom and top; spans ANDs it with the atoms,
-    # and top can be an atom only in the degenerate length-1 case, where
-    # the formula below never consults idem_mask
+        if am >> p & 1:
+            if on_skeleton[i][i] == i:
+                sel |= bit
+            bit <<= 1
+    keys, joins = lat.atom_keys()
+    keys = [k & sel for k in keys]
     n = lat.n
     top = lat.top
-    am = lat.atoms_mask
-    spans = [lat.join_all(iter_bits(am & lat.downs[z] & idem_mask)) for z in range(n)]
+    rows = {}
     tbl = []
-    for x, mrow in enumerate(lat.meet_table):
-        row = list(map(spans.__getitem__, mrow))
+    for x, kx in enumerate(keys):
+        row = rows.get(kx)
+        if row is None:
+            row = rows[kx] = list(map(joins.__getitem__, map(kx.__and__, keys)))
         row[top] = x
-        tbl.append(row)
-    tbl[top] = range(n)
+        tbl.append(tuple(row))
+    tbl[top] = tuple(range(n))
     return TNormTable(lat, tbl)
 
 

@@ -349,11 +349,16 @@ class _Scan:
     tables read the first, only failing rows the second, and one lattice
     often has many tables scanned. Why these listings decide each scan
     is in :func:`_preserves`.
+
+    ``unit`` is the op of the empty family, and ``unit_meets`` lists
+    a ∧ ``unit`` for each a, the column the empty family's check reads.
     """
 
     def __init__(self, lat: FiniteLattice, op: str, skip: int):
         self.masks, irreducible = (lat.ups, lat.ji_mask) if op == "join" else (lat.downs, lat.mi_mask)
         self.element = dict(zip(self.masks, range(lat.n)))
+        self.unit = unit = self.element[lat.full_mask]
+        self.unit_meets = tuple(lat.meet(a, unit) for a in range(lat.n))
         self.skip = skip
         self.lattice_covers = lat.covers
         self.rows: dict = {}
@@ -460,11 +465,10 @@ def _preserves(t: TNormTable, axiom: str, op: str, skip: int) -> Verdict:
     lat = t.lattice
     tbl = t.table
     n = lat.n
-    meet = lat.meet_table
     scan = _scan(lat, op, skip)
-    unit = scan.element[lat.full_mask]
+    unit, meets = scan.unit, scan.unit_meets
     for a in range(n):
-        if tbl[a][unit] != meet[a][unit]:
+        if tbl[a][unit] != meets[a]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
     gens = t._generator_rows
     pairs = scan.plan

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from latnorm.errors import BoundExceeded
+from latnorm.errors import BoundExceeded, NoBottom, NotALattice, NoTop
 from latnorm.lattice import FiniteLattice, iter_bits, lattice_from_covers
 from latnorm.construction import AtomSelection, AtomSkeleton, GeneratedTNorm
 from latnorm.oracle import DEFAULT_COUNT_CAP, DEFAULT_SIZE_CAP, _check_size
@@ -85,6 +85,67 @@ def set_based_first_missing(names, cover_pairs):
             if _unique_extreme(above[x] & above[y], above) is None:
                 return (x, y), "join"
     return None
+
+
+def all_pairs_lattice(names, cover_pairs):
+    """What :func:`lattice_from_covers` must give on an acyclic relation
+    over distinct known names, validated by sweeping every pair.
+
+    Returns ``(error, None)`` with the error it must raise, or ``(None,
+    fields)`` with every public order field and the meet table. The
+    closure is Warshall's over down-set masks; every pair xi <= yi is
+    checked in file order, meet before join, against the masks of the
+    common lower and upper bounds; the fields are read off their
+    definitions.
+    """
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    downs = [1 << i for i in range(n)]
+    for lo, hi in cover_pairs:
+        downs[index[hi]] |= 1 << index[lo]
+    for k in range(n):
+        for i in range(n):
+            if downs[i] >> k & 1:
+                downs[i] |= downs[k]
+    ups = [sum(1 << y for y in range(n) if downs[y] >> x & 1) for x in range(n)]
+    minimal = [i for i in range(n) if downs[i] == 1 << i]
+    if len(minimal) != 1:
+        return NoBottom(f"expected one minimal element, found {[names[i] for i in minimal]}"), None
+    maximal = [i for i in range(n) if ups[i] == 1 << i]
+    if len(maximal) != 1:
+        return NoTop(f"expected one maximal element, found {[names[i] for i in maximal]}"), None
+    by_downs = {d: i for i, d in enumerate(downs)}
+    by_ups = {u: i for i, u in enumerate(ups)}
+    meet_table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            if downs[x] & downs[y] not in by_downs:
+                return NotALattice((names[x], names[y]), "meet"), None
+            if ups[x] & ups[y] not in by_ups:
+                return NotALattice((names[x], names[y]), "join"), None
+            meet_table[x][y] = meet_table[y][x] = by_downs[downs[x] & downs[y]]
+    covers = [(x, y) for x in range(n) for y in range(n) if x != y and ups[x] & downs[y] == 1 << x | 1 << y]
+    lower = [[x for x, y in covers if y == z] for z in range(n)]
+    upper = [[y for x, y in covers if x == z] for z in range(n)]
+    bottom, top = minimal[0], maximal[0]
+    height = [0] * n
+    for x in sorted(range(n), key=lambda v: downs[v].bit_count()):
+        height[x] = max((height[lo] + 1 for lo in lower[x]), default=0)
+    fields = {
+        "names": tuple(names),
+        "ups": tuple(ups),
+        "downs": tuple(downs),
+        "covers": tuple(covers),
+        "bottom": bottom,
+        "top": top,
+        "atoms_mask": sum(1 << x for x in range(n) if lower[x] == [bottom]),
+        "ji_mask": sum(1 << x for x in range(n) if len(lower[x]) == 1),
+        "mi_mask": sum(1 << x for x in range(n) if len(upper[x]) == 1),
+        "length": max(height),
+        "full_mask": (1 << n) - 1,
+        "meet_table": tuple(map(tuple, meet_table)),
+    }
+    return None, fields
 
 
 def join_of(lat: FiniteLattice, elements) -> int:

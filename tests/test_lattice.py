@@ -23,6 +23,7 @@ from latnorm.errors import (
 from latnorm.extension import extend
 from latnorm.lattice import (
     DEFAULT_ATOM_CAP,
+    POWERSET_MAX_ATOMS,
     ElementSet,
     FiniteLattice,
     induced_sublattice,
@@ -34,6 +35,7 @@ from latnorm.lattice import (
 from latnorm.tnorm import is_left_continuous, t_drastic
 
 from oracles import (
+    all_pairs_lattice,
     all_subsets_atom_union,
     atomistic_by_joins,
     boolean_by_pairwise_unions,
@@ -199,6 +201,41 @@ def test_lattice_check_matches_set_based_oracle(relation):
     assert lat.length == max(height.values())
 
 
+def _seeded_bounded_poset(seed: int):
+    """Bottom 0 below and top 1 above up to eight middle elements, whose
+    order is drawn over one linear extension at a seeded density; the
+    element list and the pair list come shuffled."""
+    rng = random.Random(seed)
+    k = rng.randint(0, 8)
+    density = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+    mids = [f"m{i}" for i in range(k)]
+    middle = [(a, b) for a, b in itertools.combinations(mids, 2) if rng.random() < density]
+    names = ["0", *mids, "1"]
+    rng.shuffle(names)
+    pairs = [("0", "1"), *(("0", m) for m in mids), *((m, "1") for m in mids), *middle]
+    rng.shuffle(pairs)
+    return names, pairs
+
+
+def test_cover_pair_validation_matches_the_all_pairs_reference():
+    """Deciding lattice-ness on pairs of lower covers gives, on 5,000
+    seeded bounded posets, the error class and message of a sweep over
+    every pair, and on a lattice the fields and meet table it derives."""
+    failures = 0
+    for seed in range(5000):
+        names, pairs = _seeded_bounded_poset(seed)
+        error, fields = all_pairs_lattice(names, pairs)
+        try:
+            lat = lattice_from_covers(names, pairs)
+        except NotALattice as exc:
+            assert (type(exc), str(exc)) == (type(error), str(error)), (seed, exc, error)
+            failures += 1
+            continue
+        assert error is None, (seed, error)
+        assert {name: getattr(lat, name) for name in fields} == fields, seed
+    assert failures >= 250, failures
+
+
 def test_cycle_message_names_an_element_on_the_cycle():
     """0 < a < b < c < b and c < 1: a and 1 lie below and above a 2-cycle,
     and in every element order and pair rotation the message names b or c."""
@@ -303,6 +340,18 @@ def test_powerset_atomistic_boolean(k):
     assert rebuilt.meet_table == lat.meet_table
     joins = set_based_join_table(lat)
     assert all(rebuilt.join(x, y) == lat.join(x, y) == joins[x][y] for x in range(lat.n) for y in range(lat.n))
+
+
+def test_meets_match_the_meet_table(corpus_atomistic, corpus_extension):
+    for lat in itertools.chain(corpus_atomistic.values(), corpus_extension.values()):
+        table = lat.meet_table
+        assert all(lat.meet(x, y) == table[x][y] for x in range(lat.n) for y in range(lat.n)), lat.names
+
+
+def test_largest_powerset_builds_without_a_meet_table():
+    lat = powerset_lattice(POWERSET_MAX_ATOMS)
+    assert lat.n == 1 << POWERSET_MAX_ATOMS and lat.is_boolean_atomistic()
+    assert "meet" not in lat._memo
 
 
 def test_powerset_bound():
