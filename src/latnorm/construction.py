@@ -140,6 +140,8 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     The atoms below x ∧ y are those below both x and y, so with the atom
     keys of :meth:`FiniteLattice.atom_keys` and the key ``sel`` of the
     idempotent atoms, T(x, y) = join(keys[x] & keys[y] & sel) off top.
+    The selection is read off the keys too: an atom's key is its own
+    bit, so ``sel`` is the OR of ``keys[p]`` over the idempotent atoms p.
     Row x depends only on keys[x] & sel, so one row is computed per
     distinct such key and copied to each of its elements with column top
     set to x. No meet table is read.
@@ -154,17 +156,16 @@ def lift(lat: FiniteLattice, t_on_skeleton: TNormTable) -> TNormTable:
     if ids != list(iter_bits(lat.atoms_mask | 1 << lat.bottom | 1 << lat.top)):
         raise LatticeMismatch("table is not on the skeleton of this lattice")
     on_skeleton = t_on_skeleton.table
-    # sel may hold top's bit: top is an atom only on the 2-element chain,
-    # where only row and column top, both set apart below, lie above it
+    keys, joins = lat.atom_keys()
+    # sel is the key of the idempotent atoms, an atom's key its own bit.
+    # The atom guard matters: keys[top] holds every atom. sel may hold
+    # top's bit: top is an atom only on the 2-element chain, where only
+    # row and column top, both set apart below, lie above it
     am = lat.atoms_mask
     sel = 0
-    bit = 1
     for i, p in enumerate(ids):
-        if am >> p & 1:
-            if on_skeleton[i][i] == i:
-                sel |= bit
-            bit <<= 1
-    keys, joins = lat.atom_keys()
+        if am >> p & 1 and on_skeleton[i][i] == i:
+            sel |= keys[p]
     keys = [k & sel for k in keys]
     n = lat.n
     top = lat.top

@@ -89,17 +89,17 @@ def restrict_to_original(ext: ExtendedLattice, g: GeneratedTNorm) -> TNormTable:
     if g.lifted.lattice is not ext.extended:
         raise LatticeMismatch("generated t-norm must live on the extended lattice")
     n0 = ext.original.n
-    for x in range(n0):
-        for y in range(n0):
-            v = g.lifted.table[x][y]
-            if v >= n0:
-                inserted_under = {w: p for p, w in ext.new_atoms.items()}
-                raise ConditionCViolated(
-                    ext.extended.name(inserted_under[v]),
-                    (ext.original.name(x), ext.original.name(y)),
-                )
-    table = [row[:n0] for row in g.lifted.table[:n0]]
-    return TNormTable(ext.original, table)
+    rows = [row[:n0] for row in g.lifted.table[:n0]]
+    for x, row in enumerate(rows):
+        if max(row) >= n0:
+            # the first cell in row-major order that leaves the original
+            y, v = next((y, v) for y, v in enumerate(row) if v >= n0)
+            inserted_under = {w: p for p, w in ext.new_atoms.items()}
+            raise ConditionCViolated(
+                ext.extended.name(inserted_under[v]),
+                (ext.original.name(x), ext.original.name(y)),
+            )
+    return TNormTable(ext.original, rows)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ byte-stable. Every lattice is built and validated by one constructor,
 :func:`lattice_from_covers`. Order data is held as per-element bitmasks:
 a meet is the element whose down-set is the common down-set, a join the
 one whose up-set is the common up-set, so each is one lookup of a mask.
-No n×n table is built with the lattice: lattice-ness is decided on pairs
-of lower covers, and the meet table is filled on first read. That keeps
-construction fast enough for exhaustive desk-scale work.
+No n×n table is built with the lattice or kept on it: lattice-ness is
+decided on pairs of lower covers, and each table derived from the order
+lives with the module that reads it (the meet table is ``tnorm.t_min``).
+That keeps construction fast enough for exhaustive desk-scale work. A
+lattice's ``_memo`` holds what is derived from it on first use: this
+module writes the fingerprint and the atom keys, :mod:`latnorm.tnorm` the
+set of element ids, the comparable pairs and the continuity scans.
 """
 
 from __future__ import annotations
@@ -94,13 +98,14 @@ class FiniteLattice:
 
     Immutable after construction; safe to share between threads. Use
     :func:`lattice_from_covers` or :func:`powerset_lattice` to build one.
-    The fingerprint, the comparable pairs, the meet table, the atom keys
-    and what other modules derive from the lattice alone (the set of
-    element ids, the continuity scans' pair listings) are filled on first
-    use and kept in ``_memo`` for the lattice's life; equality, hashing
-    and serialization never read them. Meets are read off ``_by_downs``,
-    the map from each element's down-set mask to the element, and joins
-    off ``_by_ups``, its dual.
+    The lattice holds the order and its masks. ``_memo`` keeps, for the
+    lattice's life, what is derived from it alone on first use: the
+    fingerprint and the atom keys, written here, and the set of element
+    ids, the comparable pairs and the continuity scans' pair listings,
+    written by :mod:`latnorm.tnorm`. Equality, hashing and serialization
+    never read it. Meets are read off ``_by_downs``, the map from each
+    element's down-set mask to the element, and joins off ``_by_ups``,
+    its dual.
     """
 
     __slots__ = (
@@ -165,22 +170,6 @@ class FiniteLattice:
 
     def meet(self, x: int, y: int) -> int:
         return self._by_downs[self.downs[x] & self.downs[y]]
-
-    @property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """Every meet, ``meet_table[x][y]``, built on first read."""
-        table = self._memo.get("meet")
-        if table is None:
-            n = self.n
-            downs, by_downs = self.downs, self._by_downs
-            rows = [[0] * n for _ in range(n)]
-            for x in range(n):
-                dx = downs[x]
-                row = rows[x]
-                for y in range(x, n):
-                    row[y] = rows[y][x] = by_downs[dx & downs[y]]
-            table = self._memo["meet"] = tuple(map(tuple, rows))
-        return table
 
     def join(self, x: int, y: int) -> int:
         return self._by_ups[self.ups[x] & self.ups[y]]
@@ -305,15 +294,6 @@ class FiniteLattice:
             joins = AtomJoins(tuple(self.ups[a] for a in atoms), self._by_ups, self.full_mask)
             found = self._memo["atom_keys"] = (tuple(keys), joins)
         return found
-
-    def comparable_pairs(self) -> frozenset[tuple[int, int]]:
-        """Every pair (x, y) of element ids with x <= y."""
-        pairs = self._memo.get("comparable")
-        if pairs is None:
-            pairs = self._memo["comparable"] = frozenset(
-                (x, y) for x in range(self.n) for y in iter_bits(self.ups[x])
-            )
-        return pairs
 
     # -- serialization -----------------------------------------------------------
 

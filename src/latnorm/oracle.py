@@ -180,7 +180,13 @@ def enumerate_all_tnorms(
     _check_size(lat, size_cap)
     n = lat.n
     bot, top = lat.bottom, lat.top
-    meet = lat.meet_table
+
+    # meet[x][y] is x ∧ y, the element whose down-set is the common
+    # down-set; join[x][y] is x ∨ y, its dual on up-sets
+    by_downs = dict(zip(lat.downs, range(n)))
+    meet = [tuple(map(by_downs.__getitem__, map(d.__and__, lat.downs))) for d in lat.downs]
+    by_ups = dict(zip(lat.ups, range(n)))
+    join = [tuple(map(by_ups.__getitem__, map(u.__and__, lat.ups))) for u in lat.ups]
 
     # forced: the top row and column are the identity, and every cell whose
     # arguments meet at bottom, the bottom row and column among them, is
@@ -195,11 +201,8 @@ def enumerate_all_tnorms(
     cells.sort(key=lambda c: (lat.downs[c[0]].bit_count() + lat.downs[c[1]].bit_count(), c))
     position = {cell: k for k, cell in enumerate(cells)}
 
-    # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending;
-    # join[x][y] is x ∨ y, the element whose up-set is the common up-set
+    # interval[lo][hi] lists the elements v with lo <= v <= hi, ascending
     interval = [[list(iter_bits(lat.ups[lo] & lat.downs[hi])) for hi in range(n)] for lo in range(n)]
-    element_of = dict(zip(lat.ups, range(n)))
-    join = [tuple(map(element_of.__getitem__, map(u.__and__, lat.ups))) for u in lat.ups]
 
     # Per cell (x, y), its free cover neighbours below, each as a row and a
     # column: (x', y) for each lower cover x' of x and (x, y') for each

@@ -185,7 +185,7 @@ def verify_tnorm(t: TNormTable) -> Verdict:
         # the first row of each element's class; top is its own
         rep = [x if x == top else firsts.setdefault(row[:top] + row[top + 1 :], x) for x, row in enumerate(tbl)]
         reps = tuple(firsts.values())
-        comparable = lat.comparable_pairs()
+        comparable = _comparable_pairs(lat)
         # two or more elements whenever there is a cover, so pick returns a tuple
         pick = itemgetter(*reps, top)
         proj = [pick(row) for row in tbl]
@@ -294,8 +294,9 @@ def _associativity_failure(tbl: tuple, proj: list, xs: tuple, ys: tuple) -> tupl
 
 
 def t_min(lat: FiniteLattice) -> TNormTable:
-    """The strongest t-norm: pointwise meet."""
-    return TNormTable(lat, lat.meet_table)
+    """The strongest t-norm, pointwise meet: the meet table, as a t-norm."""
+    n = lat.n
+    return TNormTable(lat, [[lat.meet(x, y) for y in range(n)] for x in range(n)])
 
 
 def t_drastic(lat: FiniteLattice) -> TNormTable:
@@ -314,7 +315,7 @@ def tnorm_le(t1: TNormTable, t2: TNormTable) -> bool:
     if t1.lattice is not t2.lattice:
         raise LatticeMismatch("tables live on different lattices")
     cells = zip(chain.from_iterable(t1.table), chain.from_iterable(t2.table))
-    return t1.lattice.comparable_pairs().issuperset(cells)
+    return _comparable_pairs(t1.lattice).issuperset(cells)
 
 
 def idempotents(t: TNormTable) -> ElementSet:
@@ -338,7 +339,7 @@ class _Scan:
     w = x ∨ y exactly when ↑w = ↑x ∩ ↑y, and w = x ∧ y exactly when
     ↓w = ↓x ∩ ↓y. Likewise the op of the empty family, bottom for joins
     and top for meets, is the element whose mask is full. So no op table
-    is read, and nothing below depends on the op.
+    is read, and past the set-up nothing depends on the op.
 
     ``plan`` is built with the scan: the incomparable pairs x < y with an
     op-irreducible end. The y incomparable to x and above it in element
@@ -352,13 +353,15 @@ class _Scan:
 
     ``unit`` is the op of the empty family, and ``unit_meets`` lists
     a ∧ ``unit`` for each a, the column the empty family's check reads.
+    No meet is looked up for it: a ∧ 0 = 0 and a ∧ 1 = a, so it is all
+    bottom for joins and the identity for meets.
     """
 
     def __init__(self, lat: FiniteLattice, op: str, skip: int):
         self.masks, irreducible = (lat.ups, lat.ji_mask) if op == "join" else (lat.downs, lat.mi_mask)
         self.element = dict(zip(self.masks, range(lat.n)))
-        self.unit = unit = self.element[lat.full_mask]
-        self.unit_meets = tuple(lat.meet(a, unit) for a in range(lat.n))
+        self.unit = self.element[lat.full_mask]
+        self.unit_meets = (lat.bottom,) * lat.n if op == "join" else tuple(range(lat.n))
         self.skip = skip
         self.lattice_covers = lat.covers
         self.rows: dict = {}
@@ -402,6 +405,19 @@ def _scan(lat: FiniteLattice, op: str, skip: int) -> _Scan:
     return lat._memo[key]
 
 
+def _comparable_pairs(lat: FiniteLattice) -> frozenset[tuple[int, int]]:
+    """Every pair (x, y) of element ids of ``lat`` with x <= y, memoised.
+
+    The order tests of :func:`verify_tnorm` and :func:`tnorm_le` read it
+    with ``issuperset``, which is faster than tests through up-set masks
+    or the meet table.
+    """
+    pairs = lat._memo.get("comparable")
+    if pairs is None:
+        pairs = lat._memo["comparable"] = frozenset((x, y) for x in range(lat.n) for y in iter_bits(lat.ups[x]))
+    return pairs
+
+
 def _preserves(t: TNormTable, axiom: str, op: str, skip: int) -> Verdict:
     """First place where a row of ``t`` fails to preserve the lattice's ``op``.
 
@@ -412,7 +428,8 @@ def _preserves(t: TNormTable, axiom: str, op: str, skip: int) -> Verdict:
     op u is the element whose mask is full (the empty AND, see
     :class:`_Scan`), bottom for joins and top for meets, is checked first
     as T(a, u) = a ∧ u, which reads T(a, 0) = 0 for joins and the
-    neutral axiom for meets.
+    neutral axiom T(a, 1) = a for meets; the scan lists those values
+    without a meet lookup.
 
     A diagonal pair never fails: T(a, x op x) = T(a, x) = T(a, x) op
     T(a, x). So the full scan runs over every x < y whose op is not

@@ -66,6 +66,15 @@ def set_based_meets_joins(names, cover_pairs):
 
 
 @lru_cache(maxsize=64)
+def set_based_meet_table(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
+    """``lat``'s meets by element id, from :func:`set_based_meets_joins`;
+    kept per lattice, as a reference scan or search reads them for every
+    table. Nothing of the code under test computes them."""
+    meets, _ = set_based_meets_joins(lat.names, lat.covers_named())
+    return tuple(tuple(lat.index(meets[x, y]) for y in lat.names) for x in lat.names)
+
+
+@lru_cache(maxsize=64)
 def set_based_join_table(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
     """``lat``'s joins by element id, from :func:`set_based_meets_joins`;
     kept per lattice, as a reference scan reads them for every table."""
@@ -509,14 +518,16 @@ def reference_preserves(t: TNormTable, axiom: str, op, unit: int, skip: int = -1
     """First place where a row of ``t`` fails to preserve the operation table ``op``.
 
     The body of the continuity scan before it planned its pairs, kept
-    verbatim: the empty family as T(a, unit) = a ∧ unit, then
+    verbatim but for its meets, read from :func:`set_based_meet_table`
+    so that none comes from the code under test: the empty family as
+    T(a, unit) = a ∧ unit, then
     T(a, x op y) = T(a, x) op T(a, y) for every a and every id pair x <= y,
     in (a, x, y) order, leaving out pairs with x op y = ``skip``.
     """
     lat = t.lattice
     tbl = t.table
     n = lat.n
-    meet = lat.meet_table
+    meet = set_based_meet_table(lat)
     for a in range(n):
         if tbl[a][unit] != meet[a][unit]:
             return Verdict(False, f"{axiom}(empty)", (lat.name(a), lat.name(unit)))
@@ -537,7 +548,7 @@ def reference_continuity_scans(t: TNormTable) -> tuple[Verdict, Verdict, Verdict
     lat = t.lattice
     return (
         reference_preserves(t, "left-continuity", set_based_join_table(lat), lat.bottom),
-        reference_preserves(t, "right-continuity", lat.meet_table, lat.top),
+        reference_preserves(t, "right-continuity", set_based_meet_table(lat), lat.top),
         reference_preserves(t, "left-semicontinuity", set_based_join_table(lat), lat.bottom, skip=lat.top),
     )
 
@@ -570,20 +581,21 @@ def reference_enumerate_all_tnorms(
     """Every t-norm on the lattice, streamed by the original backtracking search.
 
     The body of ``enumerate_all_tnorms`` before its interval domains,
-    kept verbatim except for this docstring and its cell order, the
-    production enumerator's: cells (x, y) by ascending |↓x| + |↓y|, ties
-    by ids. Every candidate is tested against every monotone neighbour
-    below and above, ``triple_ok`` runs on every touching triple,
-    ``producers`` rechecks the triples an assignment completes at second
-    level, and the leaf sweep checks every triple, so none of the
-    production enumerator's proofs is relied on. It must yield the same
-    tables in the same order, and raise ``BoundExceeded`` at the same
-    ``cap``.
+    kept verbatim except for this docstring, its meets, read from
+    :func:`set_based_meet_table` so that none comes from the code under
+    test, and its cell order, the production enumerator's: cells (x, y)
+    by ascending |↓x| + |↓y|, ties by ids. Every candidate is tested
+    against every monotone neighbour below and above, ``triple_ok`` runs
+    on every touching triple, ``producers`` rechecks the triples an
+    assignment completes at second level, and the leaf sweep checks every
+    triple, so none of the production enumerator's proofs is relied on.
+    It must yield the same tables in the same order, and raise
+    ``BoundExceeded`` at the same ``cap``.
     """
     _check_size(lat, size_cap)
     n = lat.n
     bot, top = lat.bottom, lat.top
-    meet = lat.meet_table
+    meet = set_based_meet_table(lat)
     leq = lat.leq
 
     tbl: list[list[int | None]] = [[None] * n for _ in range(n)]

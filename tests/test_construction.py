@@ -252,19 +252,6 @@ def test_lift_extremes(corpus_atomistic):
         assert empty.table == t_drastic(lat).table
 
 
-def test_lift_request_builds_no_meet_table():
-    """The steps of one ``generate --alpha`` request on 2^8 (build, lift,
-    verify and both semicontinuity decisions) read meets one at a time,
-    so the meet table stays unbuilt."""
-    lat = powerset_lattice(8)
-    sel = AtomSelection.from_names(lat, ["a", "c", "d", "g"])
-    lifted = lift(lat, skeleton_tnorm(skeleton(lat), sel))
-    assert verify_tnorm(lifted).ok
-    assert is_left_semicontinuous(lifted).ok
-    assert semicontinuity_criterion(lat, sel).ok
-    assert "meet" not in lat._memo
-
-
 def test_family_sizes(fig_extended, p2, two_chain):
     assert len(generated_family(fig_extended)) == 8
     assert len(generated_family(p2)) == 4

@@ -150,6 +150,32 @@ def test_restriction_violation_witness(fig_ext):
     assert err.value.witness == ("c", "c")
 
 
+def test_restriction_violations_match_a_row_major_scan(corpus_extension):
+    """Every member that fails the gate raises naming the first cell, in
+    row-major order over the original's ids, whose value is an inserted
+    atom, and the join-irreducible that atom was inserted under."""
+    failing = 0
+    for name, lat in corpus_extension.items():
+        ext = extend(lat)
+        if ext.extended.atoms_mask.bit_count() > 12:
+            continue
+        n0 = lat.n
+        inserted_under = {w: p for p, w in ext.new_atoms.items()}
+        with degenerate_warning(ext.extended):
+            family = generated_family(ext.extended)
+        for g in family:
+            if condition_c(ext, g.selection).ok:
+                continue
+            tbl = g.lifted.table
+            x, y = next((x, y) for x in range(n0) for y in range(n0) if tbl[x][y] >= n0)
+            with pytest.raises(ConditionCViolated) as err:
+                restrict_to_original(ext, g)
+            expected = (ext.extended.name(inserted_under[tbl[x][y]]), (lat.name(x), lat.name(y)))
+            assert (err.value.p, err.value.witness) == expected, (name, g.selection)
+            failing += 1
+    assert failing
+
+
 def test_gate_iff_closure(corpus_extension):
     """Both directions of the gate, exhaustively over selections."""
     for name, lat in corpus_extension.items():

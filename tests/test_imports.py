@@ -62,9 +62,9 @@ def _defined_outside(stem: str) -> set[str]:
     return set().union(*(names for other, names in DEFINED_BY.items() if other != stem))
 
 # (reading module, attribute) of the private attributes that a module may
-# read although another module defines them: the lattice memo, where the
-# continuity scans keep their pair listings, and the leaf constructor of
-# the oracle
+# read although another module defines them: the lattice memo, where
+# tnorm keeps the element ids, the comparable pairs and the continuity
+# scans' pair listings, and the leaf constructor of the oracle
 PRIVATE_ATTRIBUTE_READS = {("tnorm", "_memo"), ("oracle", "_of_rows")}
 
 

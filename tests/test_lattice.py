@@ -32,7 +32,8 @@ from latnorm.lattice import (
     lattice_from_json,
     powerset_lattice,
 )
-from latnorm.tnorm import is_left_continuous, t_drastic
+from latnorm import tnorm
+from latnorm.tnorm import is_left_continuous, t_drastic, t_min
 
 from oracles import (
     all_pairs_lattice,
@@ -42,6 +43,7 @@ from oracles import (
     set_based_below,
     set_based_first_missing,
     set_based_join_table,
+    set_based_meet_table,
     set_based_meets_joins,
 )
 from test_tnorm import ROW_CLASS_LATTICES
@@ -232,7 +234,9 @@ def test_cover_pair_validation_matches_the_all_pairs_reference():
             failures += 1
             continue
         assert error is None, (seed, error)
+        meets = fields.pop("meet_table")
         assert {name: getattr(lat, name) for name in fields} == fields, seed
+        assert t_min(lat).table == meets, seed
     assert failures >= 250, failures
 
 
@@ -337,21 +341,22 @@ def test_powerset_atomistic_boolean(k):
     assert lat.is_boolean_atomistic()
     rebuilt = lattice_from_covers(lat.names, lat.covers_named())
     assert rebuilt == lat
-    assert rebuilt.meet_table == lat.meet_table
+    assert t_min(rebuilt).table == t_min(lat).table == set_based_meet_table(lat)
     joins = set_based_join_table(lat)
     assert all(rebuilt.join(x, y) == lat.join(x, y) == joins[x][y] for x in range(lat.n) for y in range(lat.n))
 
 
-def test_meets_match_the_meet_table(corpus_atomistic, corpus_extension):
-    for lat in itertools.chain(corpus_atomistic.values(), corpus_extension.values()):
-        table = lat.meet_table
-        assert all(lat.meet(x, y) == table[x][y] for x in range(lat.n) for y in range(lat.n)), lat.names
+def test_t_min_is_the_set_based_meet_table(corpus_atomistic, corpus_extension):
+    """The meet table, read off ``t_min``, against meets recomputed from
+    the covers with sets alone."""
+    randoms = (random_lattice(3 + s % 6, s) for s in range(40))
+    for lat in itertools.chain(corpus_atomistic.values(), corpus_extension.values(), [chain(1)], randoms):
+        assert t_min(lat).table == set_based_meet_table(lat), lat.names
 
 
-def test_largest_powerset_builds_without_a_meet_table():
+def test_largest_powerset_builds():
     lat = powerset_lattice(POWERSET_MAX_ATOMS)
     assert lat.n == 1 << POWERSET_MAX_ATOMS and lat.is_boolean_atomistic()
-    assert "meet" not in lat._memo
 
 
 def test_powerset_bound():
@@ -537,7 +542,7 @@ def test_pair_sets_match_the_order(corpus_extension, corpus_atomistic):
     """Comparable pairs, straight from ``leq``."""
     for name, lat in {**corpus_extension, **corpus_atomistic, "chain1": chain(1)}.items():
         n = lat.n
-        assert lat.comparable_pairs() == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
+        assert tnorm._comparable_pairs(lat) == {(x, y) for x in range(n) for y in range(n) if lat.leq(x, y)}, name
 
 
 def test_pair_caches_stay_out_of_equality_and_serialization(fig_lattice):
@@ -545,7 +550,7 @@ def test_pair_caches_stay_out_of_equality_and_serialization(fig_lattice):
     its plan, its covers and its rescan rows, change no ``==``, ``hash``
     or JSON."""
     fresh = stemmed_diamond()
-    fig_lattice.comparable_pairs()
+    tnorm._comparable_pairs(fig_lattice)
     assert not is_left_continuous(t_drastic(fig_lattice))
     assert fig_lattice == fresh and hash(fig_lattice) == hash(fresh)
     assert fig_lattice.fingerprint() == fresh.fingerprint()

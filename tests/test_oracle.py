@@ -166,9 +166,7 @@ def test_enumeration_refuses_values_that_are_not_element_ids():
     ups, downs = list(lat.ups), list(lat.downs)
     ups[lat.bottom] |= 1 << lat.n
     downs[lat.top] |= 1 << lat.n
-    # the meet table is filled on first read; the broken downs would not
-    # index the meets, so it keeps the original ones
-    broken = FiniteLattice(**{**fields, "ups": ups, "downs": downs, "_memo": {"meet": lat.meet_table}})
+    broken = FiniteLattice(**{**fields, "ups": ups, "downs": downs, "_memo": {}})
     with pytest.raises(ValueError, match="table entry 4 is not an element id"):
         enumerate_all_tnorms(broken)
 

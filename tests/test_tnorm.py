@@ -378,7 +378,7 @@ def test_verify_pins_deep_associativity_witness():
     and the first associativity failure lies halfway through the x sweep."""
     lat = powerset_lattice(7)
     g = lat.index("g")
-    grid = [list(row) for row in lat.meet_table]
+    grid = [list(row) for row in t_min(lat).table]
     grid[g][g] = lat.bottom
     assert verify_tnorm(TNormTable(lat, grid)) == Verdict(False, "associativity", ("g", "ag", "bg"))
 
@@ -773,11 +773,11 @@ def test_verify_matches_reference_on_a_one_value_block():
     below top generates the meet, and bottom's projection holds one
     value, so row bottom compares through a single block."""
     lat = chain(20)
-    assert _assert_verify_matches_reference(lat, lat.meet_table).ok
+    assert _assert_verify_matches_reference(lat, t_min(lat).table).ok
     verdicts = []
     for seed in range(6):
         rng = random.Random(seed)
-        grid = lat.meet_table
+        grid = t_min(lat).table
         for _ in range(3):
             grid = _changed(grid, *rng.choice(_monotone_changes(lat, grid)))
             verdicts.append(_assert_verify_matches_reference(lat, grid))
@@ -869,7 +869,7 @@ def test_left_semicontinuity_after_a_failed_associativity_sweep(k):
     and finds row a."""
     lat = powerset_lattice(k)
     for a in iter_bits(lat.atoms_mask):
-        grid = _changed(lat.meet_table, a, a, lat.bottom)
+        grid = _changed(t_min(lat).table, a, a, lat.bottom)
         verified = TNormTable(lat, grid)
         assert verify_tnorm(verified).axiom == "associativity"
         assert verified._generator_rows is None
